@@ -38,8 +38,8 @@ from .linalg import (
     mat_mul,
     mat_sub,
     nullspace,
+    pol_divmod,
     rank,
-    rational_roots,
     rref,
     solve_linear,
     zeros,
@@ -84,7 +84,6 @@ def _pm_sub(a, b):
 
 def _pm_theta2_deriv(a):
     """theta^2 * d/dtheta of a matrix polynomial."""
-    out = [zeros(len(a[0]), len(a[0]))] if a else []
     res = []
     for k, m in enumerate(a):
         if k == 0:
@@ -518,8 +517,48 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     return ok, details
 
 
+def _split_over(cp, candidates):
+    """Roots of the polynomial cp among the candidates, with multiplicity.
+
+    Divides cp by (S - r) for each distinct candidate r while the division
+    remainder is zero; a linear cofactor left over yields its one rational
+    root directly.  Returns (sorted (root, mult) pairs, cofactor); the
+    cofactor is a constant when cp splits, and has degree >= 2 otherwise.
+    """
+    roots = {}
+    for r in sorted(set(candidates)):
+        while len(cp) > 1:
+            quot, rem = pol_divmod(cp, [-r, Fraction(1)])
+            if rem:
+                break
+            cp = quot
+            roots[r] = roots.get(r, 0) + 1
+    if len(cp) == 2:
+        r = -cp[0] / cp[1]
+        roots[r] = roots.get(r, 0) + 1
+        cp = [cp[1]]
+    return sorted(roots.items()), cp
+
+
 def verify_v_plus(ainf, degrees, spectrum_pairs):
-    """Spectral test: structure, semisimplicity, eigenvalue moduli = spectrum."""
+    """Spectral test: structure, semisimplicity, eigenvalue moduli = spectrum.
+
+    The eigenvalues are not searched for.  The characteristic polynomial is
+    divided by (S - r) for every candidate r: the diagonal entries of A_inf
+    and +-alpha for every spectral value alpha.  This is exact:
+
+    - When the structural test passes, A_inf is block upper-triangular by
+      degree with scalar diagonal blocks alpha*I, so its characteristic
+      polynomial is prod (S - a_ii) and the diagonal candidates exhaust it.
+    - Whenever a cofactor of degree >= 2 is left, every +-alpha has already
+      been divided out, so the multiset of eigenvalue moduli cannot equal
+      the spectrum and spectral_match is False whatever the remaining roots
+      are.  Such an A_inf is reported with eigenvalues None and semisimple
+      False.
+
+    The eigenvalues found are re-checked: semisimplicity is the vanishing
+    of the product of (A - r I) over the distinct roots.
+    """
     mu = len(degrees)
     detail = {}
     structural = True
@@ -532,13 +571,18 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
                 if ainf[i][j] != want:
                     structural = False
     detail["structure"] = structural
-    cp = charpoly(ainf)
-    roots, remainder = rational_roots(list(cp))
-    if len(remainder) > 1:
+    candidates = [ainf[i][i] for i in range(mu)]
+    for a, _ in spectrum_pairs:
+        candidates += [a, -a]
+    roots, cofactor = _split_over(charpoly(ainf), candidates)
+    if len(cofactor) > 1:
         detail["eigenvalues"] = None
         detail["semisimple"] = False
         detail["spectral_match"] = False
-        detail["note"] = "characteristic polynomial has irrational factors"
+        detail["note"] = (
+            "characteristic polynomial does not split over the candidate "
+            "eigenvalues (diagonal of A_inf and +-spectrum)"
+        )
         return False, detail
     detail["eigenvalues"] = [(str(r), m) for r, m in roots]
     # semisimple iff the product of (A - r I) over distinct roots vanishes

@@ -225,17 +225,6 @@ def _human_analyze(report):
     return lines
 
 
-_SECTION_OF = {
-    "polytope": "polytope",
-    "mu": "mu",
-    "basis": "basis",
-    "spectrum": "spectrum",
-    "pencil": "pencil",
-    "birkhoff": "birkhoff",
-    "frobenius": "frobenius",
-}
-
-
 def _run_report_command(args):
     text = _read_input(args)
     names = tuple(args.vars.split(",")) if args.vars else None
@@ -260,14 +249,13 @@ def _run_report_command(args):
             for line in _human_analyze(report):
                 print(line)
         return 0
-    key = _SECTION_OF[args.command]
-    sec = report[key]
+    sec = report[args.command]
     exit_code = 0
     if status == "obstruction" and args.command in ("birkhoff", "frobenius"):
         exit_code = 3
         print("error: Birkhoff obstruction; see diagnostics", file=sys.stderr)
     if args.json:
-        _emit_json({"schema": SCHEMA, "command": args.command, key: sec})
+        _emit_json({"schema": SCHEMA, "command": args.command, args.command: sec})
         return exit_code
     if args.command == "polytope":
         lines = _human_polytope(sec)

@@ -34,7 +34,9 @@ from .brieskorn import BrieskornElement, BrieskornLattice, spectrum
 from .errors import (
     DegenerateError,
     DegeneracySuspectedError,
+    ExactModeUnsupportedError,
     NotConvenientError,
+    UnsupportedFaceError,
 )
 from .jacobian import JacobianAlgebra
 from .laurent import LaurentParseError, parse_laurent
@@ -197,7 +199,11 @@ def analyze(f, var_names, *, seed=0, assume_nondegenerate=False, trials=6):
     if assume_nondegenerate:
         cert = assumed_certificate()
     else:
-        cert = is_nondegenerate(f, p, seed=seed, trials=trials)
+        try:
+            cert = is_nondegenerate(f, p, seed=seed, trials=trials)
+        except (UnsupportedFaceError, ExactModeUnsupportedError) as exc:
+            report["error"] = _error_obj("nondegeneracy", exc)
+            return report, "invalid"
     report["nondegeneracy"] = cert.to_json_obj()
     if not cert.ok:
         report["error"] = _error_obj(

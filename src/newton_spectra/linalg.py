@@ -29,14 +29,6 @@ def identity(n: int) -> list[list[Fraction]]:
     return a
 
 
-def mat_copy(a):
-    return [row[:] for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     out = zeros(n, m)
@@ -53,29 +45,12 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    c = frac(c)
-    return [[c * x for x in row] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in a]
-
-
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(a) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
 
 
 def trace(a) -> Fraction:

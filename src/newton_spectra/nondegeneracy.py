@@ -324,7 +324,6 @@ def _pmul(a, b, p):
 
 
 def _resultant_in_s(h0, h1, p):
-    samples_needed = None
     # degree bound first (cheap dry run for bound only)
     d0 = max(e[1] for e in h0)
     d1 = max(e[1] for e in h1)

@@ -100,13 +100,6 @@ class NewtonPolytope:
             return None
         return max(self.scaled_phi_exp(e) for e in g.terms)
 
-    def phi_facet(self, g: LaurentPolynomial, facet_index: int):
-        """Degree along a single facet form; None for 0."""
-        if g.is_zero():
-            return None
-        f = self.facets[facet_index]
-        return max(f.value(e) for e in g.terms)
-
     # -- lattice point enumeration
 
     def enumerate_sublevel(self, alpha) -> list[tuple[int, ...]]:

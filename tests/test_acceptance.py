@@ -8,6 +8,7 @@ report, and byte-determinism of the JSON report.  Everything is exact
 rational arithmetic; there are no tolerances anywhere.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -305,3 +306,34 @@ def test_report_bytes_deterministic_for_every_corpus_input():
             assert proc.returncode == 0, (expr, proc.stderr)
             runs.append(proc.stdout)
         assert runs[0] == runs[1], expr
+
+
+# 11. ladder regression: u1^10 + u1^-10 (mu = 20) used to spend minutes in a
+#     divisor search for the eigenvalues of Ainf; it now finishes in seconds
+#     with every flag true, and the report does not depend on `python -O`
+
+
+def _analyze_json(expr, *flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "newton_spectra.cli", "analyze", "--json", expr],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONHASHSEED="0"),
+    )
+    assert proc.returncode == 0, (expr, flags, proc.stderr)
+    return proc.stdout
+
+
+def test_ladder_mu_twenty_finishes_with_every_flag():
+    report = json.loads(_analyze_json("u1^10+u1^-10"))
+    assert report["mu"] == 20
+    assert report["birkhoff"]["flags"] == {
+        "v_solution": True, "v_plus": True, "opposite": True, "b_opposed": True,
+    }
+    spec = sorted(abs(F(p["alpha"])) for p in report["spectrum"]["pairs"]
+                  for _ in range(p["nu"]))
+    assert _eig_moduli(report["birkhoff"]["spectral"]) == spec and len(spec) == 20
+
+
+def test_report_bytes_unchanged_under_python_O():
+    expr = "u1^6+u1^-6"
+    assert _analyze_json(expr, "-O") == _analyze_json(expr)

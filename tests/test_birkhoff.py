@@ -5,9 +5,11 @@ existed: for the two-variable example the single gauge correction is
 P1 = -E_{12}; for u + 1/u the identity gauge is already normal.
 """
 
+import random
 from fractions import Fraction as F
 
 from conftest import pipeline
+from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import (
     BirkhoffObstruction,
     BirkhoffSolution,
@@ -19,7 +21,7 @@ from newton_spectra import (
     verify_v_plus,
     verify_v_solution,
 )
-from newton_spectra.linalg import charpoly, identity, mat_mul
+from newton_spectra.linalg import charpoly, identity, mat_mul, rational_roots
 
 
 def _solved(expr):
@@ -227,3 +229,115 @@ def test_solution_json_shape():
     assert obj["a0"] == [["0", "2"], ["2", "0"]]
     assert obj["ainf"] == [["0", "0"], ["0", "1"]]
     assert obj["gauge"] == [[["1", "0"], ["0", "1"]]]
+
+
+# ---------------------------------------------------------------------------
+# the spectral test divides the characteristic polynomial by the known
+# candidates (diagonal of A_inf, +-spectrum) instead of searching for roots
+
+
+def test_structural_ainf_gives_its_diagonal_multiset():
+    # block upper-triangular by degree, scalar blocks, couplings only from
+    # lower to higher degree: the eigenvalues are the diagonal entries
+    degrees = (F(0), F(1, 2), F(1, 2), F(1))
+    ainf = [
+        [F(0), F(3), F(-1), F(5)],
+        [F(0), F(1, 2), F(0), F(-2)],
+        [F(0), F(0), F(1, 2), F(7, 3)],
+        [F(0), F(0), F(0), F(1)],
+    ]
+    pairs = ((F(0), 1), (F(1, 2), 2), (F(1), 1))
+    ok, detail = verify_v_plus(ainf, degrees, pairs)
+    assert ok
+    assert detail == {
+        "structure": True,
+        "eigenvalues": [("0", 1), ("1/2", 2), ("1", 1)],
+        "semisimple": True,
+        "spectral_match": True,
+    }
+    # a solved normal form with repeated spectral values
+    data, sol = _solved("u1^3 + u2^3 + u1^-1*u2^-1")
+    pen, sp = data["pencil"], data["spectrum"]
+    ok, detail = verify_v_plus(sol.ainf, pen.degrees, sp.pairs)
+    assert ok
+    assert detail["eigenvalues"] == [(str(a), m) for a, m in sp.pairs]
+    assert max(m for _, m in sp.pairs) > 1
+
+
+def test_irrational_eigenvalues_do_not_split():
+    # S^2 - 2
+    ok, detail = verify_v_plus(
+        [[F(0), F(2)], [F(1), F(0)]], (F(0), F(1)), ((F(0), 1), (F(1), 1))
+    )
+    assert not ok
+    assert detail["eigenvalues"] is None
+    assert detail["semisimple"] is False
+    assert detail["spectral_match"] is False
+    assert "does not split" in detail["note"]
+
+
+def test_rational_eigenvalues_off_the_candidates_do_not_split():
+    # eigenvalues 3 and 5: rational, but neither a diagonal entry nor
+    # +-a spectral value, so the verdict is False without naming them
+    ainf = [[F(4), F(1)], [F(1), F(4)]]
+    assert rational_roots(charpoly(ainf))[0] == [(F(3), 1), (F(5), 1)]
+    ok, detail = verify_v_plus(ainf, (F(0), F(1)), ((F(0), 1), (F(1), 1)))
+    assert not ok
+    assert detail["eigenvalues"] is None
+    assert detail["spectral_match"] is False
+
+
+def _conjugate_elementary(a, i, j, c):
+    """(I + c E_ij) a (I - c E_ij)."""
+    a = [row[:] for row in a]
+    a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    for row in a:
+        row[j] -= c * row[i]
+    return a
+
+
+def test_candidate_division_agrees_with_root_search(monkeypatch):
+    # oracle: the same test with the divisor search put back in
+    def by_root_search(ainf, degrees, pairs):
+        with monkeypatch.context() as m:
+            m.setattr(birkhoff_mod, "_split_over", lambda cp, _: rational_roots(cp))
+            return verify_v_plus(ainf, degrees, pairs)
+
+    rng = random.Random(20021107)
+    pool = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(-1), F(-1, 2)]
+    agreed = not_split = passed = 0
+    for _ in range(300):
+        mu = rng.randint(2, 6)
+        diag = sorted(rng.choice(pool[:6]) for _ in range(mu))
+        ainf = [[F(0)] * mu for _ in range(mu)]
+        for i in range(mu):
+            ainf[i][i] = diag[i]
+            for j in range(i + 1, mu):
+                if diag[i] != diag[j] and rng.random() < 0.5:
+                    ainf[i][j] = F(rng.randint(-3, 3), rng.randint(1, 3))
+        if rng.random() < 0.3:
+            degrees = tuple(diag)
+            pairs = tuple((a, diag.count(a)) for a in sorted(set(diag)))
+        else:
+            # leave the structural form: spectrum and degrees unrelated to
+            # the eigenvalues, conjugated by a random unipotent matrix
+            degrees = tuple(sorted(rng.choice(pool[:6]) for _ in range(mu)))
+            values = sorted(set(rng.sample(pool, rng.randint(1, 4))))
+            pairs = tuple((a, 1) for a in values)
+            for _ in range(rng.randint(1, 4)):
+                i, j = rng.sample(range(mu), 2)
+                ainf = _conjugate_elementary(ainf, i, j, F(rng.randint(-2, 2)))
+        new_ok, new = verify_v_plus(ainf, degrees, pairs)
+        old_ok, old = by_root_search(ainf, degrees, pairs)
+        assert new_ok == old_ok
+        cands = {ainf[i][i] for i in range(mu)}
+        cands |= {s * a for a, _ in pairs for s in (1, -1)}
+        missing = sum(m for r, m in rational_roots(charpoly(ainf))[0] if r not in cands)
+        if missing <= 1:
+            assert new == old
+            agreed += 1
+            passed += new_ok
+        else:
+            assert new["eigenvalues"] is None and not new_ok
+            not_split += 1
+    assert agreed and not_split and passed

@@ -147,6 +147,18 @@ def test_analyze_json_on_invalid_input_carries_error(capsys):
     assert report["mu"] is None
 
 
+def test_analyze_without_a_face_test_exits_2():
+    # n = 4 has three-dimensional faces, which no nondegeneracy test covers
+    proc = run_proc(["analyze", "u1+u2+u3+u4+u1^-1*u2^-1*u3^-1*u4^-1", "--json"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    report = json.loads(proc.stdout)
+    assert report["error"]["stage"] == "nondegeneracy"
+    assert report["error"]["type"] == "UnsupportedFaceError"
+    assert report["nondegeneracy"] is None and report["mu"] is None
+
+
 def test_section_json_wrapper(capsys):
     rc, out, _ = run_cli(capsys, ["spectrum", "u1 + u1^-2", "--json"])
     assert rc == 0
