@@ -42,10 +42,8 @@ from .jacobian import (
     AdaptedBasis,
     DivisionWitness,
     JacobianAlgebra,
-    adapted_basis,
     divide,
     divide_exact,
-    graded_jacobian,
 )
 from .laurent import LaurentParseError, LaurentPolynomial, parse_laurent
 from .nondegeneracy import (
@@ -80,7 +78,6 @@ __all__ = [
     "NotInIdealError",
     "SpectrumData",
     "UnsupportedFaceError",
-    "adapted_basis",
     "analyze",
     "analyze_text",
     "assumed_certificate",
@@ -89,7 +86,6 @@ __all__ = [
     "divide_exact",
     "euler_field",
     "gauge_residual",
-    "graded_jacobian",
     "graded_model",
     "is_nondegenerate",
     "milnor_number",

@@ -32,6 +32,7 @@ from math import floor
 
 from .brieskorn import ConnectionPencil
 from .linalg import (
+    Echelon,
     charpoly,
     identity,
     mat_eq,
@@ -306,26 +307,33 @@ def _apply_constant_split(pencil, gauge, a0, ainf, degrees):
     return _pm_trim(gauge) or [identity(len(degrees))], a0, ainf, True
 
 
-def _unsatisfiable_labels(rows, rhs, labels, cap=8):
-    """Greedy certificate: equations that turn the running system inconsistent."""
-    pivots = []
+def _obstruction_ranks(rows, rhs, labels, cap=8):
+    """(system rank, augmented rank, culprit labels) in one elimination pass.
+
+    Each augmented row is reduced against the consistent rows before it.  A
+    residual left only in the right-hand-side column is a culprit: that
+    equation turns the running system inconsistent.  Culprits are not stored,
+    so the stored rows have independent coefficient parts, every culprit's
+    residual is canonical, and both ranks count every row past the cap.
+    """
+    n = len(rows[0]) if rows else 0
+    ech = Echelon()
     bad = []
+    inconsistent = False
     for row, b, lab in zip(rows, rhs, labels):
-        v = row + [b]
-        for col, pv in pivots:
-            c = v[col]
-            if c:
-                v = [x - c * y for x, y in zip(v, pv)]
-        col = next((t for t, x in enumerate(v[:-1]) if x), None)
-        if col is None:
-            if v[-1]:
-                bad.append(lab)
-                if len(bad) >= cap:
-                    break
+        vec = {t: x for t, x in enumerate(row) if x}
+        vec[n] = b
+        res, _ = ech.reduce(vec)
+        if not res:
+            continue
+        if min(res) < n:
+            ech.insert(res)
         else:
-            inv = Fraction(1) / v[col]
-            pivots.append((col, [x * inv for x in v]))
-    return tuple(bad)
+            inconsistent = True
+            if len(bad) < cap:
+                bad.append(lab)
+    system = len(ech.rows)
+    return system, system + inconsistent, tuple(bad)
 
 
 def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
@@ -369,16 +377,16 @@ def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
             break
         ainf = nxt
 
-    aug = [r + [v] for r, v in zip(rows, rhs)]
+    system_rank, augmented_rank, culprits = _obstruction_ranks(rows, rhs, labels)
     return BirkhoffObstruction(
         message="gauge equations are inconsistent for a diagonal residue matrix "
         "and the fixed-point sweeps did not stabilize",
         equations=len(rows),
         unknowns=len(slots),
-        system_rank=rank(rows) if rows else 0,
-        augmented_rank=rank(aug) if aug else 0,
+        system_rank=system_rank,
+        augmented_rank=augmented_rank,
         sweeps=max_sweeps,
-        unsatisfiable=_unsatisfiable_labels(rows, rhs, labels),
+        unsatisfiable=culprits,
     )
 
 
@@ -416,9 +424,10 @@ def pencil_in_gauge(pencil: ConnectionPencil, gauge):
 
 def _invert(m):
     mu = len(m)
-    aug = [row[:] + identity(mu)[i] for i, row in enumerate(m)]
+    aug = [row[:] + unit for row, unit in zip(m, identity(mu))]
     red, piv = rref(aug)
-    assert piv == list(range(mu)), "gauge constant term is singular"
+    if piv != list(range(mu)):
+        raise ValueError("gauge constant term is singular")
     return [row[mu:] for row in red]
 
 

@@ -1,13 +1,14 @@
 """Graded Jacobian-type quotient of a convenient nondegenerate polynomial.
 
 Everything is organized by the scaled Newton degree r = scale * phi, an
-integer.  For each level r the multiples of the leading forms of the n
-logarithmic derivatives xi_i(f) coming from level r - scale span a subspace
-of the level-r monomials; an echelonized copy of that span (with bookkeeping
-of which multiple produced which row) is cached per level.  Non-pivot
-monomials are the canonical graded representatives; collecting them for
-r = 0 .. n*scale gives the adapted basis, and reducing against the echelon
-with bookkeeping gives division with certified cofactors.
+integer.  For each level r the multiples u^m * lead(xi_i(f)) of the leading
+forms of the n logarithmic derivatives, with m at level r - scale, span a
+subspace of the level-r monomials.  Each level caches one `linalg.Echelon` of
+that span: columns are the positions of the level's monomials in graded-lex
+order, rows go in in (i, m) order and carry the label (i, m) as provenance.
+Non-pivot monomials are the canonical graded representatives; collecting them
+for r = 0 .. n*scale gives the adapted basis, and reducing against the
+echelon gives division with certified cofactors read off the provenance.
 
 Division descends level by level: the top graded slice of the residual is
 rewritten as representatives + leading-form multiples, the full (not just
@@ -23,92 +24,8 @@ from fractions import Fraction
 
 from .errors import DegeneracySuspectedError, NotInIdealError
 from .laurent import LaurentPolynomial, term_key
+from .linalg import Echelon
 from .polytope import NewtonPolytope, newton_polytope
-
-
-class _LevelSolver:
-    """Echelonized leading-form relations at one scaled level."""
-
-    def __init__(self, rows, columns):
-        # columns: list of exponent tuples (graded-lex); rows: (vec, meta)
-        self.columns = columns
-        self.index = {e: i for i, e in enumerate(columns)}
-        self.rows = []          # list of (pivot, vec dict, meta dict), pivot increasing
-        for vec, meta in rows:
-            self._insert(vec, meta)
-        self.rows.sort(key=lambda r: r[0])
-        pivots = {p for p, _, _ in self.rows}
-        self.reps = [e for i, e in enumerate(columns) if i not in pivots]
-
-    def _insert(self, vec, meta):
-        vec = dict(vec)
-        meta = dict(meta)
-        for pivot, rvec, rmeta in self.rows:
-            c = vec.get(pivot)
-            if c:
-                for k, v in rvec.items():
-                    s = vec.get(k, Fraction(0)) - c * v
-                    if s:
-                        vec[k] = s
-                    else:
-                        vec.pop(k, None)
-                for k, v in rmeta.items():
-                    s = meta.get(k, Fraction(0)) - c * v
-                    if s:
-                        meta[k] = s
-                    else:
-                        meta.pop(k, None)
-        if not vec:
-            return
-        pivot = min(vec)
-        lead = vec[pivot]
-        vec = {k: v / lead for k, v in vec.items()}
-        meta = {k: v / lead for k, v in meta.items()}
-        # keep earlier rows reduced too, so reduction against rows is unique
-        for i, (p0, rvec, rmeta) in enumerate(self.rows):
-            c = rvec.get(pivot)
-            if c:
-                for k, v in vec.items():
-                    s = rvec.get(k, Fraction(0)) - c * v
-                    if s:
-                        rvec[k] = s
-                    else:
-                        rvec.pop(k, None)
-                for k, v in meta.items():
-                    s = rmeta.get(k, Fraction(0)) - c * v
-                    if s:
-                        rmeta[k] = s
-                    else:
-                        rmeta.pop(k, None)
-        self.rows.append((pivot, vec, meta))
-        self.rows.sort(key=lambda r: r[0])
-
-    def solve(self, vec):
-        """Split a level vector into representative part + relation combination.
-
-        vec maps column indices to Fractions.  Returns (rep, combo) with rep
-        keyed by exponent tuples and combo keyed by (i, multiplier exponent).
-        """
-        vec = dict(vec)
-        combo = {}
-        for pivot, rvec, rmeta in self.rows:
-            c = vec.get(pivot)
-            if not c:
-                continue
-            for k, v in rvec.items():
-                s = vec.get(k, Fraction(0)) - c * v
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-            for k, v in rmeta.items():
-                s = combo.get(k, Fraction(0)) + c * v
-                if s:
-                    combo[k] = s
-                else:
-                    combo.pop(k, None)
-        rep = {self.columns[i]: c for i, c in vec.items()}
-        return rep, combo
 
 
 @dataclass(frozen=True)
@@ -155,6 +72,7 @@ class JacobianAlgebra:
                 {e: c for e, c in xi.terms.items() if p.scaled_phi_exp(e) == self.d}
             )
         self._levels = {}          # scaled level -> sorted monomial list
+        self._index = {}           # scaled level -> monomial -> echelon column
         self._level_max = -1
         self._solvers = {}
         self._basis = None
@@ -172,6 +90,7 @@ class JacobianAlgebra:
             lst = levels.get(k, [])
             lst.sort(key=term_key)
             self._levels[k] = lst
+            self._index[k] = {e: j for j, e in enumerate(lst)}
         self._level_max = r
 
     def level_monomials(self, r: int):
@@ -180,30 +99,32 @@ class JacobianAlgebra:
         self._ensure_levels(r)
         return self._levels.get(r, [])
 
-    def solver(self, r: int) -> _LevelSolver:
+    def solver(self, r: int) -> Echelon:
         if r not in self._solvers:
-            cols = self.level_monomials(r)
-            index = {e: i for i, e in enumerate(cols)}
-            rows = []
+            self._ensure_levels(r)
+            index = self._index[r]
+            ech = Echelon()
             for i in range(self.n):
                 lead = self.leading[i]
                 for m in self.level_monomials(r - self.d):
                     vec = {}
                     for k, b in lead.items():
-                        e = tuple(a + t for a, t in zip(m, k))
-                        j = index.get(e)
+                        j = index.get(tuple(a + t for a, t in zip(m, k)))
                         if j is not None:
                             vec[j] = vec.get(j, Fraction(0)) + b
-                    vec = {j: c for j, c in vec.items() if c}
-                    if vec:
-                        rows.append((vec, {(i, m): Fraction(1)}))
-            self._solvers[r] = _LevelSolver(rows, cols)
+                    ech.insert(vec, (i, m))
+            self._solvers[r] = ech
         return self._solvers[r]
 
     # -- graded dimensions and the basis
 
+    def representatives(self, r: int):
+        """Level-r monomials outside the pivots: the graded basis slice."""
+        pivots = self.solver(r).rows
+        return [e for j, e in enumerate(self.level_monomials(r)) if j not in pivots]
+
     def graded_dimension(self, r: int) -> int:
-        return len(self.solver(r).reps)
+        return len(self.representatives(r))
 
     def basis(self) -> AdaptedBasis:
         if self._basis is None:
@@ -211,7 +132,7 @@ class JacobianAlgebra:
             scaled = []
             top = self.n * self.d
             for r in range(top + 1):
-                for e in self.solver(r).reps:
+                for e in self.representatives(r):
                     monomials.append(e)
                     scaled.append(r)
             if not monomials or monomials[0] != (0,) * self.n or scaled[1:2] == [0]:
@@ -243,14 +164,6 @@ class JacobianAlgebra:
                     "spectral level %d; the polynomial is most likely degenerate"
                     % (r, self.d, self.n)
                 )
-
-
-def graded_jacobian(f, p=None) -> JacobianAlgebra:
-    return JacobianAlgebra(f, p)
-
-
-def adapted_basis(algebra: JacobianAlgebra) -> AdaptedBasis:
-    return algebra.basis()
 
 
 @dataclass
@@ -304,14 +217,14 @@ def divide(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:
     start = algebra.polytope.scaled_phi(g) or 0
     while not resid.is_zero():
         r = algebra.polytope.scaled_phi(resid)
-        solver = algebra.solver(r)
-        index = solver.index
+        ech = algebra.solver(r)
+        index = algebra._index[r]
         vec = {}
         for e, c in resid.terms.items():
             if algebra.polytope.scaled_phi_exp(e) == r:
                 vec[index[e]] = c
-        rep, combo = solver.solve(vec)
-        if rep and r > top_level:
+        rest, combo = ech.reduce(vec)
+        if rest and r > top_level:
             raise DegeneracySuspectedError(
                 "graded representative appears above the top level (scaled %d > %d)"
                 % (r, top_level)
@@ -321,17 +234,30 @@ def divide(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:
             mono = LaurentPolynomial.monomial(m, c)
             cof[i] = cof[i] + mono
             delta = delta + mono * algebra.log_derivs[i]
-        for e, c in rep.items():
-            assert e in rep_set
+        columns = algebra.level_monomials(r)
+        for j, c in rest.items():
+            e = columns[j]
+            if e not in rep_set:
+                raise DegeneracySuspectedError(
+                    "residual monomial %s at scaled level %d is not a basis "
+                    "representative" % (e, r)
+                )
             a[e] = a.get(e, Fraction(0)) + c
             delta = delta + LaurentPolynomial.monomial(e, c)
         resid = resid - delta
         nr = algebra.polytope.scaled_phi(resid)
-        assert nr is None or nr < r, "descent failed to lower the level"
+        if nr is not None and nr >= r:
+            raise DegeneracySuspectedError(
+                "division failed to lower the scaled level %d" % r
+            )
         guard += 1
         # the scaled level strictly drops each round, so the start level
         # bounds the iteration count
-        assert guard <= start + 1
+        if guard > start + 1:
+            raise DegeneracySuspectedError(
+                "division took more than %d rounds from scaled level %d"
+                % (start + 1, start)
+            )
     a = {e: c for e, c in a.items() if c}
     deta = LaurentPolynomial.zero(algebra.n)
     for i, gi in enumerate(cof):

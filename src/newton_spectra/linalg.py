@@ -2,7 +2,10 @@
 polynomial and integer-lattice helpers used across the package.
 
 Matrices are plain lists of lists of Fraction, vectors are lists of Fraction.
-Everything is deterministic: pivoting always takes the first usable row/column,
+All row elimination over Q goes through one kernel, `Echelon`: sparse dict
+rows, the smallest column as pivot, fully reduced, with optional provenance.
+`rref`, `rank`, `solve_linear` and `nullspace` are thin dense wrappers around
+it.  Everything is deterministic: the reduced row echelon form is unique, and
 free variables are always set to zero.
 """
 
@@ -57,59 +60,109 @@ def trace(a) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
+class Echelon:
+    """Sparse, fully reduced row echelon form over Q, grown one row at a time.
+
+    A row is a dict column -> Fraction without zero entries, and its pivot is
+    its smallest column.  Every stored row has coefficient 1 in its pivot and
+    0 in every other stored row's pivot, so the stored rows are the reduced
+    row echelon form of the span of the rows inserted so far, which is
+    unique.  A row inserted with a label carries a provenance dict label ->
+    Fraction naming the combination of labelled inserted rows it equals.
+    Rows that reduce to zero are dropped, so provenance depends on the order
+    of insertion as well as on the rows.
+    """
+
+    def __init__(self):
+        self.rows = {}      # pivot -> (row, provenance)
+
+    def reduce(self, vec):
+        """Split vec as residual + sum of combination[label] * inserted row.
+
+        Returns (residual, combination).  The residual is zero in every pivot
+        column; the combination is over the labelled rows.  Stored rows are
+        zero in each other's pivots, so the coefficient of each pivot row is
+        vec's own entry there and the order of the subtractions is immaterial.
+        """
+        vec = {k: v for k, v in vec.items() if v}
+        combo = {}
+        for p in [k for k in vec if k in self.rows]:
+            c = vec[p]
+            row, prov = self.rows[p]
+            _axpy(vec, -c, row)
+            _axpy(combo, c, prov)
+        return vec, combo
+
+    def insert(self, vec, label=None):
+        """Reduce vec and store what is left, if anything."""
+        vec, combo = self.reduce(vec)
+        if not vec:
+            return
+        prov = {k: -v for k, v in combo.items()}
+        if label is not None:
+            prov[label] = prov.get(label, 0) + 1
+        p = min(vec)
+        lead = vec[p]
+        vec = {k: v / lead for k, v in vec.items()}
+        prov = {k: v / lead for k, v in prov.items()}
+        for row, rprov in self.rows.values():
+            c = row.get(p)
+            if c:
+                _axpy(row, -c, vec)
+                _axpy(rprov, -c, prov)
+        self.rows[p] = (vec, prov)
+
+
+def _axpy(y, c, x):
+    """y += c * x on sparse dicts, dropping entries that cancel."""
+    for k, v in x.items():
+        s = y.get(k)
+        s = c * v if s is None else s + c * v
+        if s:
+            y[k] = s
+        else:
+            del y[k]
+
+
+def _echelon(a) -> Echelon:
+    ech = Echelon()
+    for row in a:
+        ech.insert({j: frac(x) for j, x in enumerate(row) if x})
+    return ech
+
+
 def rref(a):
     """Reduced row echelon form. Returns (rows, pivot_columns).
 
-    Does not mutate the input.  Pivot = first nonzero entry scanning rows in
-    order, so the result is canonical for a fixed row/column order.
+    Does not mutate the input.  The nonzero rows come first in pivot order,
+    followed by one zero row for each dependent input row.
     """
-    rows = [list(map(frac, r)) for r in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = _echelon(a).rows
+    pivots = sorted(rows)
+    out = []
+    for p in pivots:
+        row = rows[p][0]
+        out.append([row.get(j, Fraction(0)) for j in range(n)])
+    out += [[Fraction(0)] * n for _ in range(m - len(pivots))]
+    return out, pivots
 
 
 def rank(a) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
+    return len(_echelon(a).rows)
 
 
 def solve_linear(a, b):
     """One solution x of A x = b with all free variables zero, or None."""
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = [list(map(frac, a[i])) + [frac(b[i])] for i in range(m)]
-    rows, pivots = rref(aug)
-    for row in rows:
-        if all(x == 0 for x in row[:n]) and row[n] != 0:
-            return None
+    rows = _echelon([list(a[i]) + [b[i]] for i in range(m)]).rows
+    if n in rows:
+        return None
     x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = rows[r][n]
+    for p, (row, _) in rows.items():
+        x[p] = row.get(n, Fraction(0))
     return x
 
 
@@ -117,20 +170,17 @@ def nullspace(a):
     """Basis of the kernel of A, one vector per free column (that column = 1)."""
     m = len(a)
     n = len(a[0]) if m else 0
-    if m == 0:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    rows, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
+    rows = _echelon(a).rows
+    basis = {}
     for c in range(n):
-        if c in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][c]
-        basis.append(v)
-    return basis
+        if c not in rows:
+            basis[c] = [Fraction(0)] * n
+            basis[c][c] = Fraction(1)
+    for p, (row, _) in rows.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return list(basis.values())
 
 
 def charpoly(a):

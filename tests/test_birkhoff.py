@@ -8,6 +8,8 @@ P1 = -E_{12}; for u + 1/u the identity gauge is already normal.
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import pipeline
 from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import (
@@ -200,6 +202,12 @@ def test_identity_gauge_round_trip():
     assert pencil_in_gauge(pen, [identity(3)]) == list(pen.matrices)
 
 
+_OBSTRUCTION_MESSAGE = (
+    "gauge equations are inconsistent for a diagonal residue matrix "
+    "and the fixed-point sweeps did not stabilize"
+)
+
+
 def test_synthetic_obstruction_record():
     # theta^2 entry from slot 0 to 1 cannot be removed by any pattern gauge:
     # the single unknown (P_1)_{01} appears with coefficient 0 there
@@ -213,12 +221,56 @@ def test_synthetic_obstruction_record():
     )
     obs = solve_birkhoff(fake)
     assert isinstance(obs, BirkhoffObstruction)
-    assert obs.unknowns == 1
-    assert obs.residual_rank == 1
-    assert obs.augmented_rank == obs.system_rank + 1
-    assert (2, 0, 1) in obs.unsatisfiable
-    obj = obs.to_json_obj()
-    assert obj["status"] == "obstruction" and obj["residual_rank"] == 1
+    assert obs.to_json_obj() == {
+        "status": "obstruction",
+        "message": _OBSTRUCTION_MESSAGE,
+        "equations": 1,
+        "unknowns": 1,
+        "system_rank": 0,
+        "augmented_rank": 1,
+        "residual_rank": 1,
+        "unsatisfiable": [[2, 0, 1]],
+        "sweeps": 16,
+    }
+
+
+def test_obstruction_caps_culprits_and_ranks_count_every_row():
+    # degrees (0,0,0,1,1,1), B_0 = 0, B_1 = diag(degrees): the nine unknowns
+    # (P_1)_{ij}, i low and j high, drop out of every theta^2 equation, so
+    # the nine theta^2 entries of B_2 on that block and the one at (3, 0)
+    # are ten culprits; B_2[3][0] also puts (P_1)_{0j} into the theta^3
+    # equations (3, 3, j), three consistent rows that come after them all
+    mats = [[[F(0)] * 6 for _ in range(6)] for _ in range(3)]
+    degrees = (F(0),) * 3 + (F(1),) * 3
+    for i in range(6):
+        mats[1][i][i] = degrees[i]
+    for i in range(3):
+        for j in range(3, 6):
+            mats[2][i][j] = F(1)
+    mats[2][3][0] = F(1)
+    obs = solve_birkhoff(ConnectionPencil(matrices=tuple(mats), degrees=degrees))
+    assert isinstance(obs, BirkhoffObstruction)
+    assert obs.to_json_obj() == {
+        "status": "obstruction",
+        "message": _OBSTRUCTION_MESSAGE,
+        "equations": 13,
+        "unknowns": 9,
+        "system_rank": 3,
+        "augmented_rank": 4,
+        "residual_rank": 1,
+        "unsatisfiable": [
+            [2, 0, 3], [2, 0, 4], [2, 0, 5], [2, 1, 3],
+            [2, 1, 4], [2, 1, 5], [2, 2, 3], [2, 2, 4],
+        ],
+        "sweeps": 16,
+    }
+
+
+def test_invert_rejects_a_singular_matrix():
+    with pytest.raises(ValueError, match="singular"):
+        birkhoff_mod._invert([[F(1), F(2)], [F(2), F(4)]])
+    q = [[F(1), F(3)], [F(0), F(1)]]
+    assert mat_mul(q, birkhoff_mod._invert(q)) == identity(2)
 
 
 def test_solution_json_shape():

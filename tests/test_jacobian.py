@@ -2,7 +2,8 @@
 
 _bruteforce_quotient_dim recomputes mu with none of the level-by-level
 machinery: it spans the ideal slice by explicit monomial multiples of the
-log-partials inside a sublevel truncation and takes one big rank.
+log-partials inside a sublevel truncation and takes one big rank with the
+tests' own dense elimination (conftest.dense_rank).
 """
 
 import random
@@ -10,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, DEGENERATE, pipeline
+from conftest import CORPUS, DEGENERATE, dense_rank, pipeline
 from newton_spectra import (
+    AdaptedBasis,
     DegeneracySuspectedError,
     JacobianAlgebra,
     LaurentPolynomial,
@@ -22,7 +24,6 @@ from newton_spectra import (
     newton_polytope,
     parse_laurent,
 )
-from newton_spectra.linalg import rank
 
 
 def _bruteforce_quotient_dim(f, p, scaled_level):
@@ -52,7 +53,7 @@ def _bruteforce_quotient_dim(f, p, scaled_level):
                 row[j] = c
             if ok and any(row):
                 rows.append(row)
-    return len(ambient) - rank(rows)
+    return len(ambient) - dense_rank(rows)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +141,19 @@ def test_not_in_ideal_reports_residue():
     with pytest.raises(NotInIdealError) as e:
         divide_exact(data["algebra"], g)
     assert e.value.residue == {(1, 0): 1, (0, 0): 7}
+
+
+def test_divide_refuses_a_residual_outside_the_basis():
+    # an explicit check that survives python -O: a residual monomial the
+    # basis does not list means the level echelons and the basis disagree
+    f, _ = parse_laurent("u1 + u1^-1")
+    algebra = JacobianAlgebra(f)
+    full = algebra.basis()
+    algebra._basis = AdaptedBasis(
+        full.monomials[:1], full.degrees[:1], full.scaled_degrees[:1]
+    )
+    with pytest.raises(DegeneracySuspectedError):
+        divide(algebra, LaurentPolynomial.monomial(full.monomials[1], Fraction(1)))
 
 
 def test_degenerate_input_caught_by_dimension_check():

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 from fractions import Fraction as F
 
+from conftest import dense_rank, dense_rref
 from newton_spectra.linalg import (
+    Echelon,
     charpoly,
     hnf_with_transform,
     identity,
@@ -68,6 +70,88 @@ def test_nullspace_annihilates():
         assert len(basis) == n - rank(a)
         for v in basis:
             assert all(sum(r[j] * v[j] for j in range(n)) == 0 for r in a)
+
+
+def _random_system(rng, kind):
+    m, n = rng.randrange(1, 8), rng.randrange(1, 8)
+    if kind == "deficient":
+        k = rng.randrange(1, min(m, n) + 1)
+        left = [[F(rng.randrange(-3, 4)) for _ in range(k)] for _ in range(m)]
+        right = [[F(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(k)]
+        a = mat_mul(left, right)
+    else:
+        density = {"sparse": 0.2, "dense": 1.0, "inconsistent": 0.5}[kind]
+        a = [
+            [F(rng.randrange(-4, 5)) if rng.random() < density else F(0) for _ in range(n)]
+            for _ in range(m)
+        ]
+    b = [F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(len(a))]
+    if kind == "inconsistent":
+        # one more equation: the sum of two rows with a shifted right side
+        i, j = rng.randrange(len(a)), rng.randrange(len(a))
+        a.append([x + y for x, y in zip(a[i], a[j])])
+        b.append(b[i] + b[j] + 1)
+    return a, b
+
+
+def test_kernel_wrappers_match_dense_reference():
+    rng = random.Random(2024)
+    for kind in ("sparse", "dense", "deficient", "inconsistent"):
+        for _ in range(60):
+            a, b = _random_system(rng, kind)
+            n = len(a[0])
+            rows, pivots = dense_rref(a)
+            assert rref(a) == (rows, pivots)
+            assert rank(a) == len(pivots)
+            free = [c for c in range(n) if c not in pivots]
+            x = solve_linear(a, b)
+            if dense_rank([r + [v] for r, v in zip(a, b)]) > len(pivots):
+                assert x is None
+            else:
+                assert kind != "inconsistent"
+                assert all(sum(r[j] * x[j] for j in range(n)) == v for r, v in zip(a, b))
+                assert all(x[c] == 0 for c in free)
+            basis = nullspace(a)
+            assert len(basis) == len(free)
+            for v, c in zip(basis, free):
+                assert [v[f] for f in free] == [F(int(f == c)) for f in free]
+                assert all(sum(r[j] * v[j] for j in range(n)) == 0 for r in a)
+
+
+def test_echelon_provenance_names_the_inserted_rows():
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randrange(1, 8)
+        inserted = []
+        ech = Echelon()
+        for label in range(rng.randrange(1, 9)):
+            if inserted and rng.random() < 0.3:
+                # a combination of earlier rows reduces to zero and is dropped
+                u, w = rng.choice(inserted), rng.choice(inserted)
+                vec = {k: u.get(k, 0) - 2 * w.get(k, 0) for k in set(u) | set(w)}
+            else:
+                vec = {j: F(rng.randrange(-3, 4)) for j in range(n) if rng.random() < 0.4}
+            inserted.append(vec)
+            ech.insert(vec, label)
+
+        def combination(coeffs):
+            out = {}
+            for label, c in coeffs.items():
+                for k, v in inserted[label].items():
+                    out[k] = out.get(k, 0) + c * v
+            return {k: v for k, v in out.items() if v}
+
+        for p, (row, prov) in ech.rows.items():
+            assert min(row) == p and row[p] == 1
+            assert not any(q in row for q in ech.rows if q != p)
+            assert combination(prov) == row
+        probe = {j: F(rng.randrange(-3, 4)) for j in range(n)}
+        rest, combo = ech.reduce(probe)
+        assert not set(rest) & set(ech.rows)
+        total = combination(combo)
+        for k, v in rest.items():
+            total[k] = total.get(k, 0) + v
+        assert {k: v for k, v in total.items() if v} == {k: v for k, v in probe.items() if v}
 
 
 def test_charpoly_known_matrices():
