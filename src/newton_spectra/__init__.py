@@ -27,6 +27,7 @@ from .errors import (
     DegenerateError,
     DegeneracySuspectedError,
     ExactModeUnsupportedError,
+    GradedModelError,
     NotConvenientError,
     NotInIdealError,
     UnsupportedFaceError,
@@ -69,6 +70,7 @@ __all__ = [
     "DivisionWitness",
     "ExactModeUnsupportedError",
     "FrobeniusInitialData",
+    "GradedModelError",
     "JacobianAlgebra",
     "LaurentParseError",
     "LaurentPolynomial",

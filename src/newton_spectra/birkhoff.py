@@ -19,18 +19,19 @@ otherwise a structured obstruction record is returned.
 
 The module also carries the V-filtration side: the finite level-by-level
 direct-sum test for a solution basis, the spectral test on A_inf, and the
-graded model (Hodge-type filtration, its opposite, and the nilpotent N)
-computed from truncated coordinate windows so it also applies to bases
-without the triangular pattern.
+graded model (Hodge-type filtration, its opposite, and the nilpotent N).
+The filtration checks keep sparse echelons whose columns are ordered by
+Newton order, so they also apply to bases without the triangular pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 from .brieskorn import ConnectionPencil
+from .errors import GradedModelError
 from .linalg import (
     Echelon,
     charpoly,
@@ -38,7 +39,6 @@ from .linalg import (
     mat_eq,
     mat_mul,
     mat_sub,
-    nullspace,
     pol_divmod,
     rank,
     rref,
@@ -435,17 +435,22 @@ def _invert(m):
 # V-filtration checks
 
 
-def _gauge_theta_slots(gauge, mu):
-    """(P_k)_{ij} as dict (i, j) -> ascending coeff list."""
-    out = {}
-    for i in range(mu):
-        for j in range(mu):
-            coeffs = [g[i][j] for g in gauge]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            if coeffs:
-                out[(i, j)] = coeffs
-    return out
+def _order_keys(degrees):
+    """(den, key): integer column keys for the slots theta^s e_i.
+
+    The slot theta^s e_i has Newton order s + alpha_i = o / den with
+    o = den * s + den * alpha_i an integer, and key(i, s) = -o * mu + i.  Keys
+    are smaller for higher order, ties broken by i, so an `Echelon` over them
+    pivots every row on its highest-order entry; -(key // mu) gives back o.
+    """
+    mu = len(degrees)
+    den = lcm(*(a.denominator for a in degrees))
+    scaled = [int(a * den) for a in degrees]
+
+    def key(i, s):
+        return -(den * s + scaled[i]) * mu + i
+
+    return den, key
 
 
 def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
@@ -454,71 +459,44 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     Checks, for every level alpha = r / scale up to the top degree, that
     (lattice cap V_alpha) + theta (ambient cap V_{alpha-1}) decomposes the
     ambient intersection with V_alpha as a direct sum.
+
+    The Q-span of the gauge columns is kept as one reduced echelon over the
+    slots theta^k e_i ordered by Newton order, highest first.  Its rows whose
+    pivot has order <= alpha span (lattice cap V_alpha), so that dimension is
+    a count of rows.  theta (ambient cap V_{alpha-1}) is spanned by the slots
+    with k >= 1, so the sum has dimension (number of those slots) + rank of
+    the theta^0 parts of the counted rows; the rows only accumulate as alpha
+    grows, so one more echelon takes those theta^0 parts incrementally.
     """
     degrees = pencil.degrees
     mu = pencil.mu
-    slots = _gauge_theta_slots(gauge, mu)
+    den, key = _order_keys(degrees)
+    span = Echelon()
+    for j in range(mu):
+        span.insert(
+            {key(i, k): Fraction(g[i][j])
+             for k, g in enumerate(gauge) for i in range(mu) if g[i][j]}
+        )
+    pivots = sorted(span.rows, reverse=True)     # ascending Newton order
+    constant = {key(i, 0) for i in range(mu)}
+    low = Echelon()
+    taken = 0
     top = degrees[-1]
     details = []
     ok = True
     r = 0
     while Fraction(r, scale) <= top:
         alpha = Fraction(r, scale)
-        monos = [
-            (i, k)
-            for i in range(mu)
-            for k in range(int(floor(alpha - degrees[i])) + 1)
-            if k + degrees[i] <= alpha
-        ]
-        mono_ix = {m: t for t, m in enumerate(monos)}
-        # W cap V_alpha: constant combinations c with all high slots vanishing;
-        # one constraint per slot (i, k) of order above alpha
-        cons = sorted(
-            {
-                (i, k)
-                for (i, _), coeffs in slots.items()
-                for k, c in enumerate(coeffs)
-                if c and k + degrees[i] > alpha
-            }
-        )
-        cmat = []
-        for (i, k) in cons:
-            row = [Fraction(0)] * mu
-            for j in range(mu):
-                coeffs = slots.get((i, j))
-                if coeffs and k < len(coeffs):
-                    row[j] = coeffs[k]
-            if any(row):
-                cmat.append(row)
-        basis_c = nullspace(cmat) if cmat else [
-            [Fraction(1) if t == s else Fraction(0) for t in range(mu)] for s in range(mu)
-        ]
-        wvecs = []
-        for c in basis_c:
-            v = [Fraction(0)] * len(monos)
-            for (i, k), t in mono_ix.items():
-                acc = Fraction(0)
-                for j in range(mu):
-                    coeffs = slots.get((i, j))
-                    if coeffs and k < len(coeffs):
-                        acc += coeffs[k] * c[j]
-                v[t] = acc
-            wvecs.append(v)
-        wvecs = [v for v in wvecs if any(v)]
-        theta_monos = [m for m in monos if m[1] >= 1]
-        stack = list(wvecs)
-        for (i, k) in theta_monos:
-            v = [Fraction(0)] * len(monos)
-            v[mono_ix[(i, k)]] = Fraction(1)
-            stack.append(v)
-        dim_w = rank(wvecs) if wvecs else 0
-        total = rank(stack) if stack else 0
-        good = (
-            dim_w + len(theta_monos) == len(monos) and total == len(monos)
-        )
+        while taken < len(pivots) and -(pivots[taken] // mu) * scale <= r * den:
+            row = span.rows[pivots[taken]][0]
+            low.insert({p: x for p, x in row.items() if p in constant})
+            taken += 1
+        ambient = sum(floor(alpha - a) + 1 for a in degrees if a <= alpha)
+        shifted = ambient - sum(1 for a in degrees if a <= alpha)
+        good = taken + shifted == ambient and shifted + len(low.rows) == ambient
         details.append(
-            {"level": str(alpha), "ambient": len(monos), "lattice": dim_w,
-             "shifted": len(theta_monos), "ok": good}
+            {"level": str(alpha), "ambient": ambient, "lattice": taken,
+             "shifted": shifted, "ok": good}
         )
         if not good:
             ok = False
@@ -625,28 +603,9 @@ def _rref_basis(vectors):
     return [row for row in red if any(row)]
 
 
-def _subspace_sum(a, b):
-    return _rref_basis(list(a) + list(b))
-
-
-def _subspace_intersect(a, b):
-    if not a or not b:
-        return []
-    n = len(a[0])
-    # solve sum x_i a_i = sum y_j b_j: nullspace of [a^T | -b^T]
-    rows = []
-    for c in range(n):
-        rows.append([va[c] for va in a] + [-vb[c] for vb in b])
-    out = []
-    for v in nullspace(rows):
-        vec = [Fraction(0)] * n
-        for i, x in enumerate(v[: len(a)]):
-            if x:
-                for c in range(n):
-                    vec[c] += x * a[i][c]
-        if any(vec):
-            out.append(vec)
-    return _rref_basis(out)
+def _meet_dim(a, b):
+    """dim(span a cap span b) for bases a and b."""
+    return len(a) + len(b) - rank(list(a) + list(b))
 
 
 def _subspace_contains(a, vectors):
@@ -656,30 +615,102 @@ def _subspace_contains(a, vectors):
     return rank(list(a) + list(vectors)) == base
 
 
-def graded_model(pencil: ConnectionPencil, gauge, scale: int):
-    """Per residue class: N, the two filtrations, oppositeness and (B).
+def _residue_classes(degrees):
+    """(rho, indices) per residue class rho = alpha mod 1, indices by (alpha_i, i)."""
+    return [
+        (rho, sorted((i for i, a in enumerate(degrees) if a - floor(a) == rho),
+                     key=lambda i: (degrees[i], i)))
+        for rho in sorted({a - floor(a) for a in degrees})
+    ]
 
-    Works on truncated coordinate windows, so the gauge need not have the
-    triangular pattern; windows are widened until the filtration dimensions
-    stabilize.
+
+def opposite_filtration(pencil: ConnectionPencil, gauge):
+    """F'^k per residue class: {rho: [basis of F'^k for k = 0..kmax_rho + 1]}.
+
+    The slot theta^s e_i has Newton order s + alpha_i.  For the class rho,
+    F'^k collects the order-rho parts of the elements of order <= rho in the
+    span of theta^-m P_j over the gauge columns P_j and m >= k; a basis
+    vector lists them at the class's indices (see `_residue_classes`).  The
+    span is truncated to m <= k + window, and kmax_rho = floor(alpha_max -
+    rho) + 1.
+
+    One reduced echelon per k holds the generators, pivoting on their
+    highest-order slot.  Its rows whose pivot has order <= rho span exactly
+    (span cap V_rho), and those of order < rho have nothing of order rho, so
+    the rows whose pivot has order rho give F'^k of that class: one
+    elimination serves every class.  Three further layers m are then
+    inserted into the same echelon; a class whose F'^k still grows means the
+    window did not stabilize, which raises GradedModelError.
     """
     degrees = pencil.degrees
     mu = pencil.mu
-    degb = len(pencil.matrices) - 1
     gauge = _pm_trim([list(map(list, m)) for m in gauge]) or [identity(mu)]
-    degp = len(gauge) - 1
-    nvar = int(degrees[-1]) if degrees[-1] == int(degrees[-1]) else int(floor(degrees[-1])) + 1
-    classes = []
-    residues = sorted({a - floor(a) for a in degrees})
-    all_ok_opposite = True
-    all_ok_b = True
-    for rho in residues:
-        idx = sorted(
-            (i for i in range(mu) if degrees[i] - floor(degrees[i]) == rho),
-            key=lambda i: (degrees[i], i),
-        )
+    den, key = _order_keys(degrees)
+    columns = [
+        [(i, s, Fraction(g[i][j])) for s, g in enumerate(gauge) for i in range(mu) if g[i][j]]
+        for j in range(mu)
+    ]
+    classes = _residue_classes(degrees)
+    # key of each order-rho slot -> (rho, position in its class)
+    symbol = {
+        key(i, int(rho - degrees[i])): (rho, t)
+        for rho, idx in classes for t, i in enumerate(idx)
+    }
+    dims = {rho: len(idx) for rho, idx in classes}
+    kmax = {rho: int(floor(degrees[-1] - rho)) + 1 for rho, _ in classes}
+    window = len(gauge) - 1 + int(floor(degrees[-1] - degrees[0])) + 2
+
+    def insert_layers(ech, first, last):
+        for m in range(first, last + 1):
+            for col in columns:
+                ech.insert({key(i, s - m): c for i, s, c in col})
+
+    def symbols(ech):
+        """Order-rho parts of the rows whose pivot has order rho, per class."""
+        vecs = {rho: [] for rho, _ in classes}
+        for p, (row, _) in ech.rows.items():
+            if p in symbol:
+                rho = symbol[p][0]
+                vec = [Fraction(0)] * dims[rho]
+                for q, x in row.items():
+                    if symbol.get(q, (None,))[0] == rho:
+                        vec[symbol[q][1]] = x
+                vecs[rho].append(vec)
+        return vecs
+
+    out = {rho: [] for rho, _ in classes}
+    for k in range(max(kmax.values()) + 2):
+        live = [rho for rho, _ in classes if k <= kmax[rho] + 1]
+        ech = Echelon()
+        insert_layers(ech, k, k + window)
+        found = symbols(ech)
+        for rho in live:
+            out[rho].append(_rref_basis(found[rho]))
+        insert_layers(ech, k + window + 1, k + window + 3)
+        grown = symbols(ech)
+        for rho in live:
+            if len(grown[rho]) != len(found[rho]):
+                raise GradedModelError(
+                    "window did not stabilize for F'^%d on residue class %s" % (k, rho),
+                    rho, k,
+                )
+    return out
+
+
+def graded_model(pencil: ConnectionPencil, gauge, scale: int):
+    """Per residue class: N, the two filtrations, oppositeness and (B).
+
+    F'^k comes from `opposite_filtration`, so the gauge need not have the
+    triangular pattern.  Raises GradedModelError when N is not nilpotent on
+    a class or the window of `opposite_filtration` does not stabilize; both
+    checks hold under `python -O`.
+    """
+    degrees = pencil.degrees
+    degb = len(pencil.matrices) - 1
+    classes = _residue_classes(degrees)
+    nmats = {}
+    for rho, idx in classes:
         dim = len(idx)
-        pos = {i: t for t, i in enumerate(idx)}
         # N on the class: N e_i = alpha_i e_i - sum_j (B_{alpha_i - alpha_j + 1})_{ji} e_j
         nmat = zeros(dim, dim)
         for ti, i in enumerate(idx):
@@ -691,85 +722,31 @@ def graded_model(pencil: ConnectionPencil, gauge, scale: int):
         power = identity(dim)
         for _ in range(dim):
             power = mat_mul(power, nmat)
-        assert all(all(x == 0 for x in row) for row in power), "N is not nilpotent"
-        # Hodge-type filtration
+        if any(any(row) for row in power):
+            raise GradedModelError("N is not nilpotent on residue class %s" % rho, rho)
+        nmats[rho] = nmat
+    fprime = opposite_filtration(pencil, gauge)
+    all_ok_opposite = True
+    all_ok_b = True
+    out = []
+    for rho, idx in classes:
+        dim = len(idx)
+        nmat = nmats[rho]
+        fpr = fprime[rho]
+        kmax = len(fpr) - 2
+        # Hodge-type filtration: F_k is spanned by the first coordinates, those
+        # of degree <= rho + k
         hodge = {}
-        kmax = int(floor(degrees[-1] - rho)) + 1
         for k in range(-1, kmax + 2):
-            vecs = []
-            for t, i in enumerate(idx):
-                if degrees[i] <= rho + k:
-                    v = [Fraction(0)] * dim
-                    v[t] = Fraction(1)
-                    vecs.append(v)
-            hodge[k] = _rref_basis(vecs)
-        # candidate opposite filtration via coordinate windows
-        def fprime(k, window):
-            gens = []
-            for j in range(mu):
-                for m in range(k, k + window + 1):
-                    gens.append((j, m))
-            smin = -(k + window)
-            scol = {}
-            cols = []
-            for i in range(mu):
-                for s in range(smin, degp + 1):
-                    scol[(i, s)] = len(cols)
-                    cols.append((i, s))
-            gmat = []
-            for (j, m) in gens:
-                row = [Fraction(0)] * len(cols)
-                for k2, g in enumerate(gauge):
-                    for i in range(mu):
-                        if g[i][j]:
-                            s = k2 - m
-                            t = scol.get((i, s))
-                            if t is not None:
-                                row[t] = g[i][j]
-                gmat.append(row)
-            # V_rho constraints: slots with order > rho must vanish
-            bad = [t for t, (i, s) in enumerate(cols) if s + degrees[i] > rho]
-            cons = []
-            for t in bad:
-                cons.append([gmat[g][t] for g in range(len(gens))])
-            lam = nullspace(cons) if cons else [
-                [Fraction(1) if a == b else Fraction(0) for a in range(len(gens))]
-                for b in range(len(gens))
-            ]
-            symbol_slots = [(i, s) for (i, s) in cols if s + degrees[i] == rho and i in pos]
-            out = []
-            for l in lam:
-                vec = [Fraction(0)] * dim
-                nonzero = False
-                for (i, s) in symbol_slots:
-                    t = scol[(i, s)]
-                    acc = Fraction(0)
-                    for g in range(len(gens)):
-                        if l[g] and gmat[g][t]:
-                            acc += l[g] * gmat[g][t]
-                    if acc:
-                        nonzero = True
-                    vec[pos[i]] = acc
-                if nonzero:
-                    out.append(vec)
-            return _rref_basis(out)
-
-        window = degp + int(floor(degrees[-1] - degrees[0])) + 2
-        fpr = {}
-        for k in range(0, kmax + 2):
-            a = fprime(k, window)
-            b = fprime(k, window + 3)
-            assert len(a) == len(b), "window did not stabilize for F' at k=%d" % k
-            fpr[k] = a
-        fpr[kmax + 2] = []
-        # oppositeness: F_{k-1} cap F'^k = 0 and F_k = (F_k cap F'^k) + F_{k-1}
+            h = sum(1 for i in idx if degrees[i] <= rho + k)
+            hodge[k] = [[Fraction(int(t == c)) for c in range(dim)] for t in range(h)]
+        # oppositeness: F_{k-1} cap F'^k = 0 and F_k = (F_k cap F'^k) + F_{k-1};
+        # as F_{k-1} lies in F_k, the sum has dim(F_k cap F'^k) + dim F_{k-1}
+        # - dim(F_{k-1} cap F'^k)
         opp = True
         for k in range(0, kmax + 2):
-            inter = _subspace_intersect(hodge[k - 1], fpr[k])
-            if inter:
-                opp = False
-            both = _subspace_intersect(hodge[k], fpr[k])
-            if len(_subspace_sum(both, hodge[k - 1])) != len(hodge[k]):
+            low = _meet_dim(hodge[k - 1], fpr[k])
+            if low or _meet_dim(hodge[k], fpr[k]) - low != len(hodge[k]) - len(hodge[k - 1]):
                 opp = False
         # (B): N F'^k subset F'^{k+1}
         bgood = True
@@ -784,7 +761,7 @@ def graded_model(pencil: ConnectionPencil, gauge, scale: int):
                     imgs.append(img)
             if not _subspace_contains(fpr[k + 1], imgs):
                 bgood = False
-        classes.append(
+        out.append(
             {
                 "residue": str(rho),
                 "indices": idx,
@@ -798,4 +775,4 @@ def graded_model(pencil: ConnectionPencil, gauge, scale: int):
         )
         all_ok_opposite = all_ok_opposite and opp
         all_ok_b = all_ok_b and bgood
-    return {"opposite": all_ok_opposite, "b_opposed": all_ok_b, "classes": classes}
+    return {"opposite": all_ok_opposite, "b_opposed": all_ok_b, "classes": out}

@@ -4,7 +4,8 @@ Commands: polytope, mu, basis, spectrum, pencil, birkhoff, frobenius,
 analyze (full report), check (invariant suite on the given input).
 
 Exit codes: 0 success; 2 invalid input (parse error, not convenient,
-degenerate); 3 Birkhoff obstruction (birkhoff/frobenius commands only).
+degenerate) or a failed structural check of the graded model; 3 Birkhoff
+obstruction (birkhoff/frobenius commands only).
 Identical inputs and flags produce byte-identical output.
 """
 
@@ -29,6 +30,7 @@ from .errors import (
     DegenerateError,
     DegeneracySuspectedError,
     ExactModeUnsupportedError,
+    GradedModelError,
     NotConvenientError,
     UnsupportedFaceError,
 )
@@ -416,9 +418,14 @@ def _run_check(args):
                "method = %s, gauge identity exact" % outcome.method)
         okv, _ = verify_v_solution(pencil, outcome.gauge, p.scale)
         okp, _ = verify_v_plus(outcome.ainf, degrees, sp.pairs)
-        gm = graded_model(pencil, outcome.gauge, p.scale)
-        record("v-filtration", okv and okp and gm["opposite"] and gm["b_opposed"],
-               "v_solution, v_plus, opposite, b_opposed")
+        try:
+            gm = graded_model(pencil, outcome.gauge, p.scale)
+        except GradedModelError as exc:
+            record("v-filtration", False, str(exc))
+        else:
+            record("v-filtration",
+                   okv and okp and gm["opposite"] and gm["b_opposed"],
+                   "v_solution, v_plus, opposite, b_opposed")
         data = euler_field(algebra, pencil, outcome, sp)
         record("euler-field", data.charge == 2 - n and data.alpha_min == 0,
                "D = %s" % data.charge)

@@ -45,3 +45,16 @@ class NotInIdealError(ValueError):
     def __init__(self, residue: dict):
         super().__init__("element does not lie in the Jacobian-type ideal")
         self.residue = residue
+
+
+class GradedModelError(ValueError):
+    """A structural check of the graded model failed on one residue class.
+
+    residue is the class rho (a Fraction in [0, 1)); k is the index of the
+    opposite filtration F'^k at fault, or None when N is not nilpotent.
+    """
+
+    def __init__(self, message: str, residue, k=None):
+        super().__init__(message)
+        self.residue = residue
+        self.k = k

@@ -35,6 +35,7 @@ from .errors import (
     DegenerateError,
     DegeneracySuspectedError,
     ExactModeUnsupportedError,
+    GradedModelError,
     NotConvenientError,
     UnsupportedFaceError,
 )
@@ -166,7 +167,8 @@ def _error_obj(stage, exc):
 def analyze(f, var_names, *, seed=0, assume_nondegenerate=False, trials=6):
     """Run the full chain; returns (report dict, status).
 
-    status is "ok", "invalid" (gate failure: not convenient / degenerate), or
+    status is "ok", "invalid" (gate failure: not convenient / degenerate, or
+    a failed structural check of the graded model), or
     "obstruction" (pencil could not be normalized; partial report).
     Sections after a failed gate are null.
     """
@@ -254,7 +256,11 @@ def analyze(f, var_names, *, seed=0, assume_nondegenerate=False, trials=6):
         )
     okv, v_details = verify_v_solution(pencil, outcome.gauge, p.scale)
     okp, p_details = verify_v_plus(outcome.ainf, pencil.degrees, sp.pairs)
-    gm = graded_model(pencil, outcome.gauge, p.scale)
+    try:
+        gm = graded_model(pencil, outcome.gauge, p.scale)
+    except GradedModelError as exc:
+        report["error"] = _error_obj("graded_model", exc)
+        return report, "invalid"
     outcome.flags = {
         "v_solution": okv,
         "v_plus": okp,

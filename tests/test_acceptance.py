@@ -8,6 +8,7 @@ report, and byte-determinism of the JSON report.  Everything is exact
 rational arithmetic; there are no tolerances anywhere.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -36,6 +37,7 @@ from newton_spectra import (
     verify_v_plus,
     verify_v_solution,
 )
+from newton_spectra.cli import main
 from newton_spectra.linalg import charpoly, identity
 
 MIRRORS = {
@@ -335,5 +337,31 @@ def test_ladder_mu_twenty_finishes_with_every_flag():
 
 
 def test_report_bytes_unchanged_under_python_O():
-    expr = "u1^6+u1^-6"
-    assert _analyze_json(expr, "-O") == _analyze_json(expr)
+    # u1^3 + u2^3 + u1^-1*u2^-1 has three residue classes and a gauge of
+    # theta degree 1, so it runs the graded model's explicit checks
+    for expr in ("u1^6+u1^-6", "u1^3 + u2^3 + u1^-1*u2^-1"):
+        assert _analyze_json(expr, "-O") == _analyze_json(expr), expr
+
+
+# 12. ladder regression outside the benchmark oracle: the sha256 of the
+#     `birkhoff` section (json.dumps(section, indent=2), as in
+#     perfbench/oracle.json) was taken from the implementation that computed
+#     F'^k from dense window matrices; all three end with every flag true
+
+LADDER_BIRKHOFF_SHA256 = {
+    "u1^4 + u2^4 + u1^-1*u2^-1":
+        "0a47673d75cc494490ee7503a69bb7f341e9a6e3f592467586450cab79972d70",
+    "u1^5 + u2^3 + u1^-1*u2^-1":
+        "5f5da45a3d810cc06b7bf97c25a8e0afe0c53434163b8601ae3f25ee0106957d",
+    "u1^10 + u1^-10":
+        "67d7c43ef45b3bec3afd086095ea4b37219715ba5fd03020687f8722814e7ccc",
+}
+
+
+def test_ladder_birkhoff_sections_unchanged(capsys):
+    for expr, digest in LADDER_BIRKHOFF_SHA256.items():
+        assert main(["analyze", "--json", expr, "--seed", "0"]) == 0, expr
+        section = json.loads(capsys.readouterr().out)["birkhoff"]
+        got = hashlib.sha256(json.dumps(section, indent=2).encode()).hexdigest()
+        assert got == digest, expr
+        assert all(section["flags"].values()), expr

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from conftest import CORPUS, DEGENERATE
-from newton_spectra import BirkhoffObstruction
+from newton_spectra import BirkhoffObstruction, GradedModelError
+from newton_spectra import cli as cli_mod
 from newton_spectra import frobenius as frobenius_mod
 from newton_spectra.cli import main
 
@@ -199,6 +201,24 @@ def test_obstruction_exit_code_3(capsys, monkeypatch):
     assert rc == 3
     assert "obstruction: synthetic" in out
     assert "(2, 0, 1)" in out
+
+
+def test_graded_model_failure_exits_2_and_fails_check(capsys, monkeypatch):
+    def fail(pencil, gauge, scale):
+        raise GradedModelError("N is not nilpotent on residue class 0", Fraction(0))
+
+    monkeypatch.setattr(frobenius_mod, "graded_model", fail)
+    monkeypatch.setattr(cli_mod, "graded_model", fail)
+    rc, out, err = run_cli(capsys, ["analyze", "--json", "u1 + u1^-1"])
+    assert rc == 2
+    assert json.loads(out)["error"] == {
+        "stage": "graded_model", "type": "GradedModelError",
+        "message": "N is not nilpotent on residue class 0",
+    }
+    assert "N is not nilpotent" in err
+    rc, out, _ = run_cli(capsys, ["check", "u1 + u1^-1"])
+    assert rc == 1
+    assert "FAIL v-filtration (N is not nilpotent on residue class 0)" in out.splitlines()
 
 
 def test_obstruction_does_not_change_other_commands(capsys, monkeypatch):
