@@ -26,11 +26,10 @@ from .brieskorn import (
 from .errors import (
     DegenerateError,
     DegeneracySuspectedError,
-    ExactModeUnsupportedError,
     GradedModelError,
     NotConvenientError,
     NotInIdealError,
-    UnsupportedFaceError,
+    VerificationError,
 )
 from .frobenius import (
     FrobeniusInitialData,
@@ -47,13 +46,7 @@ from .jacobian import (
     divide_exact,
 )
 from .laurent import LaurentParseError, LaurentPolynomial, parse_laurent
-from .nondegeneracy import (
-    NondegeneracyCertificate,
-    assumed_certificate,
-    is_nondegenerate,
-    proper_faces,
-    require_nondegenerate,
-)
+from .nondegeneracy import NondegeneracyCertificate, is_nondegenerate, proper_faces
 from .polytope import NewtonPolytope, milnor_number, newton_polytope
 
 __version__ = "0.1.0"
@@ -68,7 +61,6 @@ __all__ = [
     "DegenerateError",
     "DegeneracySuspectedError",
     "DivisionWitness",
-    "ExactModeUnsupportedError",
     "FrobeniusInitialData",
     "GradedModelError",
     "JacobianAlgebra",
@@ -79,10 +71,9 @@ __all__ = [
     "NotConvenientError",
     "NotInIdealError",
     "SpectrumData",
-    "UnsupportedFaceError",
+    "VerificationError",
     "analyze",
     "analyze_text",
-    "assumed_certificate",
     "canonical_primitive",
     "divide",
     "divide_exact",
@@ -95,7 +86,6 @@ __all__ = [
     "parse_laurent",
     "pencil_in_gauge",
     "proper_faces",
-    "require_nondegenerate",
     "solve_birkhoff",
     "spectrum",
     "verify_v_plus",

@@ -3,9 +3,10 @@
 Commands: polytope, mu, basis, spectrum, pencil, birkhoff, frobenius,
 analyze (full report), check (invariant suite on the given input).
 
-Exit codes: 0 success; 2 invalid input (parse error, not convenient,
-degenerate) or a failed structural check of the graded model; 3 Birkhoff
-obstruction (birkhoff/frobenius commands only).
+Exit codes: 0 success; 1 when `check` finds a failed property; 2 invalid
+input (parse error, not convenient, degenerate), a failed structural check
+of the graded model, or a failed re-check of the Birkhoff or Frobenius data;
+3 Birkhoff obstruction (birkhoff/frobenius commands only).
 Identical inputs and flags produce byte-identical output.
 """
 
@@ -26,18 +27,11 @@ from .birkhoff import (
     verify_v_solution,
 )
 from .brieskorn import BrieskornElement, BrieskornLattice, spectrum
-from .errors import (
-    DegenerateError,
-    DegeneracySuspectedError,
-    ExactModeUnsupportedError,
-    GradedModelError,
-    NotConvenientError,
-    UnsupportedFaceError,
-)
+from .errors import DegeneracySuspectedError, GradedModelError, VerificationError
 from .frobenius import SCHEMA, analyze_text, euler_field
 from .jacobian import JacobianAlgebra, divide
-from .laurent import LaurentParseError, LaurentPolynomial, parse_laurent
-from .nondegeneracy import assumed_certificate, is_nondegenerate
+from .laurent import LaurentPolynomial, parse_laurent
+from .nondegeneracy import is_nondegenerate
 from .polytope import milnor_number, newton_polytope
 
 COMMANDS = (
@@ -64,7 +58,7 @@ def _build_parser():
         sp.add_argument("--json", action="store_true", help="emit JSON")
         sp.add_argument(
             "--assume-nondegenerate", action="store_true",
-            help="skip the nondegeneracy check",
+            help="no effect; the exact nondegeneracy certificate always runs",
         )
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument(
@@ -209,7 +203,8 @@ def _human_analyze(report):
     lines.append("n = %d, scale = %d, mu = %s"
                  % (sec["vars"], sec["scale"], report["mu"]))
     nd = report["nondegeneracy"]
-    lines.append("nondegenerate: %s" % nd["mode"])
+    lines.append("nondegenerate: graded quotient empty at levels %d..%d"
+                 % tuple(nd["window"]))
     lines.extend(_human_spectrum(report["spectrum"]))
     var = report["spectrum"]["variance"]
     lines.append("variance: %s vs n/12 = %s (reported, satisfied = %s)"
@@ -230,11 +225,7 @@ def _human_analyze(report):
 def _run_report_command(args):
     text = _read_input(args)
     names = tuple(args.vars.split(",")) if args.vars else None
-    report, status = analyze_text(
-        text, names,
-        seed=args.seed,
-        assume_nondegenerate=args.assume_nondegenerate,
-    )
+    report, status = analyze_text(text, names, seed=args.seed)
     if status == "invalid":
         if args.command == "analyze":
             if args.json:
@@ -308,15 +299,11 @@ def _run_check(args):
         f, names = parse_laurent(text, names)
         p = newton_polytope(f)
         p.require_convenient()
-        if args.assume_nondegenerate:
-            cert = assumed_certificate()
-        else:
-            cert = is_nondegenerate(f, p, seed=args.seed)
+        algebra = JacobianAlgebra(f, p)
+        cert = is_nondegenerate(algebra)
         if not cert.ok:
-            raise DegenerateError("f is degenerate along a face")
-    except (LaurentParseError, ValueError, NotConvenientError,
-            DegenerateError, ExactModeUnsupportedError,
-            UnsupportedFaceError) as exc:
+            raise cert.error()
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
@@ -325,9 +312,9 @@ def _run_check(args):
     def record(name, ok, detail=""):
         results.append((name, bool(ok), detail))
 
-    record("nondegeneracy-certificate", cert.ok, "mode = %s" % cert.mode)
+    record("nondegeneracy-certificate", cert.ok,
+           "graded quotient empty at levels %d..%d" % cert.window)
     mu = milnor_number(p)
-    algebra = JacobianAlgebra(f, p)
     try:
         algebra.basis()
         algebra.check_milnor(mu)
@@ -426,9 +413,13 @@ def _run_check(args):
             record("v-filtration",
                    okv and okp and gm["opposite"] and gm["b_opposed"],
                    "v_solution, v_plus, opposite, b_opposed")
-        data = euler_field(algebra, pencil, outcome, sp)
-        record("euler-field", data.charge == 2 - n and data.alpha_min == 0,
-               "D = %s" % data.charge)
+        try:
+            data = euler_field(algebra, pencil, outcome, sp)
+        except VerificationError as exc:
+            record("euler-field", False, str(exc))
+        else:
+            record("euler-field", data.charge == 2 - n and data.alpha_min == 0,
+                   "D = %s" % data.charge)
 
     failed = sum(1 for _, ok, _ in results if not ok)
     for name, ok, detail in results:

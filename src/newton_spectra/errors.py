@@ -17,23 +17,22 @@ class NotConvenientError(ValueError):
 
 
 class DegenerateError(ValueError):
-    """Nondegeneracy test failed on some face."""
+    """The graded quotient survives above level n: f is degenerate on a face.
 
-    def __init__(self, message: str, face=None):
+    level is the first nonzero scaled level of the certificate's window.
+    """
+
+    def __init__(self, message: str, level=None):
         super().__init__(message)
-        self.face = face
+        self.level = level
 
 
 class DegeneracySuspectedError(ValueError):
     """Exact downstream invariants contradict nondegeneracy (dimension counts etc.)."""
 
 
-class ExactModeUnsupportedError(ValueError):
-    """Exact nondegeneracy testing is only complete for n <= 2."""
-
-
-class UnsupportedFaceError(ValueError):
-    """No nondegeneracy test implemented for faces of this dimension."""
+class VerificationError(ValueError):
+    """An independent re-check of a computed result failed."""
 
 
 class NotInIdealError(ValueError):

@@ -32,19 +32,17 @@ from .birkhoff import (
 )
 from .brieskorn import BrieskornElement, BrieskornLattice, spectrum
 from .errors import (
-    DegenerateError,
     DegeneracySuspectedError,
-    ExactModeUnsupportedError,
     GradedModelError,
     NotConvenientError,
-    UnsupportedFaceError,
+    VerificationError,
 )
 from .jacobian import JacobianAlgebra
 from .laurent import LaurentParseError, parse_laurent
-from .nondegeneracy import assumed_certificate, is_nondegenerate
+from .nondegeneracy import is_nondegenerate
 from .polytope import milnor_number, newton_polytope
 
-SCHEMA = "newton-spectra/1"
+SCHEMA = "newton-spectra/2"
 
 
 def canonical_primitive(algebra: JacobianAlgebra, spectrum_data):
@@ -52,17 +50,20 @@ def canonical_primitive(algebra: JacobianAlgebra, spectrum_data):
 
     Checks that the degree-0 part of the graded quotient is one-dimensional,
     that basis entry 0 is the constant monomial (the class of the logarithmic
-    volume form), and that alpha_min = 0 has multiplicity one.
+    volume form), and that alpha_min = 0 has multiplicity one; raises
+    VerificationError otherwise.
     """
     basis = algebra.basis()
-    assert algebra.graded_dimension(0) == 1, "dim of level-0 part is not 1"
-    assert basis.monomials[0] == (0,) * algebra.f.arity, (
-        "basis entry 0 is not the constant monomial"
-    )
-    assert basis.degrees[0] == 0, "alpha_min is not 0"
-    assert spectrum_data.pairs[0] == (Fraction(0), 1), (
-        "alpha_min = 0 does not have multiplicity one"
-    )
+    for ok, what in (
+        (algebra.graded_dimension(0) == 1, "dim of level-0 part is not 1"),
+        (basis.monomials[0] == (0,) * algebra.f.arity,
+         "basis entry 0 is not the constant monomial"),
+        (basis.degrees[0] == 0, "alpha_min is not 0"),
+        (spectrum_data.pairs[0] == (Fraction(0), 1),
+         "alpha_min = 0 does not have multiplicity one"),
+    ):
+        if not ok:
+            raise VerificationError(what)
     return 0, Fraction(0)
 
 
@@ -119,16 +120,16 @@ def euler_field(algebra, pencil, solution, spectrum_data):
     if solution is not None:
         # the gauge cannot move the primitive element (no lower degree
         # exists to mix in), so c_k is read in the good basis
-        assert all(
+        if not all(
             m[i][0] == (1 if (i, k) == (0, 0) else 0)
             for k, m in enumerate(solution.gauge)
             for i in range(len(degrees))
-        ), "gauge moved the primitive element"
+        ):
+            raise VerificationError("gauge moved the primitive element")
         c = tuple(solution.a0[k][0] for k in range(len(degrees)))
     else:
         c = tuple(b0[k][0] for k in range(len(degrees)))
     charge = 2 * alpha_min + 2 - n
-    assert charge == 2 - n
     terms = tuple((1 + alpha_min - a, ck) for a, ck in zip(degrees, c))
     parts = []
     for k, (lin, const) in enumerate(terms):
@@ -164,13 +165,27 @@ def _error_obj(stage, exc):
     }
 
 
-def analyze(f, var_names, *, seed=0, assume_nondegenerate=False, trials=6):
+def _recheck_gauge(lattice, pencil, outcome):
+    """Re-verify a Birkhoff solution independently of the solver."""
+    if gauge_residual(pencil, outcome.gauge, outcome.a0, outcome.ainf) != []:
+        raise VerificationError("the gauge identity does not hold")
+    # Newton order of every new basis vector must equal its exponent
+    for j in range(pencil.mu):
+        coords = tuple(
+            tuple(m[i][j] for m in outcome.gauge) for i in range(pencil.mu)
+        )
+        if lattice.newton_order(BrieskornElement(coords)) != pencil.degrees[j]:
+            raise VerificationError("gauge column %d has the wrong Newton order" % j)
+
+
+def analyze(f, var_names, *, seed=0):
     """Run the full chain; returns (report dict, status).
 
-    status is "ok", "invalid" (gate failure: not convenient / degenerate, or
-    a failed structural check of the graded model), or
-    "obstruction" (pencil could not be normalized; partial report).
-    Sections after a failed gate are null.
+    status is "ok", "invalid" (gate failure: not convenient / degenerate, a
+    failed structural check of the graded model, or a failed re-check of the
+    Birkhoff or Frobenius data), or "obstruction" (pencil could not be
+    normalized; partial report).  Sections after a failed gate are null.
+    The seed is only recorded in the input section.
     """
     report = {
         "schema": SCHEMA,
@@ -198,26 +213,16 @@ def analyze(f, var_names, *, seed=0, assume_nondegenerate=False, trials=6):
         return report, "invalid"
     report["polytope"] = p.to_json_obj()
 
-    if assume_nondegenerate:
-        cert = assumed_certificate()
-    else:
-        try:
-            cert = is_nondegenerate(f, p, seed=seed, trials=trials)
-        except (UnsupportedFaceError, ExactModeUnsupportedError) as exc:
-            report["error"] = _error_obj("nondegeneracy", exc)
-            return report, "invalid"
+    algebra = JacobianAlgebra(f, p)
+    cert = is_nondegenerate(algebra)
     report["nondegeneracy"] = cert.to_json_obj()
     if not cert.ok:
-        report["error"] = _error_obj(
-            "nondegeneracy",
-            DegenerateError("f is degenerate along a face", cert.degenerate_face),
-        )
+        report["error"] = _error_obj("nondegeneracy", cert.error())
         return report, "invalid"
 
     mu = milnor_number(p)
     report["mu"] = mu
 
-    algebra = JacobianAlgebra(f, p)
     try:
         basis = algebra.basis()
         algebra.check_milnor(mu)
@@ -239,21 +244,13 @@ def analyze(f, var_names, *, seed=0, assume_nondegenerate=False, trials=6):
     outcome = solve_birkhoff(pencil)
     if isinstance(outcome, BirkhoffObstruction):
         report["birkhoff"] = outcome.to_json_obj()
-        data = euler_field(algebra, pencil, None, sp)
-        report["frobenius"] = data.to_json_obj()
-        return report, "obstruction"
+        return _frobenius_section(report, algebra, pencil, None, sp, "obstruction")
 
-    # verify the gauge identity independently of the solver
-    assert gauge_residual(pencil, outcome.gauge, outcome.a0, outcome.ainf) == []
-    # Newton order of every new basis vector must equal its exponent
-    for j in range(pencil.mu):
-        coords = tuple(
-            tuple(m[i][j] for m in outcome.gauge) for i in range(pencil.mu)
-        )
-        elem = BrieskornElement(coords)
-        assert lattice.newton_order(elem) == pencil.degrees[j], (
-            "gauge column %d has the wrong Newton order" % j
-        )
+    try:
+        _recheck_gauge(lattice, pencil, outcome)
+    except VerificationError as exc:
+        report["error"] = _error_obj("birkhoff", exc)
+        return report, "invalid"
     okv, v_details = verify_v_solution(pencil, outcome.gauge, p.scale)
     okp, p_details = verify_v_plus(outcome.ainf, pencil.degrees, sp.pairs)
     try:
@@ -271,10 +268,17 @@ def analyze(f, var_names, *, seed=0, assume_nondegenerate=False, trials=6):
     birk_obj["spectral"] = p_details
     birk_obj["filtration"] = gm
     report["birkhoff"] = birk_obj
+    return _frobenius_section(report, algebra, pencil, outcome, sp, "ok")
 
-    data = euler_field(algebra, pencil, outcome, sp)
+
+def _frobenius_section(report, algebra, pencil, solution, sp, status):
+    try:
+        data = euler_field(algebra, pencil, solution, sp)
+    except VerificationError as exc:
+        report["error"] = _error_obj("frobenius", exc)
+        return report, "invalid"
     report["frobenius"] = data.to_json_obj()
-    return report, "ok"
+    return report, status
 
 
 def analyze_text(text, var_names=None, **kw):

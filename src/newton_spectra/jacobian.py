@@ -9,6 +9,9 @@ order, rows go in in (i, m) order and carry the label (i, m) as provenance.
 Non-pivot monomials are the canonical graded representatives; collecting them
 for r = 0 .. n*scale gives the adapted basis, and reducing against the
 echelon gives division with certified cofactors read off the provenance.
+The levels n*scale + 1 .. (n+1)*scale are the window that
+`nondegeneracy.is_nondegenerate` reads: all of them are empty exactly when f
+is nondegenerate.
 
 Division descends level by level: the top graded slice of the residual is
 rewritten as representatives + leading-form multiples, the full (not just
@@ -82,6 +85,9 @@ class JacobianAlgebra:
     def _ensure_levels(self, r: int):
         if r <= self._level_max:
             return
+        # one enumeration serves the basis and the nondegeneracy window
+        # n*d + 1 .. n*d + d; only a division above it enumerates again
+        r = max(r, (self.n + 1) * self.d)
         pts = self.polytope.enumerate_sublevel(Fraction(r, self.d))
         levels = {}
         for e in pts:
@@ -152,18 +158,6 @@ class JacobianAlgebra:
                 "graded quotient has dimension %d but the lattice volume is %d; "
                 "the polynomial is most likely degenerate" % (len(self.basis()), mu)
             )
-        # spectrum lives in [0, n], so for a nondegenerate polynomial every
-        # graded slice above level n*d is empty; a survivor up there means
-        # the critical locus is not isolated even when the dimensions below
-        # happen to add up to the volume
-        top = self.n * self.d
-        for r in range(top + 1, top + self.d + 1):
-            if self.graded_dimension(r):
-                raise DegeneracySuspectedError(
-                    "graded quotient is nonzero at level %d/%d above the top "
-                    "spectral level %d; the polynomial is most likely degenerate"
-                    % (r, self.d, self.n)
-                )
 
 
 @dataclass

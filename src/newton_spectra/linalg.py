@@ -211,11 +211,6 @@ def pol_trim(p):
     return p
 
 
-def pol_deg(p) -> int:
-    p = pol_trim(p)
-    return len(p) - 1 if p else -1
-
-
 def pol_add(p, q):
     n = max(len(p), len(q))
     out = [Fraction(0)] * n
@@ -285,15 +280,6 @@ def pol_divmod(p, q):
             p[k + i] -= c * q[i]
         p = pol_trim(p)
     return pol_trim(quot), p
-
-
-def pol_gcd(p, q):
-    p, q = pol_trim(p), pol_trim(q)
-    while q:
-        p, q = q, pol_divmod(p, q)[1]
-    if p:
-        p = [c / p[-1] for c in p]
-    return p
 
 
 def rational_roots(p):

@@ -73,6 +73,10 @@ class NewtonPolytope:
         else:
             self.facets = ()
             self.scale = 1
+        # scale * L for every facet form L: integer forms of the scaled gauge
+        self._scaled_forms = tuple(
+            tuple(int(c * self.scale) for c in f.coeffs) for f in self.facets
+        )
 
     def require_convenient(self):
         if not self.convenient:
@@ -81,13 +85,11 @@ class NewtonPolytope:
     # -- the gauge
 
     def phi_exp(self, exp) -> Fraction:
-        self.require_convenient()
-        return max(f.value(exp) for f in self.facets)
+        return Fraction(self.scaled_phi_exp(exp), self.scale)
 
     def scaled_phi_exp(self, exp) -> int:
-        v = self.phi_exp(exp) * self.scale
-        assert v.denominator == 1
-        return int(v)
+        self.require_convenient()
+        return max(sum(c * e for c, e in zip(a, exp)) for a in self._scaled_forms)
 
     def phi(self, g: LaurentPolynomial):
         """Newton degree of a polynomial; None for 0."""
@@ -114,7 +116,8 @@ class NewtonPolytope:
             lo = min(v[j] for v in self.vertices) * alpha
             hi = max(v[j] for v in self.vertices) * alpha
             ranges.append(range(ceil(lo), floor(hi) + 1))
-        out = [e for e in product(*ranges) if self.phi_exp(e) <= alpha]
+        top = floor(alpha * self.scale)
+        out = [e for e in product(*ranges) if self.scaled_phi_exp(e) <= top]
         out.sort(key=term_key)
         return out
 

@@ -7,10 +7,13 @@ inside the tests (Ehrhart point counts, brute-force quotients).
 
 dense_rref is a reference dense Gauss-Jordan elimination that shares no
 code with the package, so the oracles built on it stay independent of the
-package's elimination kernel.
+package's elimination kernel.  planar_nondegenerate decides nondegeneracy
+in two variables from its own convex hull and polynomial gcd, independently
+of the package's certificate.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from newton_spectra import (
     BrieskornLattice,
@@ -36,6 +39,9 @@ CORPUS = [
 # Inputs every gate must reject.
 NOT_CONVENIENT = ["u1 + u2", "u1 + u1^2", "u1 + u2 + u1*u2"]
 DEGENERATE = "u1^2 - 2*u1*u2 + u2^2 + u1^-1*u2^-1"
+# (1+u1)(1+u2)*u3 on the square facet: every edge squarefree, the 2-face
+# system vanishes at u1 = u2 = -1
+SQUARE_FACET = "u3 + u1*u3 + u2*u3 + u1*u2*u3 + u1^-1*u2^-1*u3^-1 + u3^-1"
 
 _CACHE = {}
 
@@ -81,3 +87,68 @@ def dense_rref(a):
 
 def dense_rank(a):
     return len(dense_rref(a)[1])
+
+
+def planar_hull(pts):
+    """Vertices of the convex hull of integer points, counterclockwise."""
+    pts = sorted(set(pts))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for q in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], q) <= 0:
+                chain.pop()
+            chain.append(q)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
+
+
+def _pol_gcd(p, q):
+    """gcd of two ascending Fraction coefficient lists (up to a unit)."""
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            c = r[-1] / q[-1]
+            k = len(r) - len(q)
+            for i, x in enumerate(q):
+                r[k + i] -= c * x
+            while r and r[-1] == 0:
+                r.pop()
+        p, q = q, r
+    return p
+
+
+def edge_polynomials(terms):
+    """Coefficient lists of f along each hull edge, in the lattice coordinate.
+
+    terms maps exponent pairs to nonzero Fractions.  The edge from vertex a
+    to vertex b carries the points a + k * (b - a) / g, k = 0..g, with g the
+    lattice length; the list holds their coefficients in order of k.
+    """
+    hull = planar_hull([e for e in terms if any(e)])
+    out = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        g = gcd(b[0] - a[0], b[1] - a[1])
+        step = ((b[0] - a[0]) // g, (b[1] - a[1]) // g)
+        out.append([terms.get((a[0] + k * step[0], a[1] + k * step[1]), Fraction(0))
+                    for k in range(g + 1)])
+    return out
+
+
+def planar_nondegenerate(terms):
+    """Nondegeneracy of a convenient f in two variables, decided directly.
+
+    Every proper face of a polygon is a vertex or an edge, and vertices
+    never fail.  An edge fails exactly when its polynomial has a repeated
+    root in C*; its end coefficients are nonzero, so that is a gcd with the
+    derivative of positive degree.
+    """
+    for poly in edge_polynomials(terms):
+        deriv = [k * c for k, c in enumerate(poly)][1:]
+        if len(_pol_gcd(poly, deriv)) > 1:
+            return False
+    return True

@@ -338,8 +338,10 @@ def test_ladder_mu_twenty_finishes_with_every_flag():
 
 def test_report_bytes_unchanged_under_python_O():
     # u1^3 + u2^3 + u1^-1*u2^-1 has three residue classes and a gauge of
-    # theta degree 1, so it runs the graded model's explicit checks
-    for expr in ("u1^6+u1^-6", "u1^3 + u2^3 + u1^-1*u2^-1"):
+    # theta degree 1, so it runs the graded model's explicit checks; the
+    # octahedron runs the nondegeneracy certificate in three variables
+    for expr in ("u1^6+u1^-6", "u1^3 + u2^3 + u1^-1*u2^-1",
+                 "u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1"):
         assert _analyze_json(expr, "-O") == _analyze_json(expr), expr
 
 

@@ -73,11 +73,11 @@ def test_degenerate_exits_2(capsys):
 
 
 def test_assumed_degenerate_caught_downstream(capsys):
-    # skipping the certificate must not let the degenerate input through:
-    # the graded-band guard on the quotient stops it with exit code 2
+    # --assume-nondegenerate has no effect: the certificate on the graded
+    # quotient still stops the degenerate input with exit code 2
     rc, _, err = run_cli(capsys, ["check", DEGENERATE, "--assume-nondegenerate"])
     assert rc == 2
-    assert "graded quotient" in err
+    assert "graded quotient is nonzero at level 5/2" in err
 
 
 def test_both_sources_rejected(capsys, tmp_path):
@@ -128,7 +128,7 @@ def test_analyze_json_schema_and_sections(capsys):
     rc, out, _ = run_cli(capsys, ["analyze", "u1 + u2 + u1^-1*u2^-1", "--json"])
     assert rc == 0
     report = json.loads(out)
-    assert report["schema"] == "newton-spectra/1"
+    assert report["schema"] == "newton-spectra/2"
     assert list(report) == [
         "schema", "input", "polytope", "nondegeneracy", "mu", "basis",
         "spectrum", "pencil", "birkhoff", "frobenius", "error",
@@ -149,23 +149,71 @@ def test_analyze_json_on_invalid_input_carries_error(capsys):
     assert report["mu"] is None
 
 
-def test_analyze_without_a_face_test_exits_2():
-    # n = 4 has three-dimensional faces, which no nondegeneracy test covers
-    proc = run_proc(["analyze", "u1+u2+u3+u4+u1^-1*u2^-1*u3^-1*u4^-1", "--json"])
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
-    report = json.loads(proc.stdout)
-    assert report["error"]["stage"] == "nondegeneracy"
-    assert report["error"]["type"] == "UnsupportedFaceError"
-    assert report["nondegeneracy"] is None and report["mu"] is None
+def test_analyze_certifies_the_four_variable_mirror(capsys):
+    # n = 4 has three-dimensional faces; the window certificate covers them
+    # without --assume-nondegenerate, which changes nothing
+    expr = "u1+u2+u3+u4+u1^-1*u2^-1*u3^-1*u4^-1"
+    rc, out, err = run_cli(capsys, ["analyze", expr, "--json"])
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["nondegeneracy"]["ok"] is True
+    assert report["nondegeneracy"]["window_dims"] == [0]
+    assert report["mu"] == 5 and report["error"] is None
+    rc, assumed, _ = run_cli(capsys, ["analyze", expr, "--json", "--assume-nondegenerate"])
+    assert rc == 0 and assumed == out
+
+
+def test_n3_report_bytes_do_not_depend_on_seed(capsys):
+    # nothing in the pipeline samples: the seed only reaches input.seed
+    expr = "u1*u2*u3 + u1^-1 + u2^-1 + u3^-1"
+    reports = []
+    for seed in ("0", "7", "12345"):
+        rc, out, _ = run_cli(capsys, ["analyze", expr, "--json", "--seed", seed])
+        assert rc == 0
+        report = json.loads(out)
+        assert report["input"]["seed"] == int(seed)
+        report["input"]["seed"] = None
+        reports.append(json.dumps(report, indent=2))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_degenerate_analyze_names_the_level(capsys):
+    rc, out, err = run_cli(capsys, ["analyze", DEGENERATE, "--json"])
+    assert rc == 2
+    report = json.loads(out)
+    assert report["error"] == {
+        "stage": "nondegeneracy", "type": "DegenerateError",
+        "message": "graded quotient is nonzero at level 5/2 above the top "
+                   "spectral level 2, so f is degenerate along a face of its "
+                   "Newton polytope",
+    }
+    assert report["nondegeneracy"]["degenerate_level"] == 5
+    assert report["nondegeneracy"]["window_dims"] == [1, 1]
+    assert report["mu"] is None and report["basis"] is None
+    assert "level 5/2" in err
+
+
+def test_failed_gauge_recheck_exits_2(capsys, monkeypatch):
+    # the re-check of the gauge identity is an explicit test, not an
+    # assert, so it also runs under python -O
+    monkeypatch.setattr(frobenius_mod, "gauge_residual",
+                        lambda pencil, gauge, a0, ainf: [[[Fraction(1), 0], [0, 0]]])
+    rc, out, err = run_cli(capsys, ["analyze", "--json", "u1 + u1^-1"])
+    assert rc == 2
+    report = json.loads(out)
+    assert report["error"] == {
+        "stage": "birkhoff", "type": "VerificationError",
+        "message": "the gauge identity does not hold",
+    }
+    assert report["birkhoff"] is None and report["frobenius"] is None
+    assert "gauge identity" in err
 
 
 def test_section_json_wrapper(capsys):
     rc, out, _ = run_cli(capsys, ["spectrum", "u1 + u1^-2", "--json"])
     assert rc == 0
     obj = json.loads(out)
-    assert obj["schema"] == "newton-spectra/1"
+    assert obj["schema"] == "newton-spectra/2"
     assert obj["command"] == "spectrum"
     assert obj["spectrum"]["factored"] == "S*(S+1/2)*(S+1)"
 

@@ -1,6 +1,8 @@
 """Euler field, homogeneity constant, and the full analyze pipeline."""
 
+import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,12 +10,14 @@ import newton_spectra.frobenius as frobenius_mod
 from conftest import CORPUS, DEGENERATE, pipeline
 from newton_spectra import (
     BirkhoffObstruction,
+    VerificationError,
     analyze,
     analyze_text,
     canonical_primitive,
     euler_field,
     solve_birkhoff,
 )
+from newton_spectra.cli import main
 
 REPORT_KEYS = [
     "schema",
@@ -78,7 +82,9 @@ def test_analyze_ok_report():
     report, status = analyze_text("u1 + u2 + u1^-1*u2^-1")
     assert status == "ok"
     assert list(report) == REPORT_KEYS
-    assert report["schema"] == "newton-spectra/1"
+    assert report["schema"] == "newton-spectra/2"
+    assert report["nondegeneracy"]["ok"] is True
+    assert report["nondegeneracy"]["window"] == [3, 3]
     assert report["input"]["variables"] == ["u1", "u2"] and report["input"]["n"] == 2
     assert report["mu"] == 3
     assert report["basis"]["graded_dims"] == [1, 1, 1]
@@ -112,18 +118,20 @@ def test_analyze_gate_degenerate():
     report, status = analyze_text(DEGENERATE)
     assert status == "invalid"
     assert report["error"]["stage"] == "nondegeneracy"
+    assert report["error"]["type"] == "DegenerateError"
     assert report["nondegeneracy"]["ok"] is False
+    assert report["nondegeneracy"]["degenerate_level"] == 5
     assert report["mu"] is None
 
 
-def test_analyze_assumed_degenerate_still_caught():
-    # --assume-nondegenerate skips the certificate, but the graded slice
-    # surviving above the top level still exposes this input
-    report, status = analyze_text(DEGENERATE, assume_nondegenerate=True)
-    assert status == "invalid"
-    assert report["nondegeneracy"]["mode"] == "assumed"
-    assert report["error"]["stage"] == "basis"
-    assert report["mu"] == 8 and report["basis"] is None
+def test_analyze_assumed_degenerate_still_caught(capsys):
+    # --assume-nondegenerate no longer skips anything: the certificate
+    # rejects this input at the nondegeneracy stage with or without it
+    assert main(["analyze", "--json", DEGENERATE, "--assume-nondegenerate"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["stage"] == "nondegeneracy"
+    assert report["nondegeneracy"]["ok"] is False
+    assert report["mu"] is None and report["basis"] is None
 
 
 def test_analyze_seed_recorded_and_deterministic():
@@ -139,6 +147,27 @@ def test_analyze_explicit_names():
     report, status = analyze(f, names)
     assert status == "ok"
     assert report["input"]["expression"] == "x + x^-1"
+
+
+def test_canonical_primitive_raises_on_a_wrong_spectrum():
+    data = pipeline("u1 + u1^-1")
+    wrong = SimpleNamespace(pairs=[(F(0), 2)])
+    with pytest.raises(VerificationError, match="multiplicity one"):
+        canonical_primitive(data["algebra"], wrong)
+
+
+def test_analyze_reports_a_failed_frobenius_recheck(monkeypatch):
+    def fail(algebra, spectrum_data):
+        raise VerificationError("alpha_min is not 0")
+
+    monkeypatch.setattr(frobenius_mod, "canonical_primitive", fail)
+    report, status = analyze_text("u1 + u1^-1")
+    assert status == "invalid"
+    assert report["error"] == {
+        "stage": "frobenius", "type": "VerificationError",
+        "message": "alpha_min is not 0",
+    }
+    assert report["birkhoff"]["status"] == "solved" and report["frobenius"] is None
 
 
 def test_analyze_obstruction_path(monkeypatch):

@@ -17,9 +17,12 @@ from newton_spectra import (
     DegeneracySuspectedError,
     JacobianAlgebra,
     LaurentPolynomial,
+    NewtonPolytope,
     NotInIdealError,
+    analyze_text,
     divide,
     divide_exact,
+    is_nondegenerate,
     milnor_number,
     newton_polytope,
     parse_laurent,
@@ -163,10 +166,30 @@ def test_degenerate_input_caught_by_dimension_check():
     assert mu == 8  # the volume alone cannot see the degeneracy
     algebra = JacobianAlgebra(f, p)
     # adversarial coincidence: the truncated dimensions add up to the
-    # volume anyway ...
+    # volume anyway, so the count passes ...
     assert len(algebra.basis()) == mu
+    algebra.check_milnor(mu)
     # ... but a graded slice survives above the top spectral level, which
-    # is impossible for a nondegenerate polynomial
+    # is impossible for a nondegenerate polynomial; the certificate reads it
     assert algebra.graded_dimension(algebra.n * algebra.d + 1) > 0
-    with pytest.raises(DegeneracySuspectedError):
-        algebra.check_milnor(mu)
+    assert not is_nondegenerate(algebra).ok
+
+
+def test_lattice_points_enumerated_once(monkeypatch):
+    # the first level request enumerates up to the top of the certificate's
+    # window, phi = n + 1, which serves every later level of `analyze`; with
+    # scale 2 the window has two levels, so one call covers both
+    calls = []
+    enumerate_sublevel = NewtonPolytope.enumerate_sublevel
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return enumerate_sublevel(self, alpha)
+
+    monkeypatch.setattr(NewtonPolytope, "enumerate_sublevel", counted)
+    for expr, scale, top in (("u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1", 1, 4),
+                             ("u1^2 + u2 + u1^-1*u2^-1", 2, 3)):
+        calls.clear()
+        report, status = analyze_text(expr)
+        assert status == "ok" and report["polytope"]["scale"] == scale
+        assert calls == [top], expr

@@ -1,35 +1,54 @@
-"""Face-by-face nondegeneracy certificates."""
+"""Nondegeneracy certificate from the window levels of the graded quotient."""
 
+import random
 from fractions import Fraction
 
-import pytest
-
-from conftest import CORPUS, DEGENERATE, pipeline
+from conftest import (
+    CORPUS,
+    DEGENERATE,
+    SQUARE_FACET,
+    edge_polynomials,
+    pipeline,
+    planar_hull,
+    planar_nondegenerate,
+)
 from newton_spectra import (
     DegenerateError,
-    ExactModeUnsupportedError,
-    assumed_certificate,
+    JacobianAlgebra,
+    LaurentPolynomial,
     is_nondegenerate,
+    milnor_number,
     newton_polytope,
     parse_laurent,
     proper_faces,
-    require_nondegenerate,
 )
+
+MIRROR4 = "u1 + u2 + u3 + u4 + u1^-1*u2^-1*u3^-1*u4^-1"
+DEGENERATE_EDGE_3 = "u1^2*u3 - 2*u1*u2*u3 + u2^2*u3 + u3 + u1^-1*u2^-1*u3^-1 + u1*u2"
+
+
+def _certificate(expr):
+    f, _ = parse_laurent(expr)
+    algebra = JacobianAlgebra(f, newton_polytope(f))
+    return algebra, is_nondegenerate(algebra)
 
 
 def test_corpus_certificates():
     for expr, n, _ in CORPUS:
-        data = pipeline(expr)
-        cert = is_nondegenerate(data["f"], data["polytope"])
+        algebra = pipeline(expr)["algebra"]
+        cert = is_nondegenerate(algebra)
         assert cert.ok, expr
-        assert cert.mode == ("exact" if n <= 2 else "probabilistic")
-        if cert.mode == "exact":
-            assert cert.failure_probability == 0
-        else:
-            assert 0 <= cert.failure_probability < Fraction(1, 1000)
-        assert cert.degenerate_face is None
-        assert cert.faces  # every proper face receives a report
-        assert all(r.ok for r in cert.faces)
+        d = algebra.d
+        assert cert.window == (n * d + 1, n * d + d), expr
+        assert cert.window_dims == (0,) * d, expr
+        assert cert.degenerate_level is None
+        assert len(cert.faces) == len(proper_faces(algebra.polytope))
+        obj = cert.to_json_obj()
+        assert list(obj) == [
+            "ok", "method", "window", "window_dims", "faces", "degenerate_level",
+        ]
+        assert obj["method"] == "graded-quotient"
+        assert obj["window"] == [n * d + 1, n * d + d]
 
 
 def test_proper_face_counts():
@@ -45,70 +64,110 @@ def test_proper_face_counts():
 
 def test_degenerate_square_term_detected_exactly():
     # (u1 - u2)^2 vanishes with its log-partials at u1 = u2 on the edge
-    # carrying that binomial square
-    f, _ = parse_laurent(DEGENERATE)
-    p = newton_polytope(f)
-    cert = is_nondegenerate(f, p)
-    assert cert.mode == "exact" and not cert.ok
-    bad = cert.degenerate_face
-    assert bad is not None and not bad.ok
-    assert set(bad.vertices) == {(2, 0), (0, 2)}
-    with pytest.raises(DegenerateError):
-        require_nondegenerate(f, p)
+    # carrying that binomial square; the quotient survives at level 5/2
+    algebra, cert = _certificate(DEGENERATE)
+    assert not cert.ok
+    assert cert.window == (5, 6) and cert.window_dims == (1, 1)
+    assert cert.degenerate_level == 5
+    err = cert.error()
+    assert isinstance(err, DegenerateError) and err.level == 5
+    assert "level 5/2 above the top spectral level 2" in str(err)
+    assert cert.to_json_obj()["degenerate_level"] == 5
 
 
 def test_perturbed_square_is_fine():
-    f, _ = parse_laurent("u1^2 - u1*u2 + u2^2 + u1^-1*u2^-1")
-    cert = is_nondegenerate(f, newton_polytope(f))
-    assert cert.ok and cert.mode == "exact"
+    _, cert = _certificate("u1^2 - u1*u2 + u2^2 + u1^-1*u2^-1")
+    assert cert.ok
 
 
-def test_exact_mode_refuses_three_variables():
-    data = pipeline("u1*u2*u3 + u1^-1 + u2^-1 + u3^-1")
-    with pytest.raises(ExactModeUnsupportedError):
-        is_nondegenerate(data["f"], data["polytope"], mode="exact")
-
-
-def test_probabilistic_mode_is_seed_deterministic():
-    data = pipeline("u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1")
-    a = is_nondegenerate(data["f"], data["polytope"], seed=1)
-    b = is_nondegenerate(data["f"], data["polytope"], seed=1)
-    assert a.to_json_obj() == b.to_json_obj()
-    c = is_nondegenerate(data["f"], data["polytope"], seed=2)
-    assert c.ok == a.ok
+def test_certificate_covers_three_and_four_variables():
+    # no dimension limit: the n = 4 mirror has faces of dimension 0..3
+    algebra, cert = _certificate(MIRROR4)
+    assert cert.ok and cert.window == (5, 5) and cert.window_dims == (0,)
+    assert sorted({dim for dim, _ in cert.faces}) == [0, 1, 2, 3]
+    assert len(cert.faces) == 30
+    assert len(algebra.basis()) == milnor_number(algebra.polytope) == 5
+    _, cert = _certificate("u1*u2*u3 + u1^-1 + u2^-1 + u3^-1")
+    assert cert.ok
 
 
 def test_degenerate_edge_in_three_variables():
-    # (u1 - u2)^2 * u3 puts a repeated torus root on an edge of the hull;
-    # edges stay exact even in probabilistic mode
-    f, _ = parse_laurent(
-        "u1^2*u3 - 2*u1*u2*u3 + u2^2*u3 + u3 + u1^-1*u2^-1*u3^-1 + u1*u2"
-    )
-    p = newton_polytope(f)
-    assert p.convenient
-    cert = is_nondegenerate(f, p, seed=0)
+    # (u1 - u2)^2 * u3 puts a repeated torus root on an edge of the hull
+    f, _ = parse_laurent(DEGENERATE_EDGE_3)
+    assert newton_polytope(f).convenient
+    _, cert = _certificate(DEGENERATE_EDGE_3)
     assert not cert.ok
-    assert cert.degenerate_face.dim == 1
-    assert cert.degenerate_face.method == "edge-gcd"
+    assert cert.window == (7, 8) and cert.degenerate_level == 7
 
 
-def test_degenerate_two_face_detected_by_prime_sampling():
+def test_degenerate_two_face_detected_by_window():
     # (1+u1)(1+u2)*u3 vanishes with both log-partials at u1 = u2 = -1 on
-    # the square facet, while every edge of that square stays squarefree,
-    # so only the sampled-resultant test can catch it
-    f, _ = parse_laurent("u3 + u1*u3 + u2*u3 + u1*u2*u3 + u1^-1*u2^-1*u3^-1 + u3^-1")
-    p = newton_polytope(f)
-    assert p.convenient
-    for seed in range(3):
-        cert = is_nondegenerate(f, p, seed=seed)
-        assert not cert.ok
-        assert cert.degenerate_face.dim == 2
-        assert cert.degenerate_face.method == "prime-resultant"
+    # the square facet, while every edge of that square stays squarefree
+    f, _ = parse_laurent(SQUARE_FACET)
+    assert newton_polytope(f).convenient
+    _, cert = _certificate(SQUARE_FACET)
+    assert not cert.ok
+    assert cert.window == (4, 4) and cert.degenerate_level == 4
 
 
-def test_assumed_certificate_shape():
-    cert = assumed_certificate()
-    assert cert.ok and cert.mode == "assumed"
-    obj = cert.to_json_obj()
-    assert obj["ok"] is True and obj["mode"] == "assumed"
-    assert obj["faces"] == [] and obj["degenerate_face"] is None
+def test_window_not_the_count_certifies():
+    # both degenerate inputs have graded dimensions up to level n that add
+    # up to the lattice volume; only the window exposes them
+    for expr in (DEGENERATE, SQUARE_FACET):
+        algebra, cert = _certificate(expr)
+        top = algebra.n * algebra.d
+        dims = [algebra.graded_dimension(r) for r in range(top + 1)]
+        assert sum(dims) == milnor_number(algebra.polytope) == 8, expr
+        algebra.check_milnor(8)
+        assert not cert.ok and any(cert.window_dims), expr
+
+
+def _random_planar(rng):
+    """A random convenient f in two variables, made degenerate half the time.
+
+    The degenerate half overwrites one hull edge of lattice length >= 2 with
+    c * (t - s)^2 * (t + 1)^(g - 2), which has the torus root s twice; zero
+    coefficients inside the edge leave the hull unchanged.
+    """
+    while True:
+        size = rng.randint(4, 7)
+        pts = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(size)}
+        pts.discard((0, 0))
+        terms = {e: Fraction(rng.choice([-2, -1, 1, 2, 3])) for e in pts}
+        f = LaurentPolynomial(2, terms)
+        if not newton_polytope(f).convenient:
+            continue
+        if rng.random() < 0.5:
+            hull = planar_hull(list(terms))
+            edges = [(a, b, len(poly) - 1) for a, b, poly in zip(
+                hull, hull[1:] + hull[:1], edge_polynomials(terms)) if len(poly) >= 3]
+            if not edges:
+                continue
+            a, b, g = rng.choice(edges)
+            poly = [Fraction(rng.choice([-1, 1, 2]))]
+            roots = [rng.choice([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])] * 2
+            roots += [Fraction(-1)] * (g - 2)
+            for r in roots:
+                poly = [x - r * y for x, y in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+            step = ((b[0] - a[0]) // g, (b[1] - a[1]) // g)
+            for k, c in enumerate(poly):
+                e = (a[0] + k * step[0], a[1] + k * step[1])
+                if c:
+                    terms[e] = c
+                else:
+                    terms.pop(e, None)
+        return terms
+
+
+def test_window_verdict_matches_edge_oracle_in_two_variables():
+    rng = random.Random(20260)
+    verdicts = []
+    for _ in range(60):
+        terms = _random_planar(rng)
+        f = LaurentPolynomial(2, terms)
+        algebra = JacobianAlgebra(f, newton_polytope(f))
+        expected = planar_nondegenerate(terms)
+        assert is_nondegenerate(algebra).ok == expected, f.format(("u1", "u2"))
+        verdicts.append(expected)
+    # both verdicts occur often enough to mean something
+    assert verdicts.count(True) >= 15 and verdicts.count(False) >= 15
