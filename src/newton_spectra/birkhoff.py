@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import floor, lcm
 
 from .brieskorn import ConnectionPencil
-from .errors import GradedModelError
+from .errors import GradedModelError, VerificationError
 from .linalg import (
     Echelon,
     charpoly,
@@ -39,10 +39,10 @@ from .linalg import (
     mat_eq,
     mat_mul,
     mat_sub,
+    nonzero_rows,
     pol_divmod,
     rank,
     rref,
-    solve_linear,
     zeros,
 )
 
@@ -57,59 +57,41 @@ def _pm_trim(mats):
     return mats
 
 
-def _pm_mul(a, b):
-    if not a or not b:
-        return []
-    mu = len(a[0])
-    out = [zeros(mu, mu) for _ in range(len(a) + len(b) - 1)]
-    for i, ma in enumerate(a):
-        for j, mb in enumerate(b):
-            prod = mat_mul(ma, mb)
-            tgt = out[i + j]
-            for r in range(mu):
-                for c in range(mu):
-                    tgt[r][c] += prod[r][c]
-    return _pm_trim(out)
-
-
-def _pm_sub(a, b):
-    n = max(len(a), len(b))
-    mu = len((a or b)[0])
-    out = []
-    for k in range(n):
-        ma = a[k] if k < len(a) else zeros(mu, mu)
-        mb = b[k] if k < len(b) else zeros(mu, mu)
-        out.append(mat_sub(ma, mb))
-    return _pm_trim(out)
-
-
-def _pm_theta2_deriv(a):
-    """theta^2 * d/dtheta of a matrix polynomial."""
-    res = []
-    for k, m in enumerate(a):
-        if k == 0:
-            continue
-        res.append((k, m))
-    top = max((k + 1 for k, _ in res), default=-1)
-    if top < 0:
-        return []
-    mu = len(a[0])
-    out = [zeros(mu, mu) for _ in range(top + 1)]
-    for k, m in res:
-        for r in range(mu):
-            for c in range(mu):
-                out[k + 1][r][c] += k * m[r][c]
-    return _pm_trim(out)
-
-
 def gauge_residual(pencil: ConnectionPencil, gauge, a0, ainf):
-    """B P + theta^2 P' - P (A_0 + theta A_inf) as a matrix polynomial."""
-    lhs = _pm_mul(list(pencil.matrices), list(gauge))
-    lhs = _pm_sub(lhs, [m for m in _pm_mul(list(gauge), _pm_trim([a0, ainf]))])
-    der = _pm_theta2_deriv(list(gauge))
-    if der:
-        lhs = _pm_sub(lhs, [[[-x for x in row] for row in m] for m in der])
-    return _pm_trim(lhs)
+    """B P + theta^2 P' - P (A_0 + theta A_inf) as a matrix polynomial.
+
+    Only products of nonzero entries are formed, summed per (theta degree,
+    row, column).  The result is the list of theta coefficients up to the
+    highest nonzero one, so it is [] exactly when the gauge identity holds.
+    """
+    acc = {}
+    prows = [nonzero_rows(p) for p in gauge]
+    for k, b in enumerate(pencil.matrices):
+        for i, brow in enumerate(nonzero_rows(b)):
+            for r, x in brow:
+                for l, pr in enumerate(prows):
+                    for j, y in pr[r]:
+                        key = (k + l, i, j)
+                        acc[key] = acc.get(key, 0) + x * y
+    right = ((0, nonzero_rows(a0)), (1, nonzero_rows(ainf)))
+    for l, pr in enumerate(prows):
+        for i, prow in enumerate(pr):
+            for s, x in prow:
+                if l:
+                    key = (l + 1, i, s)
+                    acc[key] = acc.get(key, 0) + l * x
+                for d, arows in right:
+                    for j, y in arows[s]:
+                        key = (l + d, i, j)
+                        acc[key] = acc.get(key, 0) - x * y
+    nonzero = {key: x for key, x in acc.items() if x}
+    if not nonzero:
+        return []
+    mu = pencil.mu
+    out = [zeros(mu, mu) for _ in range(max(m for m, _, _ in nonzero) + 1)]
+    for (m, i, j), x in nonzero.items():
+        out[m][i][j] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,58 +162,64 @@ def _pattern_slots(degrees):
 
 
 def _build_linear_system(pencil, ainf, include_m1=True):
-    """Rows of the linear system in the pattern unknowns, frozen A_inf."""
-    degrees = pencil.degrees
-    mu = pencil.mu
-    bmats = pencil.matrices
-    degb = len(bmats) - 1
-    slots = _pattern_slots(degrees)
-    index = {s: t for t, s in enumerate(slots)}
+    """Sparse rows of the linear system in the pattern unknowns, frozen A_inf.
+
+    Equation (m, i, j) is the theta^m coefficient at (i, j) of
+    B P + theta^2 P' - P (B_0 + theta A_inf) with P_0 = I, for m >= 1
+    (m >= 2 without include_m1).  Its row is a dict slot index ->
+    coefficient and its right-hand side is minus the part free of unknowns.
+    Only the equations that a nonzero entry of some B_k or of A_inf, or a
+    slot, contributes to are formed; those whose row and right-hand side
+    both vanish are dropped, and the rest come in (m, i, j) order.
+    """
+    slots = _pattern_slots(pencil.degrees)
+    by_row = {}          # (k, row) -> [(col, slot index)]
+    for t, (k, i, j) in enumerate(slots):
+        by_row.setdefault((k, i), []).append((j, t))
     kmax = max((k for k, _, _ in slots), default=0)
+    coeffs = {}          # (m, i, j) -> {slot index: coefficient}
+    consts = {}          # (m, i, j) -> the part free of unknowns
+
+    def add(lab, t, x):
+        row = coeffs.setdefault(lab, {})
+        row[t] = row.get(t, 0) + x
+
+    def add_const(lab, x):
+        consts[lab] = consts.get(lab, 0) + x
+
+    # B_k P_l: P_0 = I gives the constant B_k, l >= 1 the slots (l, r, j)
+    for k, b in enumerate(pencil.matrices):
+        for i, brow in enumerate(nonzero_rows(b)):
+            for r, x in brow:
+                if k:
+                    add_const((k, i, r), x)
+                for l in range(1, kmax + 1):
+                    for j, t in by_row.get((l, r), ()):
+                        add((k + l, i, j), t, x)
+    # theta^2 P' - P_l B_0 - theta P_l A_inf, with P_0 A_inf constant
+    b0rows = nonzero_rows(pencil.matrices[0])
+    arows = nonzero_rows(ainf)
+    for i, arow in enumerate(arows):
+        for j, y in arow:
+            add_const((1, i, j), -y)
+    for t, (l, i, s) in enumerate(slots):
+        add((l + 1, i, s), t, Fraction(l))
+        for j, y in b0rows[s]:
+            add((l, i, j), t, -y)
+        for j, y in arows[s]:
+            add((l + 1, i, j), t, -y)
     rows = []
     rhs = []
     labels = []
-    mtop = kmax + max(degb, 1)
-    for m in range(1, mtop + 1):
-        if m == 1 and not include_m1:
+    for lab in sorted(coeffs.keys() | consts.keys()):
+        if lab[0] == 1 and not include_m1:
             continue
-        for i in range(mu):
-            for j in range(mu):
-                row = [Fraction(0)] * len(slots)
-                const = Fraction(0)
-                # sum_k B_k P_{m-k}
-                for k in range(0, min(m, degb) + 1):
-                    l = m - k
-                    if l == 0:
-                        const += bmats[k][i][j]
-                    elif l <= kmax:
-                        for r in range(mu):
-                            t = index.get((l, r, j))
-                            if t is not None and bmats[k][i][r]:
-                                row[t] += bmats[k][i][r]
-                # + (m-1) P_{m-1}
-                if m - 1 >= 1 and m - 1 <= kmax:
-                    t = index.get((m - 1, i, j))
-                    if t is not None:
-                        row[t] += m - 1
-                # - P_m B_0
-                if m <= kmax:
-                    for s in range(mu):
-                        t = index.get((m, i, s))
-                        if t is not None and bmats[0][s][j]:
-                            row[t] -= bmats[0][s][j]
-                # - P_{m-1} A_inf
-                if m - 1 == 0:
-                    const -= ainf[i][j]
-                elif m - 1 <= kmax:
-                    for s in range(mu):
-                        t = index.get((m - 1, i, s))
-                        if t is not None and ainf[s][j]:
-                            row[t] -= ainf[s][j]
-                if any(row) or const:
-                    rows.append(row)
-                    rhs.append(-const)
-                    labels.append((m, i, j))
+        row = {t: x for t, x in coeffs.get(lab, {}).items() if x}
+        const = consts.get(lab, 0)
+        if row or const:
+            rows.append(row)
+            rhs.append(-const)
+            labels.append(lab)
     return slots, rows, rhs, labels
 
 
@@ -243,13 +231,21 @@ def _gauge_from_solution(slots, x, mu, degrees):
     return _pm_trim(mats) or [identity(mu)]
 
 
-def _solve_system(slots, rows, rhs):
-    if not slots:
-        return [] if all(v == 0 for v in rhs) else None
-    if not rows:
-        # every equation was satisfied identically; pin the free unknowns
-        return [Fraction(0)] * len(slots)
-    return solve_linear(rows, rhs)
+def _solve_system(n, rows, rhs):
+    """A solution of sparse rows in n unknowns, free unknowns zero, or None.
+
+    The right-hand side sits in column n, after every unknown, so a pivot
+    there means the rows are inconsistent.
+    """
+    ech = Echelon()
+    for row, b in zip(rows, rhs):
+        ech.insert({**row, n: b})
+    if n in ech.rows:
+        return None
+    x = [Fraction(0)] * n
+    for p, (row, _) in ech.rows.items():
+        x[p] = row.get(n, Fraction(0))
+    return x
 
 
 def _split_constant(ainf, degrees):
@@ -267,24 +263,28 @@ def _split_constant(ainf, degrees):
     if all(ainf[i][j] == 0 for (i, j) in slots):
         return None
     index = {s: t for t, s in enumerate(slots)}
-    dmat = [
-        [ainf[i][j] if degrees[i] == degrees[j] else Fraction(0) for j in range(mu)]
-        for i in range(mu)
-    ]
+    arows = nonzero_rows(ainf)
+    # the nonzero entries of column j of blockdiag(A_inf)
+    dcols = [[] for _ in range(mu)]
+    for k, arow in enumerate(arows):
+        for j, y in arow:
+            if degrees[k] == degrees[j]:
+                dcols[j].append((k, y))
     rows = []
     rhs = []
     for (i, j) in slots:
-        row = [Fraction(0)] * len(slots)
-        for k in range(mu):
+        row = {}
+        for k, y in arows[i]:
             t = index.get((k, j))
-            if t is not None and ainf[i][k]:
-                row[t] += ainf[i][k]
+            if t is not None:
+                row[t] = row.get(t, 0) + y
+        for k, y in dcols[j]:
             t = index.get((i, k))
-            if t is not None and dmat[k][j]:
-                row[t] -= dmat[k][j]
-        rows.append(row)
+            if t is not None:
+                row[t] = row.get(t, 0) - y
+        rows.append({t: y for t, y in row.items() if y})
         rhs.append(-ainf[i][j])
-    x = solve_linear(rows, rhs)
+    x = _solve_system(len(slots), rows, rhs)
     if x is None:
         return None
     q = identity(mu)
@@ -302,28 +302,26 @@ def _apply_constant_split(pencil, gauge, a0, ainf, degrees):
     gauge = [mat_mul(p, q) for p in gauge]
     a0 = mat_mul(qinv, mat_mul(a0, q))
     ainf = mat_mul(qinv, mat_mul(ainf, q))
-    res = gauge_residual(pencil, gauge, a0, ainf)
-    assert not res, "constant split broke the gauge identity"
+    if gauge_residual(pencil, gauge, a0, ainf):
+        raise VerificationError("the constant split broke the gauge identity")
     return _pm_trim(gauge) or [identity(len(degrees))], a0, ainf, True
 
 
-def _obstruction_ranks(rows, rhs, labels, cap=8):
+def _obstruction_ranks(n, rows, rhs, labels, cap=8):
     """(system rank, augmented rank, culprit labels) in one elimination pass.
 
-    Each augmented row is reduced against the consistent rows before it.  A
-    residual left only in the right-hand-side column is a culprit: that
+    The rows are sparse over n unknowns, with the right-hand side in column
+    n.  Each augmented row is reduced against the consistent rows before it.
+    A residual left only in the right-hand-side column is a culprit: that
     equation turns the running system inconsistent.  Culprits are not stored,
     so the stored rows have independent coefficient parts, every culprit's
     residual is canonical, and both ranks count every row past the cap.
     """
-    n = len(rows[0]) if rows else 0
     ech = Echelon()
     bad = []
     inconsistent = False
     for row, b, lab in zip(rows, rhs, labels):
-        vec = {t: x for t, x in enumerate(row) if x}
-        vec[n] = b
-        res, _ = ech.reduce(vec)
+        res, _ = ech.reduce({**row, n: b})
         if not res:
             continue
         if min(res) < n:
@@ -337,7 +335,11 @@ def _obstruction_ranks(rows, rhs, labels, cap=8):
 
 
 def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
-    """Canonical normal-form attempt; solution or obstruction record."""
+    """Canonical normal-form attempt; solution or obstruction record.
+
+    Raises VerificationError when a solved gauge fails the exact residual
+    check; that check is explicit, so it also runs under `python -O`.
+    """
     mu = pencil.mu
     degrees = pencil.degrees
     d_mat = zeros(mu, mu)
@@ -347,18 +349,18 @@ def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
     b1 = pencil.matrices[1] if len(pencil.matrices) > 1 else zeros(mu, mu)
 
     slots, rows, rhs, labels = _build_linear_system(pencil, d_mat, include_m1=True)
-    x = _solve_system(slots, rows, rhs)
+    x = _solve_system(len(slots), rows, rhs)
     if x is not None:
         gauge = _gauge_from_solution(slots, x, mu, degrees)
-        res = gauge_residual(pencil, gauge, b0, d_mat)
-        assert not res, "diagonal ansatz produced a nonzero residual"
+        if gauge_residual(pencil, gauge, b0, d_mat):
+            raise VerificationError("the diagonal ansatz left a nonzero gauge residual")
         return BirkhoffSolution(tuple(gauge), b0, d_mat, "diagonal-ansatz")
 
     # fixed-point sweeps with A_inf frozen per round
     ainf = [row[:] for row in b1]
     for sweep in range(1, max_sweeps + 1):
         slots2, rows2, rhs2, _ = _build_linear_system(pencil, ainf, include_m1=False)
-        y = _solve_system(slots2, rows2, rhs2)
+        y = _solve_system(len(slots2), rows2, rhs2)
         if y is None:
             break
         gauge = _gauge_from_solution(slots2, y, mu, degrees)
@@ -377,7 +379,9 @@ def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
             break
         ainf = nxt
 
-    system_rank, augmented_rank, culprits = _obstruction_ranks(rows, rhs, labels)
+    system_rank, augmented_rank, culprits = _obstruction_ranks(
+        len(slots), rows, rhs, labels
+    )
     return BirkhoffObstruction(
         message="gauge equations are inconsistent for a diagonal residue matrix "
         "and the fixed-point sweeps did not stabilize",
@@ -399,15 +403,8 @@ def pencil_in_gauge(pencil: ConnectionPencil, gauge):
     """
     gauge = _pm_trim([list(map(list, m)) for m in gauge]) or [identity(pencil.mu)]
     mu = pencil.mu
-    lhs = _pm_mul(list(pencil.matrices), gauge)
-    der = _pm_theta2_deriv(gauge)
-    for k, m in enumerate(der):
-        while len(lhs) <= k:
-            lhs.append(zeros(mu, mu))
-        for r in range(mu):
-            for c in range(mu):
-                lhs[k][r][c] += m[r][c]
-    lhs = _pm_trim(lhs)
+    # B P + theta^2 P' is the gauge residual with A_0 = A_inf = 0
+    lhs = gauge_residual(pencil, gauge, zeros(mu, mu), zeros(mu, mu))
     p0inv = _invert(gauge[0])
     out = []
     for k in range(len(lhs)):
@@ -527,24 +524,43 @@ def _split_over(cp, candidates):
     return sorted(roots.items()), cp
 
 
+def _eigenvalues(ainf, structural, candidates):
+    """Eigenvalues of A_inf as (sorted (root, mult) pairs, cofactor).
+
+    A structural A_inf has its eigenvalues on its diagonal, so they are read
+    off there, with cofactor [1].  Proof: order the indices by degree.  The
+    entries with deg(row) > deg(col) vanish, so A_inf is block upper
+    triangular with one diagonal block per degree value alpha, and that
+    block is alpha*I.  Hence det(S*I - A_inf) is the product of the
+    determinants of the diagonal blocks of S*I - A_inf, which is
+    prod_i (S - a_ii).
+
+    Any other A_inf has its characteristic polynomial split over the
+    candidates by `_split_over`.
+    """
+    if structural:
+        mult = {}
+        for i, row in enumerate(ainf):
+            mult[row[i]] = mult.get(row[i], 0) + 1
+        return sorted(mult.items()), [Fraction(1)]
+    return _split_over(charpoly(ainf), candidates)
+
+
 def verify_v_plus(ainf, degrees, spectrum_pairs):
     """Spectral test: structure, semisimplicity, eigenvalue moduli = spectrum.
 
-    The eigenvalues are not searched for.  The characteristic polynomial is
-    divided by (S - r) for every candidate r: the diagonal entries of A_inf
-    and +-alpha for every spectral value alpha.  This is exact:
+    The eigenvalues are not searched for.  When the structural test passes
+    they are the diagonal entries of A_inf (see `_eigenvalues`).  Otherwise
+    the characteristic polynomial is divided by (S - r) for every candidate
+    r: the diagonal entries of A_inf and +-alpha for every spectral value
+    alpha.  Whenever a cofactor of degree >= 2 is left, every +-alpha has
+    already been divided out, so the multiset of eigenvalue moduli cannot
+    equal the spectrum and spectral_match is False whatever the remaining
+    roots are.  Such an A_inf is reported with eigenvalues None and
+    semisimple False.
 
-    - When the structural test passes, A_inf is block upper-triangular by
-      degree with scalar diagonal blocks alpha*I, so its characteristic
-      polynomial is prod (S - a_ii) and the diagonal candidates exhaust it.
-    - Whenever a cofactor of degree >= 2 is left, every +-alpha has already
-      been divided out, so the multiset of eigenvalue moduli cannot equal
-      the spectrum and spectral_match is False whatever the remaining roots
-      are.  Such an A_inf is reported with eigenvalues None and semisimple
-      False.
-
-    The eigenvalues found are re-checked: semisimplicity is the vanishing
-    of the product of (A - r I) over the distinct roots.
+    The eigenvalues found are re-checked on every input: semisimplicity is
+    the vanishing of the product of (A - r I) over the distinct roots.
     """
     mu = len(degrees)
     detail = {}
@@ -561,7 +577,7 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
     candidates = [ainf[i][i] for i in range(mu)]
     for a, _ in spectrum_pairs:
         candidates += [a, -a]
-    roots, cofactor = _split_over(charpoly(ainf), candidates)
+    roots, cofactor = _eigenvalues(ainf, structural, candidates)
     if len(cofactor) > 1:
         detail["eigenvalues"] = None
         detail["semisimple"] = False

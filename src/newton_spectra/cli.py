@@ -393,12 +393,16 @@ def _run_check(args):
     record("pencil-invariants", ok_pencil,
            "theta degree <= n, trace, order bounds")
 
-    outcome = solve_birkhoff(pencil)
+    try:
+        outcome = solve_birkhoff(pencil)
+    except VerificationError as exc:
+        outcome = None
+        record("birkhoff-normal-form", False, str(exc))
     if isinstance(outcome, BirkhoffObstruction):
         record("birkhoff-normal-form", True,
                "obstruction (residual rank %d) -- honest fallback"
                % outcome.residual_rank)
-    else:
+    elif outcome is not None:
         resid_ok = gauge_residual(
             pencil, outcome.gauge, outcome.a0, outcome.ainf) == []
         record("birkhoff-normal-form", resid_ok,

@@ -10,7 +10,7 @@ coefficients c_k of [f om] mod theta, the Euler field
 
 and the homogeneity constant D = 2 alpha_min + 2 - n = 2 - n.
 
-`full_report` runs the whole chain -- polytope, nondegeneracy certificate,
+`analyze` runs the whole chain -- polytope, nondegeneracy certificate,
 Milnor number, adapted basis, spectrum, pencil, Birkhoff normal form with
 its filtration checks, Frobenius data -- and reports gate failures as
 structured sections instead of dying half way.
@@ -241,16 +241,16 @@ def analyze(f, var_names, *, seed=0):
     pencil = lattice.pencil()
     report["pencil"] = pencil.to_json_obj()
 
-    outcome = solve_birkhoff(pencil)
-    if isinstance(outcome, BirkhoffObstruction):
-        report["birkhoff"] = outcome.to_json_obj()
-        return _frobenius_section(report, algebra, pencil, None, sp, "obstruction")
-
     try:
-        _recheck_gauge(lattice, pencil, outcome)
+        outcome = solve_birkhoff(pencil)
+        if isinstance(outcome, BirkhoffSolution):
+            _recheck_gauge(lattice, pencil, outcome)
     except VerificationError as exc:
         report["error"] = _error_obj("birkhoff", exc)
         return report, "invalid"
+    if isinstance(outcome, BirkhoffObstruction):
+        report["birkhoff"] = outcome.to_json_obj()
+        return _frobenius_section(report, algebra, pencil, None, sp, "obstruction")
     okv, v_details = verify_v_solution(pencil, outcome.gauge, p.scale)
     okp, p_details = verify_v_plus(outcome.ainf, pencil.degrees, sp.pairs)
     try:

@@ -5,8 +5,11 @@ Matrices are plain lists of lists of Fraction, vectors are lists of Fraction.
 All row elimination over Q goes through one kernel, `Echelon`: sparse dict
 rows, the smallest column as pivot, fully reduced, with optional provenance.
 `rref`, `rank`, `solve_linear` and `nullspace` are thin dense wrappers around
-it.  Everything is deterministic: the reduced row echelon form is unique, and
-free variables are always set to zero.
+it for small dense systems: `solve_linear` serves the polytope's lattice
+coordinates, while the Birkhoff gauge system, whose rows hold a few nonzeros
+each, is built as sparse rows and fed to `Echelon` directly.  Everything is
+deterministic: the reduced row echelon form is unique, and free variables
+are always set to zero.
 """
 
 from __future__ import annotations
@@ -32,19 +35,19 @@ def identity(n: int) -> list[list[Fraction]]:
     return a
 
 
+def nonzero_rows(a):
+    """The nonzero entries of each row of a matrix, as (column, value) lists."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
+    """Matrix product, multiplying only nonzero entries of both factors."""
+    brows = nonzero_rows(b)
+    out = zeros(len(a), len(b[0]))
+    for arow, oi in zip(nonzero_rows(a), out):
+        for t, c in arow:
+            for j, x in brows[t]:
+                oi[j] += c * x
     return out
 
 

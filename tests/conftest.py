@@ -7,7 +7,10 @@ inside the tests (Ehrhart point counts, brute-force quotients).
 
 dense_rref is a reference dense Gauss-Jordan elimination that shares no
 code with the package, so the oracles built on it stay independent of the
-package's elimination kernel.  planar_nondegenerate decides nondegeneracy
+package's elimination kernel.  dense_mat_mul is a plain triple loop, and
+dense_gauge_residual and dense_build_linear_system are the dense Birkhoff
+residual and gauge rows the package computed before it switched to sparse
+ones, kept on dense_mat_mul as references for the sparse kernels.  planar_nondegenerate decides nondegeneracy
 in two variables from its own convex hull and polynomial gcd, independently
 of the package's certificate.
 """
@@ -22,6 +25,7 @@ from newton_spectra import (
     parse_laurent,
     spectrum,
 )
+from newton_spectra.birkhoff import _pattern_slots
 
 # (expression, arity, milnor number)
 CORPUS = [
@@ -152,3 +156,137 @@ def planar_nondegenerate(terms):
         if len(_pol_gcd(poly, deriv)) > 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# dense references for the sparse Birkhoff kernels
+
+
+def dense_zeros(m, n):
+    return [[Fraction(0)] * n for _ in range(m)]
+
+
+def dense_mat_mul(a, b):
+    """Plain triple-loop matrix product."""
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _pm_trim(mats):
+    while mats and all(all(x == 0 for x in row) for row in mats[-1]):
+        mats = mats[:-1]
+    return mats
+
+
+def _pm_mul(a, b):
+    if not a or not b:
+        return []
+    mu = len(a[0])
+    out = [dense_zeros(mu, mu) for _ in range(len(a) + len(b) - 1)]
+    for i, ma in enumerate(a):
+        for j, mb in enumerate(b):
+            prod = dense_mat_mul(ma, mb)
+            tgt = out[i + j]
+            for r in range(mu):
+                for c in range(mu):
+                    tgt[r][c] += prod[r][c]
+    return _pm_trim(out)
+
+
+def _pm_sub(a, b):
+    n = max(len(a), len(b))
+    mu = len((a or b)[0])
+    out = []
+    for k in range(n):
+        ma = a[k] if k < len(a) else dense_zeros(mu, mu)
+        mb = b[k] if k < len(b) else dense_zeros(mu, mu)
+        out.append([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)])
+    return _pm_trim(out)
+
+
+def _pm_theta2_deriv(a):
+    """theta^2 * d/dtheta of a matrix polynomial."""
+    res = []
+    for k, m in enumerate(a):
+        if k == 0:
+            continue
+        res.append((k, m))
+    top = max((k + 1 for k, _ in res), default=-1)
+    if top < 0:
+        return []
+    mu = len(a[0])
+    out = [dense_zeros(mu, mu) for _ in range(top + 1)]
+    for k, m in res:
+        for r in range(mu):
+            for c in range(mu):
+                out[k + 1][r][c] += k * m[r][c]
+    return _pm_trim(out)
+
+
+def dense_gauge_residual(pencil, gauge, a0, ainf):
+    """B P + theta^2 P' - P (A_0 + theta A_inf) as a matrix polynomial."""
+    lhs = _pm_mul(list(pencil.matrices), list(gauge))
+    lhs = _pm_sub(lhs, [m for m in _pm_mul(list(gauge), _pm_trim([a0, ainf]))])
+    der = _pm_theta2_deriv(list(gauge))
+    if der:
+        lhs = _pm_sub(lhs, [[[-x for x in row] for row in m] for m in der])
+    return _pm_trim(lhs)
+
+
+def dense_build_linear_system(pencil, ainf, include_m1=True):
+    """Dense rows of the linear system in the pattern unknowns, frozen A_inf."""
+    degrees = pencil.degrees
+    mu = pencil.mu
+    bmats = pencil.matrices
+    degb = len(bmats) - 1
+    slots = _pattern_slots(degrees)
+    index = {s: t for t, s in enumerate(slots)}
+    kmax = max((k for k, _, _ in slots), default=0)
+    rows = []
+    rhs = []
+    labels = []
+    mtop = kmax + max(degb, 1)
+    for m in range(1, mtop + 1):
+        if m == 1 and not include_m1:
+            continue
+        for i in range(mu):
+            for j in range(mu):
+                row = [Fraction(0)] * len(slots)
+                const = Fraction(0)
+                # sum_k B_k P_{m-k}
+                for k in range(0, min(m, degb) + 1):
+                    l = m - k
+                    if l == 0:
+                        const += bmats[k][i][j]
+                    elif l <= kmax:
+                        for r in range(mu):
+                            t = index.get((l, r, j))
+                            if t is not None and bmats[k][i][r]:
+                                row[t] += bmats[k][i][r]
+                # + (m-1) P_{m-1}
+                if m - 1 >= 1 and m - 1 <= kmax:
+                    t = index.get((m - 1, i, j))
+                    if t is not None:
+                        row[t] += m - 1
+                # - P_m B_0
+                if m <= kmax:
+                    for s in range(mu):
+                        t = index.get((m, i, s))
+                        if t is not None and bmats[0][s][j]:
+                            row[t] -= bmats[0][s][j]
+                # - P_{m-1} A_inf
+                if m - 1 == 0:
+                    const -= ainf[i][j]
+                elif m - 1 <= kmax:
+                    for s in range(mu):
+                        t = index.get((m - 1, i, s))
+                        if t is not None and ainf[s][j]:
+                            row[t] -= ainf[s][j]
+                if any(row) or const:
+                    rows.append(row)
+                    rhs.append(-const)
+                    labels.append((m, i, j))
+    return slots, rows, rhs, labels

@@ -347,8 +347,12 @@ def test_report_bytes_unchanged_under_python_O():
 
 # 12. ladder regression outside the benchmark oracle: the sha256 of the
 #     `birkhoff` section (json.dumps(section, indent=2), as in
-#     perfbench/oracle.json) was taken from the implementation that computed
-#     F'^k from dense window matrices; all three end with every flag true
+#     perfbench/oracle.json).  The first three were taken from the
+#     implementation that computed F'^k from dense window matrices, the
+#     mu = 84 and mu = 54 inputs from the one that built dense gauge rows and
+#     residuals (each took about 3 s there and takes under 1 s now, so an
+#     input that turns slow again shows in the suite's time); all five end
+#     with every flag true
 
 LADDER_BIRKHOFF_SHA256 = {
     "u1^4 + u2^4 + u1^-1*u2^-1":
@@ -357,6 +361,10 @@ LADDER_BIRKHOFF_SHA256 = {
         "5f5da45a3d810cc06b7bf97c25a8e0afe0c53434163b8601ae3f25ee0106957d",
     "u1^10 + u1^-10":
         "67d7c43ef45b3bec3afd086095ea4b37219715ba5fd03020687f8722814e7ccc",
+    "u1^7 + u2^7 + u1^-2*u2^-3":
+        "068c2216846da18d9c85573c8f07e07d5d5a2d2f01ca4142f81bce72860ab022",
+    "u1^3 + u2^3 + u3^3 + u1^-1*u2^-1*u3^-1":
+        "79047d58154810d8bea868243ac081d423c7d4fb2a51350113f92061eac89aea",
 }
 
 

@@ -10,7 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import pipeline
+from conftest import (
+    CORPUS,
+    dense_build_linear_system,
+    dense_gauge_residual,
+    dense_rank,
+    pipeline,
+)
 from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import (
     BirkhoffObstruction,
@@ -23,7 +29,7 @@ from newton_spectra import (
     verify_v_plus,
     verify_v_solution,
 )
-from newton_spectra.linalg import charpoly, identity, mat_mul, rational_roots
+from newton_spectra.linalg import charpoly, identity, mat_mul, rational_roots, solve_linear
 
 
 def _solved(expr):
@@ -107,6 +113,35 @@ def test_constant_split_on_cross_degree_coupling():
     assert charpoly(sol.a0) == charpoly(pen.matrices[0])
     assert gauge_residual(pen, sol.gauge, sol.a0, sol.ainf) == []
     assert pencil_in_gauge(pen, sol.gauge) == [sol.a0, sol.ainf]
+
+
+def test_constant_split_conjugates_to_the_diagonal_blocks():
+    # A_inf block upper-triangular by degree, each diagonal block with the
+    # single eigenvalue of its degree: Q = I + (entries with deg(row) <
+    # deg(col)) and Q^-1 A_inf Q = blockdiag(A_inf)
+    rng = random.Random(20260622)
+    pool = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2)]
+    split = 0
+    for _ in range(120):
+        mu = rng.randint(2, 6)
+        degrees = tuple(sorted(rng.choice(pool) for _ in range(mu)))
+        ainf = [[F(0)] * mu for _ in range(mu)]
+        for i in range(mu):
+            ainf[i][i] = degrees[i]
+            for j in range(i + 1, mu):
+                if rng.random() < 0.5:
+                    ainf[i][j] = F(rng.randint(-3, 3), rng.randint(1, 2))
+        blocks = [[ainf[i][j] if degrees[i] == degrees[j] else F(0) for j in range(mu)]
+                  for i in range(mu)]
+        q = birkhoff_mod._split_constant(ainf, degrees)
+        if blocks == ainf:
+            assert q is None
+            continue
+        assert all(q[i][j] == (i == j) for i in range(mu) for j in range(mu)
+                   if degrees[i] >= degrees[j])
+        assert mat_mul(ainf, q) == mat_mul(q, blocks)
+        split += 1
+    assert split >= 60
 
 
 def test_filtration_flags_hold_for_solved_gauges():
@@ -393,3 +428,136 @@ def test_candidate_division_agrees_with_root_search(monkeypatch):
             assert new["eigenvalues"] is None and not new_ok
             not_split += 1
     assert agreed and not_split and passed
+
+
+def _structural(rng, degrees):
+    """A random structural A_inf: degree blocks alpha*I, random entries above."""
+    mu = len(degrees)
+    ainf = [[F(0)] * mu for _ in range(mu)]
+    for i in range(mu):
+        ainf[i][i] = degrees[i]
+        for j in range(mu):
+            if degrees[i] < degrees[j] and rng.random() < 0.6:
+                ainf[i][j] = F(rng.randint(-4, 4), rng.randint(1, 3))
+    return ainf
+
+
+def test_structural_rule_agrees_with_the_characteristic_polynomial(monkeypatch):
+    # oracle: the same test with every A_inf sent through charpoly and the
+    # candidate division, as for a non-structural one
+    def by_charpoly(ainf, degrees, pairs):
+        with monkeypatch.context() as m:
+            m.setattr(birkhoff_mod, "_eigenvalues",
+                      lambda a, structural, cands: birkhoff_mod._split_over(charpoly(a), cands))
+            return verify_v_plus(ainf, degrees, pairs)
+
+    rng = random.Random(20260618)
+    pool = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
+    structural = jordan = matched = 0
+    for trial in range(400):
+        mu = rng.randint(1, 7)
+        # repeated degrees, listed in a random order: the rule must not
+        # depend on the indices being sorted by degree
+        degrees = [rng.choice(pool[: rng.randint(1, len(pool))]) for _ in range(mu)]
+        ainf = _structural(rng, degrees)
+        same = [(i, j) for i in range(mu) for j in range(mu)
+                if i != j and degrees[i] == degrees[j]]
+        if same and trial % 4 == 0:
+            # a nilpotent part inside one degree block: no longer structural,
+            # and not semisimple
+            i, j = rng.choice(same)
+            ainf[i][j] = F(rng.choice((-2, -1, 1, 2)))
+        values = sorted(set(degrees))
+        pairs = tuple((a, degrees.count(a)) for a in values)
+        if rng.random() < 0.3:
+            # a spectrum that does not match the eigenvalue moduli
+            pairs = tuple((a + 1, m) for a, m in pairs)
+        new_ok, new = verify_v_plus(ainf, tuple(degrees), pairs)
+        old_ok, old = by_charpoly(ainf, tuple(degrees), pairs)
+        assert (new_ok, new) == (old_ok, old), (ainf, degrees, pairs)
+        if new["structure"]:
+            structural += 1
+            # a structural A_inf is always semisimple: the product of the
+            # A - alpha I over its block values vanishes
+            assert new["semisimple"]
+            assert new["eigenvalues"] == [(str(a), m) for a, m in
+                                          ((a, degrees.count(a)) for a in values)]
+            matched += new["spectral_match"]
+        elif not new["semisimple"]:
+            jordan += 1
+    assert structural >= 300 and jordan >= 20
+    assert 0 < matched < structural
+
+
+# ---------------------------------------------------------------------------
+# the sparse gauge rows and residual against their dense references
+
+
+def _random_matrix(rng, rows, cols, density):
+    return [
+        [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else F(0)
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def test_sparse_residual_matches_dense_reference():
+    rng = random.Random(20260619)
+    zero = nonzero = 0
+    for trial in range(240):
+        mu = rng.randint(1, 5)
+        degrees = tuple(sorted(F(rng.randint(0, 4), 2) for _ in range(mu)))
+        density = rng.choice((0.1, 0.3, 0.8))
+        a0 = _random_matrix(rng, mu, mu, density)
+        ainf = _random_matrix(rng, mu, mu, density)
+        # the dense reference needs P (A_0 + theta A_inf) != 0: A_0 != 0
+        # and an invertible P_0
+        a0[rng.randrange(mu)][rng.randrange(mu)] = F(rng.choice((-2, -1, 1, 3)))
+        if trial % 4 == 0:
+            # B = A_0 + theta A_inf with the identity gauge: zero residual
+            mats = (a0, ainf)
+            gauge = [identity(mu)]
+        else:
+            mats = tuple(_random_matrix(rng, mu, mu, density)
+                         for _ in range(rng.randint(1, 3)))
+            head = identity(mu)
+            if rng.random() < 0.5:
+                for i, j in [(i, j) for i in range(mu) for j in range(i + 1, mu)]:
+                    head[i][j] = F(rng.randint(-2, 2))
+            gauge = [head] + [_random_matrix(rng, mu, mu, density)
+                              for _ in range(rng.randint(0, 2))]
+        pen = ConnectionPencil(matrices=mats, degrees=degrees)
+        got = gauge_residual(pen, gauge, a0, ainf)
+        assert got == dense_gauge_residual(pen, gauge, a0, ainf)
+        if got:
+            nonzero += 1
+        else:
+            zero += 1
+    for expr, _, _ in CORPUS:
+        data, sol = _solved(expr)
+        assert dense_gauge_residual(data["pencil"], sol.gauge, sol.a0, sol.ainf) == []
+    assert zero >= 60 and nonzero >= 150
+
+
+def test_sparse_gauge_rows_match_dense_reference():
+    rng = random.Random(20260620)
+    for expr, _, _ in CORPUS:
+        pen = pipeline(expr)["pencil"]
+        mu = pen.mu
+        diag = [[pen.degrees[i] if i == j else F(0) for j in range(mu)] for i in range(mu)]
+        for ainf in (diag, _random_matrix(rng, mu, mu, 0.3)):
+            for include_m1 in (True, False):
+                slots, rows, rhs, labels = birkhoff_mod._build_linear_system(
+                    pen, ainf, include_m1)
+                dslots, drows, drhs, dlabels = dense_build_linear_system(
+                    pen, ainf, include_m1)
+                assert (slots, labels, rhs) == (dslots, dlabels, drhs), expr
+                assert all(all(row.values()) for row in rows), expr
+                n = len(slots)
+                assert [[row.get(t, 0) for t in range(n)] for row in rows] == drows, expr
+                # the same solution, and the same ranks as a dense elimination
+                x = birkhoff_mod._solve_system(n, rows, rhs)
+                assert x == (solve_linear(drows, drhs) if drows else [F(0)] * n), expr
+                system, augmented, _ = birkhoff_mod._obstruction_ranks(n, rows, rhs, labels)
+                assert system == dense_rank(drows), expr
+                assert augmented == dense_rank([r + [b] for r, b in zip(drows, drhs)]), expr

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import CORPUS, DEGENERATE
 from newton_spectra import BirkhoffObstruction, GradedModelError
+from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import cli as cli_mod
 from newton_spectra import frobenius as frobenius_mod
 from newton_spectra.cli import main
@@ -207,6 +208,51 @@ def test_failed_gauge_recheck_exits_2(capsys, monkeypatch):
     }
     assert report["birkhoff"] is None and report["frobenius"] is None
     assert "gauge identity" in err
+
+
+_GAUGE_RESIDUAL = birkhoff_mod.gauge_residual
+
+
+def _residual_failing_from_call(n):
+    """gauge_residual that returns a nonzero residual from its n-th call on."""
+    calls = []
+
+    def residual(pencil, gauge, a0, ainf):
+        calls.append(None)
+        if len(calls) < n:
+            return _GAUGE_RESIDUAL(pencil, gauge, a0, ainf)
+        return [[[Fraction(1)]]]
+
+    return residual
+
+
+@pytest.mark.parametrize("expr, call, message", [
+    # the diagonal ansatz solves u1 + u1^-1 and checks its residual once
+    ("u1 + u1^-1", 1, "the diagonal ansatz left a nonzero gauge residual"),
+    # u1^3 + u1 + u1^-2 needs a sweep (first residual) and a constant split
+    # (second residual)
+    ("u1^3 + u1 + u1^-2", 2, "the constant split broke the gauge identity"),
+])
+def test_failed_solver_residual_exits_2_and_fails_check(capsys, monkeypatch,
+                                                        expr, call, message):
+    # the solver's own residual gates are explicit tests, not asserts, so
+    # they also run under python -O
+    monkeypatch.setattr(birkhoff_mod, "gauge_residual", _residual_failing_from_call(call))
+    rc, out, err = run_cli(capsys, ["analyze", "--json", expr])
+    assert rc == 2
+    report = json.loads(out)
+    assert report["error"] == {
+        "stage": "birkhoff", "type": "VerificationError", "message": message,
+    }
+    assert report["birkhoff"] is None and report["frobenius"] is None
+    assert message in err
+
+    monkeypatch.setattr(birkhoff_mod, "gauge_residual", _residual_failing_from_call(call))
+    rc, out, _ = run_cli(capsys, ["check", expr])
+    assert rc == 1
+    lines = out.splitlines()
+    assert "FAIL birkhoff-normal-form (%s)" % message in lines
+    assert lines[-1] == "7 passed, 1 failed"
 
 
 def test_section_json_wrapper(capsys):

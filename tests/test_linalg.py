@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from fractions import Fraction as F
 
-from conftest import dense_rank, dense_rref
+from conftest import dense_mat_mul, dense_rank, dense_rref
 from newton_spectra.linalg import (
     Echelon,
     charpoly,
@@ -150,6 +150,24 @@ def test_echelon_provenance_names_the_inserted_rows():
         for k, v in rest.items():
             total[k] = total.get(k, 0) + v
         assert {k: v for k, v in total.items() if v} == {k: v for k, v in probe.items() if v}
+
+
+def test_mat_mul_matches_triple_loop():
+    # sparse, dense and rectangular factors, zero rows and columns included
+    rng = random.Random(20260621)
+    for trial in range(150):
+        n, k, m = (rng.randint(1, 6) for _ in range(3))
+        if trial % 3 == 0:
+            k = n = m
+        density = rng.choice((0.0, 0.1, 0.4, 1.0))
+
+        def rand(r, c):
+            return [[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density
+                     else F(0) for _ in range(c)] for _ in range(r)]
+
+        a, b = rand(n, k), rand(k, m)
+        assert mat_mul(a, b) == dense_mat_mul(a, b)
+        assert mat_mul(identity(n), a) == a and mat_mul(a, identity(k)) == a
 
 
 def test_charpoly_known_matrices():
