@@ -22,6 +22,8 @@ direct-sum test for a solution basis, the spectral test on A_inf, and the
 graded model (Hodge-type filtration, its opposite, and the nilpotent N).
 The filtration checks keep sparse echelons whose columns are ordered by
 Newton order, so they also apply to bases without the triangular pattern.
+The opposite filtration needs no window of theta shifts: the shifts that
+can change it end at a cutoff read off the gauge (`opposite_filtration`).
 """
 
 from __future__ import annotations
@@ -560,19 +562,18 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
     semisimple False.
 
     The eigenvalues found are re-checked on every input: semisimplicity is
-    the vanishing of the product of (A - r I) over the distinct roots.
+    the vanishing of the product of (A - r I) over the distinct roots.  Both
+    that product and the structural test touch only the nonzero entries of
+    A_inf; the product is kept as sparse rows.
     """
     mu = len(degrees)
     detail = {}
-    structural = True
-    for i in range(mu):
-        for j in range(mu):
-            if degrees[i] > degrees[j] and ainf[i][j] != 0:
-                structural = False
-            if degrees[i] == degrees[j]:
-                want = Fraction(degrees[i]) if i == j else Fraction(0)
-                if ainf[i][j] != want:
-                    structural = False
+    arows = nonzero_rows(ainf)
+    # structural: alpha_i on the diagonal, and every other nonzero entry
+    # (i, j) has deg(i) < deg(j), so each degree block is alpha * I
+    structural = all(ainf[i][i] == degrees[i] for i in range(mu)) and all(
+        j == i or degrees[i] < degrees[j] for i, arow in enumerate(arows) for j, _ in arow
+    )
     detail["structure"] = structural
     candidates = [ainf[i][i] for i in range(mu)]
     for a, _ in spectrum_pairs:
@@ -589,13 +590,24 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
         return False, detail
     detail["eigenvalues"] = [(str(r), m) for r, m in roots]
     # semisimple iff the product of (A - r I) over distinct roots vanishes
-    prod = identity(mu)
+    prod = [{i: Fraction(1)} for i in range(mu)]
     for rt, _ in roots:
-        shifted = [row[:] for row in ainf]
-        for i in range(mu):
-            shifted[i][i] -= rt
-        prod = mat_mul(prod, shifted)
-    semisimple = all(all(x == 0 for x in row) for row in prod)
+        shifted = [dict(arow) for arow in arows]
+        for i, row in enumerate(shifted):
+            x = row.get(i, 0) - rt
+            if x:
+                row[i] = x
+            else:
+                row.pop(i, None)
+        nxt = []
+        for prow in prod:
+            acc = {}
+            for t, c in prow.items():
+                for j, y in shifted[t].items():
+                    acc[j] = acc.get(j, 0) + c * y
+            nxt.append({j: x for j, x in acc.items() if x})
+        prod = nxt
+    semisimple = not any(prod)
     detail["semisimple"] = semisimple
     want = {}
     for a, m in spectrum_pairs:
@@ -612,32 +624,12 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
 # graded model: Hodge-type filtration, its candidate opposite, and N
 
 
-def _rref_basis(vectors):
-    if not vectors:
-        return []
-    red, piv = rref(vectors)
-    return [row for row in red if any(row)]
-
-
-def _meet_dim(a, b):
-    """dim(span a cap span b) for bases a and b."""
-    return len(a) + len(b) - rank(list(a) + list(b))
-
-
-def _subspace_contains(a, vectors):
-    if not vectors:
-        return True
-    base = rank(list(a)) if a else 0
-    return rank(list(a) + list(vectors)) == base
-
-
 def _residue_classes(degrees):
     """(rho, indices) per residue class rho = alpha mod 1, indices by (alpha_i, i)."""
-    return [
-        (rho, sorted((i for i, a in enumerate(degrees) if a - floor(a) == rho),
-                     key=lambda i: (degrees[i], i)))
-        for rho in sorted({a - floor(a) for a in degrees})
-    ]
+    groups = {}
+    for i, a in enumerate(degrees):
+        groups.setdefault(a - floor(a), []).append(i)
+    return [(rho, sorted(groups[rho], key=lambda i: (degrees[i], i))) for rho in sorted(groups)]
 
 
 def opposite_filtration(pencil: ConnectionPencil, gauge):
@@ -646,18 +638,34 @@ def opposite_filtration(pencil: ConnectionPencil, gauge):
     The slot theta^s e_i has Newton order s + alpha_i.  For the class rho,
     F'^k collects the order-rho parts of the elements of order <= rho in the
     span of theta^-m P_j over the gauge columns P_j and m >= k; a basis
-    vector lists them at the class's indices (see `_residue_classes`).  The
-    span is truncated to m <= k + window, and kmax_rho = floor(alpha_max -
-    rho) + 1.
+    vector lists them at the class's indices (see `_residue_classes`), and
+    kmax_rho = floor(alpha_max - rho) + 1.
 
-    One reduced echelon per k holds the generators, pivoting on their
-    highest-order slot.  Its rows whose pivot has order <= rho span exactly
-    (span cap V_rho), and those of order < rho have nothing of order rho, so
-    the rows whose pivot has order rho give F'^k of that class: one
-    elimination serves every class.  Three further layers m are then
-    inserted into the same echelon; a class whose F'^k still grows means the
-    window did not stabilize, which raises GradedModelError.
+    The span is cut off exactly, not truncated.  Let top be the largest
+    order s + alpha_i of a nonzero gauge entry (P_s)_{ij}, rho_min the
+    smallest residue and M = floor(top - rho_min).  Every slot of
+    theta^-m P_j has order <= top - m, so for m > M every slot of that
+    generator lies below rho_min, hence below every class's rho.  Adding
+    such generators w to an element v of the span leaves its part of order
+    > rho and its order-rho part unchanged: v + w has order <= rho exactly
+    when v has, with the same order-rho part.  So F'^k is the symbol space
+    of span{theta^-m P_j : k <= m <= M}, and F'^k = 0 for k > M.  The bound
+    uses only the gauge's nonzero entries, so it holds for any gauge,
+    adapted or not, with P_0 singular or not.
+
+    Those spans grow as k falls, so one reduced echelon serves every k and
+    every class: the layers m = M, M-1, ..., 0 are inserted once each,
+    pivoting on their highest-order slot, and F'^k is read after layer k.
+    The echelon's rows whose pivot has order <= rho span exactly (span cap
+    V_rho), and those of order < rho have nothing of order rho, so the rows
+    whose pivot has order rho give F'^k of that class.  They are zero in
+    each other's pivots, so their order-rho parts are a basis of F'^k,
+    listed by pivot.
     """
+    return _opposite_filtration(pencil, gauge, _residue_classes(pencil.degrees))
+
+
+def _opposite_filtration(pencil, gauge, classes):
     degrees = pencil.degrees
     mu = pencil.mu
     gauge = _pm_trim([list(map(list, m)) for m in gauge]) or [identity(mu)]
@@ -666,50 +674,20 @@ def opposite_filtration(pencil: ConnectionPencil, gauge):
         [(i, s, Fraction(g[i][j])) for s, g in enumerate(gauge) for i in range(mu) if g[i][j]]
         for j in range(mu)
     ]
-    classes = _residue_classes(degrees)
-    # key of each order-rho slot -> (rho, position in its class)
-    symbol = {
-        key(i, int(rho - degrees[i])): (rho, t)
-        for rho, idx in classes for t, i in enumerate(idx)
-    }
-    dims = {rho: len(idx) for rho, idx in classes}
+    top = max(s + degrees[i] for col in columns for i, s, _ in col)
+    cutoff = int(floor(top - classes[0][0]))
     kmax = {rho: int(floor(degrees[-1] - rho)) + 1 for rho, _ in classes}
-    window = len(gauge) - 1 + int(floor(degrees[-1] - degrees[0])) + 2
-
-    def insert_layers(ech, first, last):
-        for m in range(first, last + 1):
-            for col in columns:
-                ech.insert({key(i, s - m): c for i, s, c in col})
-
-    def symbols(ech):
-        """Order-rho parts of the rows whose pivot has order rho, per class."""
-        vecs = {rho: [] for rho, _ in classes}
-        for p, (row, _) in ech.rows.items():
-            if p in symbol:
-                rho = symbol[p][0]
-                vec = [Fraction(0)] * dims[rho]
-                for q, x in row.items():
-                    if symbol.get(q, (None,))[0] == rho:
-                        vec[symbol[q][1]] = x
-                vecs[rho].append(vec)
-        return vecs
-
-    out = {rho: [] for rho, _ in classes}
-    for k in range(max(kmax.values()) + 2):
-        live = [rho for rho, _ in classes if k <= kmax[rho] + 1]
-        ech = Echelon()
-        insert_layers(ech, k, k + window)
-        found = symbols(ech)
-        for rho in live:
-            out[rho].append(_rref_basis(found[rho]))
-        insert_layers(ech, k + window + 1, k + window + 3)
-        grown = symbols(ech)
-        for rho in live:
-            if len(grown[rho]) != len(found[rho]):
-                raise GradedModelError(
-                    "window did not stabilize for F'^%d on residue class %s" % (k, rho),
-                    rho, k,
-                )
+    # keys of each class's order-rho slots, in the class's order
+    symbols = [(rho, [key(i, int(rho - degrees[i])) for i in idx]) for rho, idx in classes]
+    out = {rho: [[] for _ in range(kmax[rho] + 2)] for rho, _ in classes}
+    ech = Echelon()
+    for k in range(cutoff, -1, -1):
+        for col in columns:
+            ech.insert({key(i, s - k): c for i, s, c in col})
+        for rho, slots in symbols:
+            if k <= kmax[rho] + 1:
+                rows = [ech.rows[p][0] for p in sorted(slots) if p in ech.rows]
+                out[rho][k] = [[row.get(q, Fraction(0)) for q in slots] for row in rows]
     return out
 
 
@@ -718,8 +696,16 @@ def graded_model(pencil: ConnectionPencil, gauge, scale: int):
 
     F'^k comes from `opposite_filtration`, so the gauge need not have the
     triangular pattern.  Raises GradedModelError when N is not nilpotent on
-    a class or the window of `opposite_filtration` does not stabilize; both
-    checks hold under `python -O`.
+    a class; that check holds under `python -O`.
+
+    Per class, one echelon keyed by minus the position in the class takes
+    the bases of F'^k for k descending, so every row pivots on its last
+    coordinate and, once F'^k is in, the echelon spans F'^k (the F'^k are
+    nested).  The Hodge-type F_k is spanned by the first hodge[k]
+    coordinates, so dim(F_k cap F'^k) is the number of rows whose pivot
+    position is below hodge[k].  (B), N F'^k inside F'^{k+1}, reduces N v
+    for every basis vector v of F'^k against the echelon before F'^k goes
+    in, when it still spans F'^{k+1}.
     """
     degrees = pencil.degrees
     degb = len(pencil.matrices) - 1
@@ -741,7 +727,7 @@ def graded_model(pencil: ConnectionPencil, gauge, scale: int):
         if any(any(row) for row in power):
             raise GradedModelError("N is not nilpotent on residue class %s" % rho, rho)
         nmats[rho] = nmat
-    fprime = opposite_filtration(pencil, gauge)
+    fprime = _opposite_filtration(pencil, gauge, classes)
     all_ok_opposite = True
     all_ok_b = True
     out = []
@@ -750,40 +736,35 @@ def graded_model(pencil: ConnectionPencil, gauge, scale: int):
         nmat = nmats[rho]
         fpr = fprime[rho]
         kmax = len(fpr) - 2
-        # Hodge-type filtration: F_k is spanned by the first coordinates, those
-        # of degree <= rho + k
-        hodge = {}
-        for k in range(-1, kmax + 2):
-            h = sum(1 for i in idx if degrees[i] <= rho + k)
-            hodge[k] = [[Fraction(int(t == c)) for c in range(dim)] for t in range(h)]
-        # oppositeness: F_{k-1} cap F'^k = 0 and F_k = (F_k cap F'^k) + F_{k-1};
-        # as F_{k-1} lies in F_k, the sum has dim(F_k cap F'^k) + dim F_{k-1}
-        # - dim(F_{k-1} cap F'^k)
+        hodge = {k: sum(1 for i in idx if degrees[i] <= rho + k) for k in range(-1, kmax + 2)}
+        ncols = [[(r, nmat[r][c]) for r in range(dim) if nmat[r][c]] for c in range(dim)]
+        ech = Echelon()
         opp = True
-        for k in range(0, kmax + 2):
-            low = _meet_dim(hodge[k - 1], fpr[k])
-            if low or _meet_dim(hodge[k], fpr[k]) - low != len(hodge[k]) - len(hodge[k - 1]):
-                opp = False
-        # (B): N F'^k subset F'^{k+1}
         bgood = True
-        for k in range(0, kmax + 1):
-            imgs = []
+        for k in range(kmax + 1, -1, -1):
+            if k <= kmax:
+                for v in fpr[k]:
+                    img = {}
+                    for c, x in enumerate(v):
+                        if x:
+                            for r, y in ncols[c]:
+                                img[-r] = img.get(-r, 0) + y * x
+                    if ech.reduce(img)[0]:
+                        bgood = False
             for v in fpr[k]:
-                img = [
-                    sum((nmat[r][c] * v[c] for c in range(dim)), Fraction(0))
-                    for r in range(dim)
-                ]
-                if any(img):
-                    imgs.append(img)
-            if not _subspace_contains(fpr[k + 1], imgs):
-                bgood = False
+                ech.insert({-c: x for c, x in enumerate(v) if x})
+            # oppositeness: F_{k-1} cap F'^k = 0 and F_k = (F_k cap F'^k) + F_{k-1}
+            low = sum(1 for p in ech.rows if -p < hodge[k - 1])
+            meet = sum(1 for p in ech.rows if -p < hodge[k])
+            if low or meet != hodge[k] - hodge[k - 1]:
+                opp = False
         out.append(
             {
                 "residue": str(rho),
                 "indices": idx,
                 "n_matrix": [[str(x) for x in row] for row in nmat],
                 "n_rank": rank(nmat),
-                "hodge_dims": [len(hodge[k]) for k in range(0, kmax + 1)],
+                "hodge_dims": [hodge[k] for k in range(0, kmax + 1)],
                 "opposite_dims": [len(fpr[k]) for k in range(0, kmax + 1)],
                 "opposite": opp,
                 "b_opposed": bgood,

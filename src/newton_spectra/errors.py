@@ -49,11 +49,10 @@ class NotInIdealError(ValueError):
 class GradedModelError(ValueError):
     """A structural check of the graded model failed on one residue class.
 
-    residue is the class rho (a Fraction in [0, 1)); k is the index of the
-    opposite filtration F'^k at fault, or None when N is not nilpotent.
+    residue is the class rho (a Fraction in [0, 1)) on which N is not
+    nilpotent.
     """
 
-    def __init__(self, message: str, residue, k=None):
+    def __init__(self, message: str, residue):
         super().__init__(message)
         self.residue = residue
-        self.k = k

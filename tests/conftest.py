@@ -10,7 +10,9 @@ code with the package, so the oracles built on it stay independent of the
 package's elimination kernel.  dense_mat_mul is a plain triple loop, and
 dense_gauge_residual and dense_build_linear_system are the dense Birkhoff
 residual and gauge rows the package computed before it switched to sparse
-ones, kept on dense_mat_mul as references for the sparse kernels.  planar_nondegenerate decides nondegeneracy
+ones, kept on dense_mat_mul as references for the sparse kernels, as is
+dense_semisimple, the semisimplicity product of the spectral test.
+planar_nondegenerate decides nondegeneracy
 in two variables from its own convex hull and polynomial gcd, independently
 of the package's certificate.
 """
@@ -173,6 +175,16 @@ def dense_mat_mul(a, b):
          for j in range(len(b[0]))]
         for i in range(len(a))
     ]
+
+
+def dense_semisimple(a, roots):
+    """Whether the product of (A - r I) over the roots r vanishes, densely."""
+    mu = len(a)
+    prod = [[Fraction(int(i == j)) for j in range(mu)] for i in range(mu)]
+    for r in roots:
+        shifted = [[x - r * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        prod = dense_mat_mul(prod, shifted)
+    return not any(any(row) for row in prod)
 
 
 def _pm_trim(mats):

@@ -351,8 +351,9 @@ def test_report_bytes_unchanged_under_python_O():
 #     implementation that computed F'^k from dense window matrices, the
 #     mu = 84 and mu = 54 inputs from the one that built dense gauge rows and
 #     residuals (each took about 3 s there and takes under 1 s now, so an
-#     input that turns slow again shows in the suite's time); all five end
-#     with every flag true
+#     input that turns slow again shows in the suite's time), and the
+#     mu = 240 input from the one that rebuilt an echelon of F'^k for every
+#     k (about 1.5 s now); all six end with every flag true
 
 LADDER_BIRKHOFF_SHA256 = {
     "u1^4 + u2^4 + u1^-1*u2^-1":
@@ -365,6 +366,8 @@ LADDER_BIRKHOFF_SHA256 = {
         "068c2216846da18d9c85573c8f07e07d5d5a2d2f01ca4142f81bce72860ab022",
     "u1^3 + u2^3 + u3^3 + u1^-1*u2^-1*u3^-1":
         "79047d58154810d8bea868243ac081d423c7d4fb2a51350113f92061eac89aea",
+    "u1^12 + u2^12 + u1^-3*u2^-5":
+        "cd0d95e9a1e1bddd3d140978fdc99caf6be3d06da50757f825010631fa98b483",
 }
 
 

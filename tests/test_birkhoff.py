@@ -15,6 +15,7 @@ from conftest import (
     dense_build_linear_system,
     dense_gauge_residual,
     dense_rank,
+    dense_semisimple,
     pipeline,
 )
 from newton_spectra import birkhoff as birkhoff_mod
@@ -487,6 +488,35 @@ def test_structural_rule_agrees_with_the_characteristic_polynomial(monkeypatch):
             jordan += 1
     assert structural >= 300 and jordan >= 20
     assert 0 < matched < structural
+
+
+def test_sparse_semisimplicity_product_matches_dense_reference():
+    rng = random.Random(20261018)
+    pool = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
+    verdicts = {True: 0, False: 0}
+    for trial in range(320):
+        mu = rng.randint(1, 7)
+        degrees = sorted(rng.choice(pool) for _ in range(mu))
+        ainf = _structural(rng, degrees)
+        same = [(i, j) for i in range(mu) for j in range(i + 1, mu)
+                if degrees[i] == degrees[j]]
+        if same and trial % 3:
+            # a nilpotent part inside a degree block: not semisimple
+            i, j = rng.choice(same)
+            ainf[i][j] = F(rng.choice((-2, -1, 1, 2)))
+        if trial % 5 == 0:
+            # off the structural form, eigenvalues unchanged
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(mu), 2) if mu > 1 else (0, 0)
+                if i != j:
+                    ainf = _conjugate_elementary(ainf, i, j, F(rng.randint(-2, 2)))
+        pairs = tuple((a, degrees.count(a)) for a in sorted(set(degrees)))
+        _, detail = verify_v_plus(ainf, tuple(degrees), pairs)
+        roots = [F(r) for r, _ in detail["eigenvalues"]]
+        assert sorted(set(roots)) == sorted(set(degrees))
+        assert detail["semisimple"] == dense_semisimple(ainf, roots)
+        verdicts[detail["semisimple"]] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Independent dense oracles for the V-filtration checks of the graded model.
 
-`opposite_filtration` reads F'^k for every residue class off one sparse
-echelon per k, and `verify_v_solution` reads its levels off one echelon of
-the gauge columns.  The oracles below redo both the direct way, on dense
-matrices with the reference elimination `conftest.dense_rref`:
+`opposite_filtration` reads F'^k for every residue class and every k off
+one sparse echelon, filled with theta shifts down from an exact cutoff, and
+`verify_v_solution` reads its levels off one echelon of the gauge columns.
+The oracles below redo both the direct way, on dense matrices with the
+reference elimination `conftest.dense_rref`:
 
 - F'^k from a generator matrix over a window of theta shifts, the kernel of
   its columns of Newton order above rho, and the order-rho part of that
-  kernel, computed at the window W and again at W + 3;
+  kernel, computed at the window W and again at W + 3, and at windows
+  reaching the cutoff on pencils whose lowest degree is 1 to 4;
 - the direct sum test per level from the kernel of the high-order slots and
   two ranks;
 - oppositeness and (B) from explicit subspace intersections.
@@ -198,14 +200,9 @@ def oracle_flags(degrees, nmats, fprime):
 def _check_against_oracles(pencil, gauge, scale):
     degrees = pencil.degrees
     want = oracle_opposite_filtration(degrees, gauge)
+    assert want is not None
     assert verify_v_solution(pencil, gauge, scale)[1] == oracle_v_solution(
         degrees, _trim(gauge, pencil.mu), scale)
-    if want is None:
-        with pytest.raises(GradedModelError):
-            opposite_filtration(pencil, gauge)
-        with pytest.raises(GradedModelError):
-            graded_model(pencil, gauge, scale)
-        return False
     got = opposite_filtration(pencil, gauge)
     assert sorted(got) == sorted(want)
     for rho in want:
@@ -219,7 +216,6 @@ def _check_against_oracles(pencil, gauge, scale):
     assert [(c["opposite"], c["b_opposed"]) for c in gm["classes"]] == flags
     for c in gm["classes"]:
         assert c["opposite_dims"] == [len(v) for v in want[F(c["residue"])][:-1]]
-    return True
 
 
 @pytest.mark.parametrize("expr", [e for e, _, _ in CORPUS]
@@ -228,13 +224,13 @@ def test_solved_gauges_match_the_dense_oracles(expr):
     data = pipeline(expr)
     sol = solve_birkhoff(data["pencil"])
     assert isinstance(sol, BirkhoffSolution)
-    assert _check_against_oracles(data["pencil"], sol.gauge, data["polytope"].scale)
+    _check_against_oracles(data["pencil"], sol.gauge, data["polytope"].scale)
 
 
 def test_non_adapted_gauge_matches_the_dense_oracles():
     pen = pipeline("u1 + u1^-1")["pencil"]
     wprime = [identity(2), [[F(0), F(0)], [F(1), F(0)]]]
-    assert _check_against_oracles(pen, wprime, 1)
+    _check_against_oracles(pen, wprime, 1)
     assert verify_v_solution(pen, wprime, 1)[0] is False
 
 
@@ -271,7 +267,7 @@ def test_random_gauges_match_the_dense_oracles():
         data = pipeline(small[t % 4] if t < 40 else "u1^3 + u1 + u1^-2")
         pen = data["pencil"]
         gauge = _random_gauge(rng, pen.mu)
-        assert _check_against_oracles(pen, gauge, data["polytope"].scale)
+        _check_against_oracles(pen, gauge, data["polytope"].scale)
         gm = graded_model(pen, gauge, data["polytope"].scale)
         verdicts.add((gm["opposite"], gm["b_opposed"]))
     # the random gauges reach every combination of the two flags
@@ -292,23 +288,60 @@ def test_singular_constant_terms_match_the_dense_oracles():
             for i in range(pen.mu):
                 for p in range(len(gauge) - 1, -1, -1):
                     gauge[p][i][j] = gauge[p - 1][i][j] if p else F(0)
-            assert _check_against_oracles(pen, gauge, data["polytope"].scale)
+            _check_against_oracles(pen, gauge, data["polytope"].scale)
 
 
-def test_unstable_window_raises_for_the_class_and_k():
-    # Every slot of the layers m > k + W has Newton order below
-    # alpha_min - k - 2, so with alpha_min = 0, as in every pencil the
-    # pipeline builds, they never change F'^k.  A synthetic pencil with the
-    # single degree 4 puts the order-0 slot at theta^-4, beyond the window
-    # W = 2 for k = 0 but inside W + 3: the oracle's W vs W + 3 comparison
-    # fails, and so must the helper and graded_model
+def _cutoff(degrees, gauge):
+    """M = floor(top - rho_min), top the highest order of a nonzero gauge entry."""
+    top = max(s + degrees[i] for s, g in enumerate(gauge)
+              for i, row in enumerate(g) if any(row))
+    return floor(top - min(a - floor(a) for a in degrees))
+
+
+def test_degree_four_pencil_matches_the_oracle_at_every_window():
+    # the single degree 4 puts the order-0 slot of theta^-m e_0 at m = 4, so
+    # F'^k is the whole class for k <= M = 4 and 0 above; the window of the
+    # oracle's W vs W + 3 comparison (W = 2) is too short for it
     pen = ConnectionPencil([[[F(0)]], [[F(4)]]], (F(4),))
-    assert oracle_opposite_filtration(pen.degrees, [identity(1)]) is None
-    assert not _check_against_oracles(pen, [identity(1)], 1)
-    with pytest.raises(GradedModelError) as info:
-        opposite_filtration(pen, [identity(1)])
-    assert (info.value.residue, info.value.k) == (0, 0)
-    assert str(info.value) == "window did not stabilize for F'^0 on residue class 0"
+    gauge = [identity(1)]
+    assert _cutoff(pen.degrees, gauge) == 4
+    got = opposite_filtration(pen, gauge)
+    assert [len(v) for v in got[0]] == [1, 1, 1, 1, 1, 0, 0]
+    for k, basis in enumerate(got[0]):
+        for window in (4, 7, 10):
+            assert oracle_fprime(pen.degrees, gauge, F(0), [0], k, window) == basis
+    gm = graded_model(pen, gauge, 1)
+    assert gm["classes"][0]["opposite_dims"] == [1, 1, 1, 1, 1, 0]
+
+
+def test_high_lowest_degree_pencils_are_cut_off_exactly():
+    # alpha_min >= 1, where the old window W = deg P + floor(alpha_max -
+    # alpha_min) + 2 could fall short of the cutoff M: for k <= M the helper
+    # must give the oracle's F'^k at the windows M - k and M - k + 3, and
+    # nothing above M
+    rng = random.Random(7)
+    shapes = [(0, F(1, 2)), (0, 1), (0, F(1, 2), 1), (0, F(1, 3), F(2, 3))]
+    pairs = short = 0
+    for t in range(24):
+        low = 1 + t % 4
+        degrees = tuple(low + F(d) for d in shapes[t // 4 % 4])
+        mu = len(degrees)
+        zero = [[F(0)] * mu for _ in range(mu)]
+        pen = ConnectionPencil([zero, zero], degrees)
+        gauge = _random_gauge(rng, mu)
+        cutoff = _cutoff(degrees, gauge)
+        window = len(_trim(gauge, mu)) - 1 + int(floor(degrees[-1] - degrees[0])) + 2
+        got = opposite_filtration(pen, gauge)
+        for rho, idx in _classes(degrees):
+            for k, basis in enumerate(got[rho]):
+                if k > cutoff:
+                    assert basis == [], (t, rho, k)
+                    continue
+                for w in (cutoff - k, cutoff - k + 3):
+                    assert oracle_fprime(degrees, gauge, rho, idx, k, w) == _basis(basis), (t, rho, k)
+                pairs += 1
+                short += window < cutoff - k
+    assert pairs >= 100 and short >= 10
 
 
 def test_non_nilpotent_n_raises_a_typed_error():
@@ -318,7 +351,7 @@ def test_non_nilpotent_n_raises_a_typed_error():
     pen = ConnectionPencil([zero, zero], (F(0), F(1)))
     with pytest.raises(GradedModelError) as info:
         graded_model(pen, [identity(2)], 1)
-    assert (info.value.residue, info.value.k) == (0, None)
+    assert info.value.residue == 0
     assert str(info.value) == "N is not nilpotent on residue class 0"
 
 
