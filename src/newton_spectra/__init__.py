@@ -33,6 +33,7 @@ from .errors import (
 )
 from .frobenius import (
     FrobeniusInitialData,
+    Pipeline,
     analyze,
     analyze_text,
     canonical_primitive,
@@ -70,6 +71,7 @@ __all__ = [
     "NondegeneracyCertificate",
     "NotConvenientError",
     "NotInIdealError",
+    "Pipeline",
     "SpectrumData",
     "VerificationError",
     "analyze",

@@ -28,6 +28,7 @@ can change it end at a cutoff read off the gauge (`opposite_filtration`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, lcm
@@ -151,16 +152,17 @@ class BirkhoffObstruction:
 
 
 def _pattern_slots(degrees):
-    """(k, i, j) triples where (P_k)_{ij} may be nonzero, k >= 1."""
-    slots = []
+    """(k, i, j) triples where (P_k)_{ij} may be nonzero, k >= 1.
+
+    The degrees ascend (the basis is listed by level), so the j with
+    degrees[i] + k <= degrees[j] form a suffix, found by bisection.
+    """
     mu = len(degrees)
     kmax = int(floor(degrees[-1] - degrees[0]))
-    for k in range(1, max(kmax, 0) + 1):
-        for i in range(mu):
-            for j in range(mu):
-                if degrees[i] + k <= degrees[j]:
-                    slots.append((k, i, j))
-    return slots
+    return [(k, i, j)
+            for k in range(1, max(kmax, 0) + 1)
+            for i in range(mu)
+            for j in range(bisect_left(degrees, degrees[i] + k), mu)]
 
 
 def _build_linear_system(pencil, ainf, include_m1=True):

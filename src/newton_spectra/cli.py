@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Commands: polytope, mu, basis, spectrum, pencil, birkhoff, frobenius,
-analyze (full report), check (invariant suite on the given input).
+analyze (full report), check (invariant suite on the given input).  Every
+command reads the stages of one `frobenius.Pipeline`: `check` takes its
+gates from the pipeline's report, as `analyze` does, and runs its property
+suites on the same polytope, algebra, lattice and pencil.
 
 Exit codes: 0 success; 1 when `check` finds a failed property; 2 invalid
 input (parse error, not convenient, degenerate), a failed structural check
@@ -18,21 +21,11 @@ import random
 import sys
 from fractions import Fraction
 
-from .birkhoff import (
-    BirkhoffObstruction,
-    gauge_residual,
-    graded_model,
-    solve_birkhoff,
-    verify_v_plus,
-    verify_v_solution,
-)
-from .brieskorn import BrieskornElement, BrieskornLattice, spectrum
-from .errors import DegeneracySuspectedError, GradedModelError, VerificationError
-from .frobenius import SCHEMA, analyze_text, euler_field
-from .jacobian import JacobianAlgebra, divide
+from .birkhoff import BirkhoffObstruction
+from .brieskorn import BrieskornElement
+from .frobenius import SCHEMA, Pipeline, analyze_text
+from .jacobian import divide
 from .laurent import LaurentPolynomial, parse_laurent
-from .nondegeneracy import is_nondegenerate
-from .polytope import milnor_number, newton_polytope
 
 COMMANDS = (
     "polytope", "mu", "basis", "spectrum", "pencil",
@@ -250,21 +243,11 @@ def _run_report_command(args):
     if args.json:
         _emit_json({"schema": SCHEMA, "command": args.command, args.command: sec})
         return exit_code
-    if args.command == "polytope":
-        lines = _human_polytope(sec)
-    elif args.command == "mu":
-        lines = [str(sec)]
-    elif args.command == "basis":
-        lines = _human_basis(sec, report["input"]["variables"])
-    elif args.command == "spectrum":
-        lines = _human_spectrum(sec)
-    elif args.command == "pencil":
-        lines = _human_pencil(sec)
-    elif args.command == "birkhoff":
-        lines = _human_birkhoff(sec)
-    else:
-        lines = _human_frobenius(sec)
-    for line in lines:
+    render = {"polytope": _human_polytope, "mu": lambda sec: [str(sec)],
+              "basis": lambda sec: _human_basis(sec, report["input"]["variables"]),
+              "spectrum": _human_spectrum, "pencil": _human_pencil,
+              "birkhoff": _human_birkhoff, "frobenius": _human_frobenius}
+    for line in render[args.command](sec):
         print(line)
     return exit_code
 
@@ -297,14 +280,15 @@ def _run_check(args):
     names = tuple(args.vars.split(",")) if args.vars else None
     try:
         f, names = parse_laurent(text, names)
-        p = newton_polytope(f)
-        p.require_convenient()
-        algebra = JacobianAlgebra(f, p)
-        cert = is_nondegenerate(algebra)
-        if not cert.ok:
-            raise cert.error()
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    pipe = Pipeline(f, names, args.seed)
+    report, _ = pipe.report()
+    error = report["error"] or {"stage": None}
+    stage = error["stage"]
+    if stage in ("polytope", "nondegeneracy", "basis"):
+        print("error: %s" % error["message"], file=sys.stderr)
         return 2
 
     results = []
@@ -312,18 +296,12 @@ def _run_check(args):
     def record(name, ok, detail=""):
         results.append((name, bool(ok), detail))
 
-    record("nondegeneracy-certificate", cert.ok,
-           "graded quotient empty at levels %d..%d" % cert.window)
-    mu = milnor_number(p)
-    try:
-        algebra.basis()
-        algebra.check_milnor(mu)
-        record("milnor-two-ways", True, "mu = %d" % mu)
-    except DegeneracySuspectedError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    record("nondegeneracy-certificate", pipe.certificate.ok,
+           "graded quotient empty at levels %d..%d" % pipe.certificate.window)
+    record("milnor-two-ways", True, "mu = %d" % pipe.mu)
 
-    sp = spectrum(algebra)
+    p, algebra, lattice, pencil, sp = (
+        pipe.polytope, pipe.algebra, pipe.lattice, pipe.pencil, pipe.spectrum)
     n = f.arity
     sym = all(
         dict(sp.pairs).get(Fraction(n) - a, 0) == m for a, m in sp.pairs
@@ -331,12 +309,10 @@ def _run_check(args):
     total = sum(m for _, m in sp.pairs)
     record(
         "spectrum-invariants",
-        sym and total == mu and sp.pairs[0] == (Fraction(0), 1),
+        sym and total == pipe.mu and sp.pairs[0] == (Fraction(0), 1),
         "symmetric about n/2, total = mu, nu_0 = 1",
     )
 
-    lattice = BrieskornLattice(algebra)
-    level = args.max_level * p.scale
     monos = [e for e in p.enumerate_sublevel(args.max_level) if any(e)]
     ok_facets = True
     count = 0
@@ -357,7 +333,6 @@ def _run_check(args):
     record("division-roundtrip", ok_div, "25 random forms, phi <= %d"
            % args.max_level)
 
-    pencil = lattice.pencil()
     ok_ord = True
     for _ in range(25):
         x = _random_element(rng, pencil.mu)
@@ -393,37 +368,27 @@ def _run_check(args):
     record("pencil-invariants", ok_pencil,
            "theta degree <= n, trace, order bounds")
 
-    try:
-        outcome = solve_birkhoff(pencil)
-    except VerificationError as exc:
-        outcome = None
-        record("birkhoff-normal-form", False, str(exc))
+    # the gates after the pencil are read off the report: a failed gate is
+    # the last gate line, as it ends the report
+    outcome = None if stage == "birkhoff" else pipe.birkhoff
     if isinstance(outcome, BirkhoffObstruction):
         record("birkhoff-normal-form", True,
                "obstruction (residual rank %d) -- honest fallback"
                % outcome.residual_rank)
     elif outcome is not None:
-        resid_ok = gauge_residual(
-            pencil, outcome.gauge, outcome.a0, outcome.ainf) == []
-        record("birkhoff-normal-form", resid_ok,
+        record("birkhoff-normal-form", True,
                "method = %s, gauge identity exact" % outcome.method)
-        okv, _ = verify_v_solution(pencil, outcome.gauge, p.scale)
-        okp, _ = verify_v_plus(outcome.ainf, degrees, sp.pairs)
-        try:
-            gm = graded_model(pencil, outcome.gauge, p.scale)
-        except GradedModelError as exc:
-            record("v-filtration", False, str(exc))
-        else:
-            record("v-filtration",
-                   okv and okp and gm["opposite"] and gm["b_opposed"],
+        if stage != "graded_model":
+            record("v-filtration", all(outcome.flags.values()),
                    "v_solution, v_plus, opposite, b_opposed")
-        try:
-            data = euler_field(algebra, pencil, outcome, sp)
-        except VerificationError as exc:
-            record("euler-field", False, str(exc))
-        else:
+        if stage is None:
+            data = pipe.frobenius
             record("euler-field", data.charge == 2 - n and data.alpha_min == 0,
                    "D = %s" % data.charge)
+    if stage is not None:
+        gate = {"birkhoff": "birkhoff-normal-form", "graded_model": "v-filtration",
+                "frobenius": "euler-field"}[stage]
+        record(gate, False, error["message"])
 
     failed = sum(1 for _, ok, _ in results if not ok)
     for name, ok, detail in results:

@@ -10,16 +10,19 @@ coefficients c_k of [f om] mod theta, the Euler field
 
 and the homogeneity constant D = 2 alpha_min + 2 - n = 2 - n.
 
-`analyze` runs the whole chain -- polytope, nondegeneracy certificate,
-Milnor number, adapted basis, spectrum, pencil, Birkhoff normal form with
-its filtration checks, Frobenius data -- and reports gate failures as
-structured sections instead of dying half way.
+`Pipeline` wires the whole chain once, one memoized attribute per stage:
+polytope, nondegeneracy certificate, Milnor number, adapted basis,
+spectrum, lattice and pencil, Birkhoff normal form with its re-check,
+filtration checks, Frobenius data.  Its `report` turns the first failed
+gate into a structured section instead of dying half way; `analyze`
+returns that report, and the CLI's `check` reads its gates off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .birkhoff import (
     BirkhoffObstruction,
@@ -33,8 +36,8 @@ from .birkhoff import (
 from .brieskorn import BrieskornElement, BrieskornLattice, spectrum
 from .errors import (
     DegeneracySuspectedError,
+    DegenerateError,
     GradedModelError,
-    NotConvenientError,
     VerificationError,
 )
 from .jacobian import JacobianAlgebra
@@ -156,6 +159,25 @@ def euler_field(algebra, pencil, solution, spectrum_data):
 # ---------------------------------------------------------------------------
 # the full pipeline
 
+_SECTIONS = ("polytope", "nondegeneracy", "mu", "basis", "spectrum", "pencil",
+             "birkhoff", "frobenius", "error")
+
+# the exception each gate turns into the report's `error` section; a stage
+# missing here has no gate, so whatever it raises propagates
+_GATES = {"polytope": ValueError, "nondegeneracy": DegenerateError,
+          "basis": DegeneracySuspectedError, "birkhoff": VerificationError,
+          "graded_model": GradedModelError, "frobenius": VerificationError}
+
+
+def _skeleton(expression, variables, n, seed):
+    """A report whose sections are all null."""
+    return {
+        "schema": SCHEMA,
+        "input": {"expression": expression, "variables": variables, "n": n,
+                  "seed": seed},
+        **dict.fromkeys(_SECTIONS),
+    }
+
 
 def _error_obj(stage, exc):
     return {
@@ -178,6 +200,115 @@ def _recheck_gauge(lattice, pencil, outcome):
             raise VerificationError("gauge column %d has the wrong Newton order" % j)
 
 
+class Pipeline:
+    """The analysis chain of one Laurent polynomial, one memoized stage each.
+
+    A stage is computed on first access from the stages it reads, by calling
+    the stage functions through this module's global names, and then kept.
+    Access checks no gate: reading `pencil` builds the polytope, the algebra,
+    the lattice and the pencil, and nothing else.  `report` walks the stages
+    in the order of the chain and stops at the first failed gate.
+    """
+
+    def __init__(self, f, var_names, seed=0):
+        self.f = f
+        self.names = var_names
+        self.seed = seed
+
+    @cached_property
+    def polytope(self):
+        """Raises NotConvenientError (ValueError for a constant f)."""
+        p = newton_polytope(self.f)
+        p.require_convenient()
+        return p
+
+    # a lambda reads the stage function's global name when it runs
+    algebra = cached_property(lambda self: JacobianAlgebra(self.f, self.polytope))
+    certificate = cached_property(lambda self: is_nondegenerate(self.algebra))
+    mu = cached_property(lambda self: milnor_number(self.polytope))
+
+    @cached_property
+    def basis(self):
+        """The adapted basis; raises DegeneracySuspectedError unless it has mu entries."""
+        basis = self.algebra.basis()
+        self.algebra.check_milnor(self.mu)
+        return basis
+
+    spectrum = cached_property(lambda self: spectrum(self.algebra))
+    lattice = cached_property(lambda self: BrieskornLattice(self.algebra))
+    pencil = cached_property(lambda self: self.lattice.pencil())
+
+    @cached_property
+    def birkhoff(self):
+        """Solution or obstruction; a solution has passed `_recheck_gauge`."""
+        outcome = solve_birkhoff(self.pencil)
+        if isinstance(outcome, BirkhoffSolution):
+            _recheck_gauge(self.lattice, self.pencil, outcome)
+        return outcome
+
+    @cached_property
+    def filtration(self):
+        """The `spectral` and `filtration` report entries of a solution.
+
+        Empty for an obstruction.  Fills the solution's four flags; raises
+        GradedModelError.
+        """
+        sol = self.birkhoff
+        if isinstance(sol, BirkhoffObstruction):
+            return {}
+        scale = self.polytope.scale
+        okv, _ = verify_v_solution(self.pencil, sol.gauge, scale)
+        okp, spectral = verify_v_plus(sol.ainf, self.pencil.degrees, self.spectrum.pairs)
+        gm = graded_model(self.pencil, sol.gauge, scale)
+        sol.flags = {"v_solution": okv, "v_plus": okp,
+                     "opposite": gm["opposite"], "b_opposed": gm["b_opposed"]}
+        return {"spectral": spectral, "filtration": gm}
+
+    @cached_property
+    def frobenius(self):
+        """Frobenius data, read in the good basis when the pencil was normalized."""
+        sol = self.birkhoff
+        return euler_field(self.algebra, self.pencil,
+                           sol if isinstance(sol, BirkhoffSolution) else None,
+                           self.spectrum)
+
+    def report(self):
+        """(report dict, status); see `analyze`."""
+        n = self.f.arity
+        report = _skeleton(self.f.format(self.names), list(self.names), n, self.seed)
+        stage = "polytope"
+        try:
+            report["polytope"] = self.polytope.to_json_obj()
+            stage = "nondegeneracy"
+            report["nondegeneracy"] = self.certificate.to_json_obj()
+            if not self.certificate.ok:
+                raise self.certificate.error()
+            report["mu"] = self.mu
+            stage = "basis"
+            basis = self.basis.to_json_obj()
+            basis["graded_dims"] = [self.algebra.graded_dimension(r)
+                                    for r in range(n * self.polytope.scale + 1)]
+            report["basis"] = basis
+            stage = None
+            report["spectrum"] = self.spectrum.to_json_obj()
+            report["pencil"] = self.pencil.to_json_obj()
+            stage = "birkhoff"
+            outcome = self.birkhoff
+            stage = "graded_model"
+            checks = self.filtration    # fills the flags that to_json_obj reads
+            report["birkhoff"] = dict(outcome.to_json_obj(), **checks)
+            stage = "frobenius"
+            report["frobenius"] = self.frobenius.to_json_obj()
+        except ValueError as exc:
+            if not isinstance(exc, _GATES.get(stage, ())):
+                raise
+            report["error"] = _error_obj(stage, exc)
+            return report, "invalid"
+        if isinstance(outcome, BirkhoffObstruction):
+            return report, "obstruction"
+        return report, "ok"
+
+
 def analyze(f, var_names, *, seed=0):
     """Run the full chain; returns (report dict, status).
 
@@ -187,98 +318,7 @@ def analyze(f, var_names, *, seed=0):
     normalized; partial report).  Sections after a failed gate are null.
     The seed is only recorded in the input section.
     """
-    report = {
-        "schema": SCHEMA,
-        "input": {
-            "expression": f.format(var_names),
-            "variables": list(var_names),
-            "n": f.arity,
-            "seed": seed,
-        },
-        "polytope": None,
-        "nondegeneracy": None,
-        "mu": None,
-        "basis": None,
-        "spectrum": None,
-        "pencil": None,
-        "birkhoff": None,
-        "frobenius": None,
-        "error": None,
-    }
-    try:
-        p = newton_polytope(f)
-        p.require_convenient()
-    except (NotConvenientError, ValueError) as exc:
-        report["error"] = _error_obj("polytope", exc)
-        return report, "invalid"
-    report["polytope"] = p.to_json_obj()
-
-    algebra = JacobianAlgebra(f, p)
-    cert = is_nondegenerate(algebra)
-    report["nondegeneracy"] = cert.to_json_obj()
-    if not cert.ok:
-        report["error"] = _error_obj("nondegeneracy", cert.error())
-        return report, "invalid"
-
-    mu = milnor_number(p)
-    report["mu"] = mu
-
-    try:
-        basis = algebra.basis()
-        algebra.check_milnor(mu)
-    except DegeneracySuspectedError as exc:
-        report["error"] = _error_obj("basis", exc)
-        return report, "invalid"
-    nd = f.arity * p.scale
-    basis_obj = basis.to_json_obj()
-    basis_obj["graded_dims"] = [algebra.graded_dimension(r) for r in range(nd + 1)]
-    report["basis"] = basis_obj
-
-    sp = spectrum(algebra)
-    report["spectrum"] = sp.to_json_obj()
-
-    lattice = BrieskornLattice(algebra)
-    pencil = lattice.pencil()
-    report["pencil"] = pencil.to_json_obj()
-
-    try:
-        outcome = solve_birkhoff(pencil)
-        if isinstance(outcome, BirkhoffSolution):
-            _recheck_gauge(lattice, pencil, outcome)
-    except VerificationError as exc:
-        report["error"] = _error_obj("birkhoff", exc)
-        return report, "invalid"
-    if isinstance(outcome, BirkhoffObstruction):
-        report["birkhoff"] = outcome.to_json_obj()
-        return _frobenius_section(report, algebra, pencil, None, sp, "obstruction")
-    okv, v_details = verify_v_solution(pencil, outcome.gauge, p.scale)
-    okp, p_details = verify_v_plus(outcome.ainf, pencil.degrees, sp.pairs)
-    try:
-        gm = graded_model(pencil, outcome.gauge, p.scale)
-    except GradedModelError as exc:
-        report["error"] = _error_obj("graded_model", exc)
-        return report, "invalid"
-    outcome.flags = {
-        "v_solution": okv,
-        "v_plus": okp,
-        "opposite": gm["opposite"],
-        "b_opposed": gm["b_opposed"],
-    }
-    birk_obj = outcome.to_json_obj()
-    birk_obj["spectral"] = p_details
-    birk_obj["filtration"] = gm
-    report["birkhoff"] = birk_obj
-    return _frobenius_section(report, algebra, pencil, outcome, sp, "ok")
-
-
-def _frobenius_section(report, algebra, pencil, solution, sp, status):
-    try:
-        data = euler_field(algebra, pencil, solution, sp)
-    except VerificationError as exc:
-        report["error"] = _error_obj("frobenius", exc)
-        return report, "invalid"
-    report["frobenius"] = data.to_json_obj()
-    return report, status
+    return Pipeline(f, var_names, seed).report()
 
 
 def analyze_text(text, var_names=None, **kw):
@@ -286,19 +326,7 @@ def analyze_text(text, var_names=None, **kw):
     try:
         f, names = parse_laurent(text, var_names)
     except LaurentParseError as exc:
-        report = {
-            "schema": SCHEMA,
-            "input": {"expression": text, "variables": None, "n": None,
-                      "seed": kw.get("seed", 0)},
-            "polytope": None,
-            "nondegeneracy": None,
-            "mu": None,
-            "basis": None,
-            "spectrum": None,
-            "pencil": None,
-            "birkhoff": None,
-            "frobenius": None,
-            "error": _error_obj("parse", exc),
-        }
+        report = _skeleton(text, None, None, kw.get("seed", 0))
+        report["error"] = _error_obj("parse", exc)
         return report, "invalid"
     return analyze(f, names, **kw)

@@ -1,9 +1,13 @@
-"""Shared corpus and cached pipeline objects for the test suite.
+"""Shared corpus and memoized pipelines for the test suite.
 
 CORPUS lists every convenient nondegenerate example exercised by the
 property tests, spanning one, two and three variables.  The frozen mu
 values come from the n!-volume formula and are re-derived independently
 inside the tests (Ehrhart point counts, brute-force quotients).
+
+pipeline(expr) is the package's own `Pipeline` for one expression, kept
+for the whole session: a test reads the stages it needs as attributes
+(`pipeline(expr).pencil`), and only those stages are built.
 
 dense_rref is a reference dense Gauss-Jordan elimination that shares no
 code with the package, so the oracles built on it stay independent of the
@@ -11,23 +15,18 @@ package's elimination kernel.  dense_mat_mul is a plain triple loop, and
 dense_gauge_residual and dense_build_linear_system are the dense Birkhoff
 residual and gauge rows the package computed before it switched to sparse
 ones, kept on dense_mat_mul as references for the sparse kernels, as is
-dense_semisimple, the semisimplicity product of the spectral test.
+dense_semisimple, the semisimplicity product of the spectral test.  The
+gauge rows take their unknowns from dense_pattern_slots, the triple loop
+over every (k, i, j) that the package replaced by a bisection.
 planar_nondegenerate decides nondegeneracy
 in two variables from its own convex hull and polynomial gcd, independently
 of the package's certificate.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
-from newton_spectra import (
-    BrieskornLattice,
-    JacobianAlgebra,
-    newton_polytope,
-    parse_laurent,
-    spectrum,
-)
-from newton_spectra.birkhoff import _pattern_slots
+from newton_spectra import Pipeline, parse_laurent
 
 # (expression, arity, milnor number)
 CORPUS = [
@@ -53,21 +52,9 @@ _CACHE = {}
 
 
 def pipeline(expr):
-    """Build (and memoize) the full chain of objects for one expression."""
+    """The memoized Pipeline of one expression."""
     if expr not in _CACHE:
-        f, names = parse_laurent(expr)
-        p = newton_polytope(f)
-        algebra = JacobianAlgebra(f, p)
-        lattice = BrieskornLattice(algebra)
-        _CACHE[expr] = {
-            "f": f,
-            "names": names,
-            "polytope": p,
-            "algebra": algebra,
-            "lattice": lattice,
-            "pencil": lattice.pencil(),
-            "spectrum": spectrum(algebra),
-        }
+        _CACHE[expr] = Pipeline(*parse_laurent(expr))
     return _CACHE[expr]
 
 
@@ -248,13 +235,26 @@ def dense_gauge_residual(pencil, gauge, a0, ainf):
     return _pm_trim(lhs)
 
 
+def dense_pattern_slots(degrees):
+    """(k, i, j) triples with k >= 1 and degrees[i] + k <= degrees[j]."""
+    slots = []
+    mu = len(degrees)
+    kmax = int(floor(degrees[-1] - degrees[0]))
+    for k in range(1, max(kmax, 0) + 1):
+        for i in range(mu):
+            for j in range(mu):
+                if degrees[i] + k <= degrees[j]:
+                    slots.append((k, i, j))
+    return slots
+
+
 def dense_build_linear_system(pencil, ainf, include_m1=True):
     """Dense rows of the linear system in the pattern unknowns, frozen A_inf."""
     degrees = pencil.degrees
     mu = pencil.mu
     bmats = pencil.matrices
     degb = len(bmats) - 1
-    slots = _pattern_slots(degrees)
+    slots = dense_pattern_slots(degrees)
     index = {s: t for t, s in enumerate(slots)}
     kmax = max((k for k, _, _ in slots), default=0)
     rows = []

@@ -101,7 +101,7 @@ def test_spectrum_invariants_across_corpus():
     assert len(CORPUS) >= 8
     assert {n for _, n, _ in CORPUS} == {1, 2, 3}
     for expr, n, mu in CORPUS:
-        sp = pipeline(expr)["spectrum"]
+        sp = pipeline(expr).spectrum
         pairs = list(sp.pairs)
         assert sum(m for _, m in pairs) == mu, expr
         assert pairs[0] == (F(0), 1), expr
@@ -118,7 +118,7 @@ def test_division_round_trip_two_hundred_random_forms():
     rng = random.Random(20260814)
     for expr, n, _ in CORPUS:
         data = pipeline(expr)
-        algebra, p = data["algebra"], data["polytope"]
+        algebra, p = data.algebra, data.polytope
         d = algebra.d
         monos = list(p.enumerate_sublevel(3))
         for _ in range(200):
@@ -156,7 +156,7 @@ def test_division_round_trip_two_hundred_random_forms():
 def test_facet_identities_on_all_low_monomials():
     for expr, _, _ in CORPUS:
         data = pipeline(expr)
-        lat, p = data["lattice"], data["polytope"]
+        lat, p = data.lattice, data.polytope
         for e in p.enumerate_sublevel(3):
             g = LaurentPolynomial.monomial(e, F(1))
             for ix in range(len(p.facets)):
@@ -179,7 +179,7 @@ def test_newton_order_laws_on_random_elements():
     rng = random.Random(97)
     for expr, _, _ in CORPUS:
         data = pipeline(expr)
-        lat, pen = data["lattice"], data["pencil"]
+        lat, pen = data.lattice, data.pencil
         degrees = pen.degrees
         for _ in range(200):
             x = _random_element(rng, pen.mu)
@@ -210,11 +210,11 @@ def test_normal_form_for_the_mirrors():
     frozen_charpoly = {1: [F(-4), F(0), F(1)], 2: [F(-27), F(0), F(0), F(1)]}
     for n in (1, 2):
         data = pipeline(MIRRORS[n])
-        pen, sp = data["pencil"], data["spectrum"]
+        pen, sp = data.pencil, data.spectrum
         sol = solve_birkhoff(pen)
         assert isinstance(sol, BirkhoffSolution)
         assert gauge_residual(pen, sol.gauge, sol.a0, sol.ainf) == []
-        okv, details = verify_v_solution(pen, sol.gauge, data["polytope"].scale)
+        okv, details = verify_v_solution(pen, sol.gauge, data.polytope.scale)
         assert okv, details
         okp, detail = verify_v_plus(sol.ainf, pen.degrees, sp.pairs)
         assert okp, detail
@@ -227,7 +227,7 @@ def test_non_adapted_basis_fails_spectral_test():
     # normal form of degree one, but it mixes the filtration levels and the
     # eigenvalue moduli betray it: {2, 1} instead of the spectrum {0, 1}
     data = pipeline(MIRRORS[1])
-    pen, sp = data["pencil"], data["spectrum"]
+    pen, sp = data.pencil, data.spectrum
     wprime = [identity(2), [[F(0), F(0)], [F(1), F(0)]]]
     amats = pencil_in_gauge(pen, wprime)
     assert len(amats) == 2
@@ -257,15 +257,15 @@ def test_non_adapted_basis_fails_spectral_test():
 def test_homogeneity_and_euler_field():
     for expr, n, _ in CORPUS:
         data = pipeline(expr)
-        sol = solve_birkhoff(data["pencil"])
+        sol = solve_birkhoff(data.pencil)
         assert isinstance(sol, BirkhoffSolution), expr
-        fid = euler_field(data["algebra"], data["pencil"], sol, data["spectrum"])
+        fid = euler_field(data.algebra, data.pencil, sol, data.spectrum)
         assert fid.charge == 2 - n, expr
         assert fid.alpha_min == 0 and fid.primitive_index == 0, expr
     data = pipeline(MIRRORS[2])
     fid = euler_field(
-        data["algebra"], data["pencil"], solve_birkhoff(data["pencil"]),
-        data["spectrum"],
+        data.algebra, data.pencil, solve_birkhoff(data.pencil),
+        data.spectrum,
     )
     assert fid.c == (F(0), F(3), F(0))
     assert fid.euler_text == "t0*d0 + 3*d1 - t2*d2"
@@ -278,7 +278,7 @@ def test_homogeneity_and_euler_field():
 def test_variance_reported_not_asserted():
     findings = []
     for expr, n, mu in CORPUS:
-        sp = pipeline(expr)["spectrum"]
+        sp = pipeline(expr).spectrum
         var = sp.to_json_obj()["variance"]
         lhs = F(var["lhs"])
         assert lhs == sum((m * (a - F(n, 2)) ** 2 for a, m in sp.pairs),
@@ -315,14 +315,18 @@ def test_report_bytes_deterministic_for_every_corpus_input():
 #     with every flag true, and the report does not depend on `python -O`
 
 
-def _analyze_json(expr, *flags):
+def _cli_stdout(argv, *flags):
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "newton_spectra.cli", "analyze", "--json", expr],
+        [sys.executable, *flags, "-m", "newton_spectra.cli", *argv],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONHASHSEED="0"),
     )
-    assert proc.returncode == 0, (expr, flags, proc.stderr)
+    assert proc.returncode == 0, (argv, flags, proc.stderr)
     return proc.stdout
+
+
+def _analyze_json(expr, *flags):
+    return _cli_stdout(["analyze", "--json", expr], *flags)
 
 
 def test_ladder_mu_twenty_finishes_with_every_flag():
@@ -339,10 +343,14 @@ def test_ladder_mu_twenty_finishes_with_every_flag():
 def test_report_bytes_unchanged_under_python_O():
     # u1^3 + u2^3 + u1^-1*u2^-1 has three residue classes and a gauge of
     # theta degree 1, so it runs the graded model's explicit checks; the
-    # octahedron runs the nondegeneracy certificate in three variables
-    for expr in ("u1^6+u1^-6", "u1^3 + u2^3 + u1^-1*u2^-1",
-                 "u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1"):
-        assert _analyze_json(expr, "-O") == _analyze_json(expr), expr
+    # octahedron runs the nondegeneracy certificate in three variables;
+    # `check` reads its gates off the same explicit re-checks
+    runs = [["analyze", "--json", expr] for expr in (
+        "u1^6+u1^-6", "u1^3 + u2^3 + u1^-1*u2^-1",
+        "u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1")]
+    runs.append(["check", "u1^3 + u2^3 + u1^-1*u2^-1"])
+    for argv in runs:
+        assert _cli_stdout(argv, "-O") == _cli_stdout(argv), argv
 
 
 # 12. ladder regression outside the benchmark oracle: the sha256 of the
@@ -371,6 +379,21 @@ LADDER_BIRKHOFF_SHA256 = {
 }
 
 
+# 13. full `check` stdout: sha256 and exit code, taken from the
+#     implementation that wired `check`'s stages by hand, apart from
+#     `analyze`; the inputs are solved by the diagonal ansatz at
+#     --max-level 4, by sweep+split, and not at all (the mu = 5 obstruction)
+
+CHECK_STDOUT_SHA256 = {
+    ("u1^2 + u2^2 + u1^-1*u2^-1", "--max-level", "4"):
+        ("e29e59bd7ed507a3af7ef44e42c31407c7ad411fa639a47b9b0e6b97225d81fd", 0),
+    ("u1^3 + u1 + u1^-2",):
+        ("64d022e8f419fd71ab6ffbe7ca656df9bbb3ce02d11807e533560101fe35a96b", 0),
+    ("3*u1^2*u2^-1 - 2*u1 + u1*u2^-1 + u1^-1*u2 - 2*u1^-1",):
+        ("49d8ed3f9310c5ccb0981d1718ece17de4c7d8c54723d4ff7f3ba7d7145993e8", 0),
+}
+
+
 def test_ladder_birkhoff_sections_unchanged(capsys):
     for expr, digest in LADDER_BIRKHOFF_SHA256.items():
         assert main(["analyze", "--json", expr, "--seed", "0"]) == 0, expr
@@ -378,3 +401,10 @@ def test_ladder_birkhoff_sections_unchanged(capsys):
         got = hashlib.sha256(json.dumps(section, indent=2).encode()).hexdigest()
         assert got == digest, expr
         assert all(section["flags"].values()), expr
+
+
+def test_check_stdout_unchanged(capsys):
+    for args, (digest, code) in CHECK_STDOUT_SHA256.items():
+        rc = main(["check", *args])
+        out = capsys.readouterr().out
+        assert (hashlib.sha256(out.encode()).hexdigest(), rc) == (digest, code), args

@@ -14,6 +14,7 @@ from conftest import (
     CORPUS,
     dense_build_linear_system,
     dense_gauge_residual,
+    dense_pattern_slots,
     dense_rank,
     dense_semisimple,
     pipeline,
@@ -35,7 +36,7 @@ from newton_spectra.linalg import charpoly, identity, mat_mul, rational_roots, s
 
 def _solved(expr):
     data = pipeline(expr)
-    sol = solve_birkhoff(data["pencil"])
+    sol = solve_birkhoff(data.pencil)
     assert isinstance(sol, BirkhoffSolution)
     return data, sol
 
@@ -47,12 +48,12 @@ def test_one_variable_identity_gauge():
     assert sol.a0 == [[F(0), F(2)], [F(2), F(0)]]
     assert sol.ainf == [[F(0), F(0)], [F(0), F(1)]]
     assert charpoly(sol.a0) == [F(-4), F(0), F(1)]
-    assert gauge_residual(data["pencil"], sol.gauge, sol.a0, sol.ainf) == []
+    assert gauge_residual(data.pencil, sol.gauge, sol.a0, sol.ainf) == []
 
 
 def test_two_variable_single_correction():
     data, sol = _solved("u1 + u2 + u1^-1*u2^-1")
-    pen = data["pencil"]
+    pen = data.pencil
     assert sol.method == "diagonal-ansatz"
     assert len(sol.gauge) == 2
     assert sol.gauge[1] == [
@@ -80,9 +81,9 @@ def test_solver_on_harder_examples():
         "u1^3 + u2^3 + u1^-1*u2^-1",
     ):
         data, sol = _solved(expr)
-        assert gauge_residual(data["pencil"], sol.gauge, sol.a0, sol.ainf) == [], expr
+        assert gauge_residual(data.pencil, sol.gauge, sol.a0, sol.ainf) == [], expr
         # the normal form is diagonal in the basis degrees
-        degs = data["pencil"].degrees
+        degs = data.pencil.degrees
         assert sol.ainf == [
             [degs[i] if i == j else F(0) for j in range(len(degs))]
             for i in range(len(degs))
@@ -97,7 +98,7 @@ def test_constant_split_on_cross_degree_coupling():
     # Q = I + (1/3) E_{14}, which is still filtration-compatible because it
     # only adds a lower-degree generator to a higher-degree one.
     data, sol = _solved("u1^3 + u1 + u1^-2")
-    pen = data["pencil"]
+    pen = data.pencil
     assert pen.degrees == (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
     assert pen.matrices[1][1][4] == F(2, 9)
     assert sol.method == "sweep+split"
@@ -155,8 +156,8 @@ def test_filtration_flags_hold_for_solved_gauges():
         "u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1",
     ):
         data, sol = _solved(expr)
-        scale = data["polytope"].scale
-        pen, sp = data["pencil"], data["spectrum"]
+        scale = data.polytope.scale
+        pen, sp = data.pencil, data.spectrum
         ok, detail = verify_v_solution(pen, sol.gauge, scale)
         assert ok, (expr, detail)
         ok, detail = verify_v_plus(sol.ainf, pen.degrees, sp.pairs)
@@ -167,7 +168,7 @@ def test_filtration_flags_hold_for_solved_gauges():
 
 def test_graded_model_one_variable_values():
     data, sol = _solved("u1 + u1^-1")
-    gm = graded_model(data["pencil"], sol.gauge, 1)
+    gm = graded_model(data.pencil, sol.gauge, 1)
     assert len(gm["classes"]) == 1
     c = gm["classes"][0]
     assert c["n_matrix"] == [["0", "0"], ["-2", "0"]]
@@ -178,13 +179,13 @@ def test_graded_model_one_variable_values():
 
 def test_graded_model_two_variable_values():
     data, sol = _solved("u1 + u2 + u1^-1*u2^-1")
-    gm = graded_model(data["pencil"], sol.gauge, 1)
+    gm = graded_model(data.pencil, sol.gauge, 1)
     c = gm["classes"][0]
     assert c["n_matrix"] == [["0", "0", "0"], ["-3", "3", "3"], ["0", "-3", "-3"]]
     assert c["n_rank"] == 2
     # half-integer example splits into two residue classes
     datah, solh = _solved("u1 + u1^-2")
-    gmh = graded_model(datah["pencil"], solh.gauge, 2)
+    gmh = graded_model(datah.pencil, solh.gauge, 2)
     assert len(gmh["classes"]) == 2
     assert sorted(cl["residue"] for cl in gmh["classes"]) == ["0", "1/2"]
 
@@ -193,14 +194,14 @@ def test_non_adapted_basis_fails_filtration_tests():
     # basis {w0 + theta*w1, w1}: invertible over Q[theta], still a normal
     # form of degree one, but it mixes the filtration levels
     data = pipeline("u1 + u1^-1")
-    pen = data["pencil"]
+    pen = data.pencil
     wprime = [identity(2), [[F(0), F(0)], [F(1), F(0)]]]
     amats = pencil_in_gauge(pen, wprime)
     assert amats[0] == [[F(0), F(2)], [F(2), F(0)]]
     assert amats[1] == [[F(2), F(0)], [F(0), F(-1)]]
     ok, _ = verify_v_solution(pen, wprime, 1)
     assert not ok
-    ok, detail = verify_v_plus(amats[1], pen.degrees, data["spectrum"].pairs)
+    ok, detail = verify_v_plus(amats[1], pen.degrees, data.spectrum.pairs)
     assert not ok
     assert detail["structure"] is False
     assert detail["semisimple"] is True
@@ -215,13 +216,13 @@ def test_rescaled_column_basis_still_passes():
     # drops those theta corrections would get Ainf = 0 here, which the
     # trace identity tr(Ainf) = sum of spectrum already rules out
     data = pipeline("u1 + u1^-1")
-    pen = data["pencil"]
+    pen = data.pencil
     gauge = [[[F(1), F(0)], [F(0), F(2)]]]
     amats = pencil_in_gauge(pen, gauge)
     assert amats[0] == [[F(0), F(4)], [F(1), F(0)]]
     assert amats[1] == [[F(0), F(0)], [F(0), F(1)]]
     assert charpoly(amats[0]) == [F(-4), F(0), F(1)]
-    ok, _ = verify_v_plus(amats[1], pen.degrees, data["spectrum"].pairs)
+    ok, _ = verify_v_plus(amats[1], pen.degrees, data.spectrum.pairs)
     assert ok
 
 
@@ -229,12 +230,12 @@ def test_theta_free_gauge_is_always_a_v_solution():
     # a gauge without theta terms never leaves the filtration, so the
     # lattice comparison is the trivial direct sum
     data, sol = _solved("u1 + u2 + u1^-1*u2^-1")
-    ok, _ = verify_v_solution(data["pencil"], [sol.gauge[0]], 1)
+    ok, _ = verify_v_solution(data.pencil, [sol.gauge[0]], 1)
     assert ok
 
 
 def test_identity_gauge_round_trip():
-    pen = pipeline("u1 + u1^-2")["pencil"]
+    pen = pipeline("u1 + u1^-2").pencil
     assert pencil_in_gauge(pen, [identity(3)]) == list(pen.matrices)
 
 
@@ -345,7 +346,7 @@ def test_structural_ainf_gives_its_diagonal_multiset():
     }
     # a solved normal form with repeated spectral values
     data, sol = _solved("u1^3 + u2^3 + u1^-1*u2^-1")
-    pen, sp = data["pencil"], data["spectrum"]
+    pen, sp = data.pencil, data.spectrum
     ok, detail = verify_v_plus(sol.ainf, pen.degrees, sp.pairs)
     assert ok
     assert detail["eigenvalues"] == [(str(a), m) for a, m in sp.pairs]
@@ -565,14 +566,28 @@ def test_sparse_residual_matches_dense_reference():
             zero += 1
     for expr, _, _ in CORPUS:
         data, sol = _solved(expr)
-        assert dense_gauge_residual(data["pencil"], sol.gauge, sol.a0, sol.ainf) == []
+        assert dense_gauge_residual(data.pencil, sol.gauge, sol.a0, sol.ainf) == []
     assert zero >= 60 and nonzero >= 150
+
+
+def test_pattern_slots_match_the_triple_loop():
+    # the bisection needs ascending degrees, as every pencil lists them;
+    # small denominators and ranges give many ties
+    rng = random.Random(20261018)
+    for _ in range(300):
+        scale = rng.randint(1, 4)
+        degrees = sorted(F(rng.randint(0, 6 * scale), scale)
+                         for _ in range(rng.randint(1, 14)))
+        assert birkhoff_mod._pattern_slots(degrees) == dense_pattern_slots(degrees), degrees
+    for expr, _, _ in CORPUS:
+        degrees = pipeline(expr).pencil.degrees
+        assert birkhoff_mod._pattern_slots(degrees) == dense_pattern_slots(degrees), expr
 
 
 def test_sparse_gauge_rows_match_dense_reference():
     rng = random.Random(20260620)
     for expr, _, _ in CORPUS:
-        pen = pipeline(expr)["pencil"]
+        pen = pipeline(expr).pencil
         mu = pen.mu
         diag = [[pen.degrees[i] if i == j else F(0) for j in range(mu)] for i in range(mu)]
         for ainf in (diag, _random_matrix(rng, mu, mu, 0.3)):

@@ -13,7 +13,7 @@ from newton_spectra import BrieskornElement, LaurentPolynomial
 
 
 def test_pencil_one_variable_hand_values():
-    pen = pipeline("u1 + u1^-1")["pencil"]
+    pen = pipeline("u1 + u1^-1").pencil
     assert pen.degree == 1
     assert pen.matrices[0] == [[F(0), F(2)], [F(2), F(0)]]
     assert pen.matrices[1] == [[F(0), F(0)], [F(0), F(1)]]
@@ -22,7 +22,7 @@ def test_pencil_one_variable_hand_values():
 
 def test_pencil_fractional_orders_hand_values():
     # u + u^-2: basis (1, 1/u, u), orders (0, 1/2, 1)
-    pen = pipeline("u1 + u1^-2")["pencil"]
+    pen = pipeline("u1 + u1^-2").pencil
     assert pen.degrees == (F(0), F(1, 2), F(1))
     assert pen.matrices[0] == [
         [F(0), F(3, 2), F(0)],
@@ -38,7 +38,7 @@ def test_pencil_fractional_orders_hand_values():
 
 def test_pencil_two_variable_hand_values():
     # basis (1, u1, u1^2); multiplication by f cycles it with factor 3
-    pen = pipeline("u1 + u2 + u1^-1*u2^-1")["pencil"]
+    pen = pipeline("u1 + u2 + u1^-1*u2^-1").pencil
     assert pen.degree == 2
     assert pen.matrices[0] == [
         [F(0), F(0), F(3)],
@@ -57,8 +57,8 @@ def test_pencil_two_variable_hand_values():
 def test_pencil_structure_on_corpus():
     for expr, n, mu in CORPUS:
         data = pipeline(expr)
-        pen = data["pencil"]
-        degs = data["algebra"].basis().degrees
+        pen = data.pencil
+        degs = data.algebra.basis().degrees
         assert len(pen.matrices[0]) == mu
         # theta-degree of the pencil never exceeds n
         assert pen.degree <= n, expr
@@ -75,7 +75,7 @@ def test_pencil_structure_on_corpus():
 
 def test_reduce_and_newton_order():
     data = pipeline("u1 + u2 + u1^-1*u2^-1")
-    lat = data["lattice"]
+    lat = data.lattice
     e0 = lat.element_from_monomial((0, 0))
     assert lat.newton_order(e0) == 0
     assert lat.newton_order(e0.theta_shift()) == 1
@@ -95,7 +95,7 @@ def test_apply_t_is_linear_and_raises_order_by_at_most_one():
     rng = random.Random(17)
     for expr in ("u1 + u1^-1", "u1 + u2 + u1^-1*u2^-1", "u1 + u1^-2"):
         data = pipeline(expr)
-        lat, pen = data["lattice"], data["pencil"]
+        lat, pen = data.lattice, data.pencil
         mu = lat.mu
         for _ in range(20):
             coords = tuple(
@@ -115,30 +115,30 @@ def test_apply_t_is_linear_and_raises_order_by_at_most_one():
 
 def test_facet_identity_low_levels():
     data = pipeline("u1 + u2 + u1^-1*u2^-1")
-    lat = data["lattice"]
-    for e in data["polytope"].enumerate_sublevel(2):
+    lat = data.lattice
+    for e in data.polytope.enumerate_sublevel(2):
         g = LaurentPolynomial.monomial(e)
-        for fx in range(len(data["polytope"].facets)):
+        for fx in range(len(data.polytope.facets)):
             assert lat.check_facet_identity(g, fx)
 
 
 def test_spectrum_hand_values():
-    sp = pipeline("u1 + u1^-1")["spectrum"]
+    sp = pipeline("u1 + u1^-1").spectrum
     assert sp.pairs == ((F(0), 1), (F(1), 1))
     assert sp.poly == (F(0), F(1), F(1))
     assert sp.factored == "S*(S+1)"
     assert sp.variance_lhs == F(1, 4) and sp.variance_rhs == F(1, 12)
-    sp = pipeline("u1 + u1^-2")["spectrum"]
+    sp = pipeline("u1 + u1^-2").spectrum
     assert sp.pairs == ((F(0), 1), (F(1, 2), 1), (F(1), 1))
     assert sp.factored == "S*(S+1/2)*(S+1)"
-    sp = pipeline("u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1")["spectrum"]
+    sp = pipeline("u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1").spectrum
     assert sp.pairs == ((F(0), 1), (F(1), 3), (F(2), 3), (F(3), 1))
     assert sp.factored == "S*(S+1)^3*(S+2)^3*(S+3)"
 
 
 def test_spectrum_polynomial_consistency():
     for expr, _, mu in CORPUS:
-        sp = pipeline(expr)["spectrum"]
+        sp = pipeline(expr).spectrum
         # SP has degree mu, leading coefficient 1, and root 0 once
         assert len(sp.poly) == mu + 1
         assert sp.poly[-1] == 1
@@ -147,7 +147,7 @@ def test_spectrum_polynomial_consistency():
 
 
 def test_element_json_round_trip():
-    lat = pipeline("u1 + u1^-1")["lattice"]
+    lat = pipeline("u1 + u1^-1").lattice
     x = lat.element_from_monomial((1,), theta_power=1)
     obj = x.to_json_obj()
     assert obj == [[], ["0", "1"]]

@@ -12,7 +12,6 @@ import pytest
 from conftest import CORPUS, DEGENERATE
 from newton_spectra import BirkhoffObstruction, GradedModelError
 from newton_spectra import birkhoff as birkhoff_mod
-from newton_spectra import cli as cli_mod
 from newton_spectra import frobenius as frobenius_mod
 from newton_spectra.cli import main
 
@@ -210,6 +209,18 @@ def test_failed_gauge_recheck_exits_2(capsys, monkeypatch):
     assert "gauge identity" in err
 
 
+def test_check_shares_the_gauge_recheck(capsys, monkeypatch):
+    # `check` reads its normal-form gate off the same pipeline as `analyze`,
+    # so the re-check of the gauge identity fails it too
+    monkeypatch.setattr(frobenius_mod, "gauge_residual",
+                        lambda pencil, gauge, a0, ainf: [[[Fraction(1), 0], [0, 0]]])
+    rc, out, _ = run_cli(capsys, ["check", "u1 + u1^-1"])
+    assert rc == 1
+    lines = out.splitlines()
+    assert "FAIL birkhoff-normal-form (the gauge identity does not hold)" in lines
+    assert lines[-1] == "7 passed, 1 failed"
+
+
 _GAUGE_RESIDUAL = birkhoff_mod.gauge_residual
 
 
@@ -302,7 +313,6 @@ def test_graded_model_failure_exits_2_and_fails_check(capsys, monkeypatch):
         raise GradedModelError("N is not nilpotent on residue class 0", Fraction(0))
 
     monkeypatch.setattr(frobenius_mod, "graded_model", fail)
-    monkeypatch.setattr(cli_mod, "graded_model", fail)
     rc, out, err = run_cli(capsys, ["analyze", "--json", "u1 + u1^-1"])
     assert rc == 2
     assert json.loads(out)["error"] == {

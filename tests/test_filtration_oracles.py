@@ -222,13 +222,13 @@ def _check_against_oracles(pencil, gauge, scale):
                          + ["u1^%d + u1^-%d" % (k, k) for k in range(4, 9)])
 def test_solved_gauges_match_the_dense_oracles(expr):
     data = pipeline(expr)
-    sol = solve_birkhoff(data["pencil"])
+    sol = solve_birkhoff(data.pencil)
     assert isinstance(sol, BirkhoffSolution)
-    _check_against_oracles(data["pencil"], sol.gauge, data["polytope"].scale)
+    _check_against_oracles(data.pencil, sol.gauge, data.polytope.scale)
 
 
 def test_non_adapted_gauge_matches_the_dense_oracles():
-    pen = pipeline("u1 + u1^-1")["pencil"]
+    pen = pipeline("u1 + u1^-1").pencil
     wprime = [identity(2), [[F(0), F(0)], [F(1), F(0)]]]
     _check_against_oracles(pen, wprime, 1)
     assert verify_v_solution(pen, wprime, 1)[0] is False
@@ -265,10 +265,10 @@ def test_random_gauges_match_the_dense_oracles():
     verdicts = set()
     for t in range(50):
         data = pipeline(small[t % 4] if t < 40 else "u1^3 + u1 + u1^-2")
-        pen = data["pencil"]
+        pen = data.pencil
         gauge = _random_gauge(rng, pen.mu)
-        _check_against_oracles(pen, gauge, data["polytope"].scale)
-        gm = graded_model(pen, gauge, data["polytope"].scale)
+        _check_against_oracles(pen, gauge, data.polytope.scale)
+        gm = graded_model(pen, gauge, data.polytope.scale)
         verdicts.add((gm["opposite"], gm["b_opposed"]))
     # the random gauges reach every combination of the two flags
     assert len(verdicts) == 4
@@ -281,14 +281,14 @@ def test_singular_constant_terms_match_the_dense_oracles():
     rng = random.Random(5)
     for expr in ("u1 + u1^-1", "u1 + u1^-2", "u1 + u2 + u1^-1*u2^-1"):
         data = pipeline(expr)
-        pen = data["pencil"]
+        pen = data.pencil
         for _ in range(3):
             gauge = _random_gauge(rng, pen.mu) + [[[F(0)] * pen.mu for _ in range(pen.mu)]]
             j = rng.randrange(pen.mu)
             for i in range(pen.mu):
                 for p in range(len(gauge) - 1, -1, -1):
                     gauge[p][i][j] = gauge[p - 1][i][j] if p else F(0)
-            _check_against_oracles(pen, gauge, data["polytope"].scale)
+            _check_against_oracles(pen, gauge, data.polytope.scale)
 
 
 def _cutoff(degrees, gauge):

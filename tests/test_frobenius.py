@@ -36,14 +36,14 @@ REPORT_KEYS = [
 
 def _initial_data(expr):
     data = pipeline(expr)
-    sol = solve_birkhoff(data["pencil"])
-    return euler_field(data["algebra"], data["pencil"], sol, data["spectrum"])
+    sol = solve_birkhoff(data.pencil)
+    return euler_field(data.algebra, data.pencil, sol, data.spectrum)
 
 
 def test_canonical_primitive_is_the_constant_form():
     for expr, _, _ in CORPUS:
         data = pipeline(expr)
-        idx, alpha_min = canonical_primitive(data["algebra"], data["spectrum"])
+        idx, alpha_min = canonical_primitive(data.algebra, data.spectrum)
         assert idx == 0 and alpha_min == 0, expr
 
 
@@ -143,7 +143,7 @@ def test_analyze_seed_recorded_and_deterministic():
 
 
 def test_analyze_explicit_names():
-    f, names = (pipeline("u1 + u1^-1")["f"], ["x"])
+    f, names = (pipeline("u1 + u1^-1").f, ["x"])
     report, status = analyze(f, names)
     assert status == "ok"
     assert report["input"]["expression"] == "x + x^-1"
@@ -153,7 +153,7 @@ def test_canonical_primitive_raises_on_a_wrong_spectrum():
     data = pipeline("u1 + u1^-1")
     wrong = SimpleNamespace(pairs=[(F(0), 2)])
     with pytest.raises(VerificationError, match="multiplicity one"):
-        canonical_primitive(data["algebra"], wrong)
+        canonical_primitive(data.algebra, wrong)
 
 
 def test_analyze_reports_a_failed_frobenius_recheck(monkeypatch):

@@ -70,40 +70,40 @@ def _bruteforce_quotient_dim(f, p, scaled_level):
 )
 def test_bruteforce_quotient_matches_volume(expr):
     data = pipeline(expr)
-    mu = milnor_number(data["polytope"])
-    scale = data["polytope"].scale
+    mu = milnor_number(data.polytope)
+    scale = data.polytope.scale
     # stabilized truncation: two consecutive levels must agree
-    lo = _bruteforce_quotient_dim(data["f"], data["polytope"], (data["f"].arity + 1) * scale)
-    hi = _bruteforce_quotient_dim(data["f"], data["polytope"], (data["f"].arity + 2) * scale)
+    lo = _bruteforce_quotient_dim(data.f, data.polytope, (data.f.arity + 1) * scale)
+    hi = _bruteforce_quotient_dim(data.f, data.polytope, (data.f.arity + 2) * scale)
     assert lo == hi == mu
-    assert len(data["algebra"].basis()) == mu
+    assert len(data.algebra.basis()) == mu
 
 
 def test_graded_dimensions_sum_to_mu():
     for expr, _, mu in CORPUS:
-        algebra = pipeline(expr)["algebra"]
+        algebra = pipeline(expr).algebra
         total = sum(algebra.graded_dimension(r) for r in range(algebra.n * algebra.d + 1))
         assert total == mu, expr
         algebra.check_milnor(mu)
 
 
 def test_adapted_basis_known_examples():
-    b = pipeline("u1 + u1^-1")["algebra"].basis()
+    b = pipeline("u1 + u1^-1").algebra.basis()
     assert b.monomials == ((0,), (1,)) and b.degrees == (0, 1)
-    b = pipeline("u1 + u2 + u1^-1*u2^-1")["algebra"].basis()
+    b = pipeline("u1 + u2 + u1^-1*u2^-1").algebra.basis()
     assert b.monomials == ((0, 0), (1, 0), (2, 0)) and b.degrees == (0, 1, 2)
-    b = pipeline("u1 + u1^-2")["algebra"].basis()
+    b = pipeline("u1 + u1^-2").algebra.basis()
     assert b.degrees == (0, Fraction(1, 2), 1)
 
 
 def test_adapted_basis_is_graded_and_starts_at_one():
     for expr, n, _ in CORPUS:
         data = pipeline(expr)
-        b = data["algebra"].basis()
+        b = data.algebra.basis()
         assert b.monomials[0] == (0,) * n and b.degrees[0] == 0
         assert list(b.degrees) == sorted(b.degrees)
         for e, alpha in zip(b.monomials, b.degrees):
-            assert data["polytope"].phi_exp(e) == alpha
+            assert data.polytope.phi_exp(e) == alpha
         assert max(b.degrees) <= n
 
 
@@ -111,8 +111,8 @@ def test_divide_witness_round_trip():
     rng = random.Random(23)
     for expr in ("u1 + u2 + u1^-1*u2^-1", "u1 + u1^-2"):
         data = pipeline(expr)
-        algebra = data["algebra"]
-        pts = data["polytope"].enumerate_sublevel(2)
+        algebra = data.algebra
+        pts = data.polytope.enumerate_sublevel(2)
         for _ in range(30):
             terms = {}
             for _ in range(rng.randrange(1, 4)):
@@ -127,7 +127,7 @@ def test_divide_witness_round_trip():
 
 def test_divide_zero_and_ideal_members():
     data = pipeline("u1 + u2 + u1^-1*u2^-1")
-    algebra = data["algebra"]
+    algebra = data.algebra
     w = divide(algebra, LaurentPolynomial.zero(2))
     assert w.verify(algebra) and not w.a
     # any monomial multiple of a log-partial divides exactly
@@ -142,7 +142,7 @@ def test_not_in_ideal_reports_residue():
     data = pipeline("u1 + u2 + u1^-1*u2^-1")
     g, _ = parse_laurent("u1 + 7", ["u1", "u2"])
     with pytest.raises(NotInIdealError) as e:
-        divide_exact(data["algebra"], g)
+        divide_exact(data.algebra, g)
     assert e.value.residue == {(1, 0): 1, (0, 0): 7}
 
 

@@ -35,7 +35,7 @@ def _certificate(expr):
 
 def test_corpus_certificates():
     for expr, n, _ in CORPUS:
-        algebra = pipeline(expr)["algebra"]
+        algebra = pipeline(expr).algebra
         cert = is_nondegenerate(algebra)
         assert cert.ok, expr
         d = algebra.d
@@ -53,12 +53,12 @@ def test_corpus_certificates():
 
 def test_proper_face_counts():
     # triangle: 3 vertices + 3 edges
-    p = pipeline("u1 + u2 + u1^-1*u2^-1")["polytope"]
+    p = pipeline("u1 + u2 + u1^-1*u2^-1").polytope
     faces = proper_faces(p)
     dims = sorted(len(ids) for ids in faces)
     assert dims == [1, 1, 1, 2, 2, 2]
     # octahedron: 6 vertices + 12 edges + 8 facets
-    p = pipeline("u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1")["polytope"]
+    p = pipeline("u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1").polytope
     assert len(proper_faces(p)) == 26
 
 

@@ -17,7 +17,7 @@ from newton_spectra import NotConvenientError, milnor_number, newton_polytope, p
 
 
 def test_triangle_facets_exact():
-    p = pipeline("u1 + u2 + u1^-1*u2^-1")["polytope"]
+    p = pipeline("u1 + u2 + u1^-1*u2^-1").polytope
     assert p.convenient and p.scale == 1
     assert set(p.vertices) == {(1, 0), (0, 1), (-1, -1)}
     forms = {tuple(f.coeffs) for f in p.facets}
@@ -30,7 +30,7 @@ def test_triangle_facets_exact():
 
 
 def test_phi_values_triangle():
-    p = pipeline("u1 + u2 + u1^-1*u2^-1")["polytope"]
+    p = pipeline("u1 + u2 + u1^-1*u2^-1").polytope
     assert p.phi_exp((0, 0)) == 0
     assert p.phi_exp((1, 0)) == 1
     assert p.phi_exp((-1, 0)) == 2
@@ -43,7 +43,7 @@ def test_phi_values_triangle():
 
 def test_fractional_scale():
     # hull [-2, 1]: facet forms x and -x/2, so the denominators force scale 2
-    p = pipeline("u1 + u1^-2")["polytope"]
+    p = pipeline("u1 + u1^-2").polytope
     assert p.scale == 2
     assert p.phi_exp((-1,)) == Fraction(1, 2)
     assert p.scaled_phi_exp((-1,)) == 1
@@ -65,7 +65,7 @@ def test_convenient_flag_and_gate():
 
 def test_interior_origin_examples_pass_gate():
     for expr, _, _ in CORPUS:
-        p = pipeline(expr)["polytope"]
+        p = pipeline(expr).polytope
         p.require_convenient()
         # 0 strictly inside: every facet form is positive somewhere on the
         # support and phi vanishes only at the origin among small points
@@ -76,7 +76,7 @@ def test_interior_origin_examples_pass_gate():
 
 
 def test_enumerate_sublevel_triangle():
-    p = pipeline("u1 + u2 + u1^-1*u2^-1")["polytope"]
+    p = pipeline("u1 + u2 + u1^-1*u2^-1").polytope
     level1 = p.enumerate_sublevel(1)
     assert (0, 0) in level1 and (1, 0) in level1 and (-1, -1) in level1
     assert (-1, 0) not in level1
@@ -120,7 +120,7 @@ def test_mu_matches_ehrhart_point_count():
     # n!*vol equals the leading coefficient of the lattice-point counting
     # polynomial of the dilates, an algorithm with no shared volume code
     for expr, n, mu in CORPUS:
-        p = pipeline(expr)["polytope"]
+        p = pipeline(expr).polytope
         counts = [_point_count(p, k) for k in range(n + 2)]
         lead = _fit_leading_coeff(counts, n)
         assert factorial(n) * lead == mu, expr
@@ -134,7 +134,7 @@ def test_volume_invariant_under_coordinate_swap():
 
 
 def test_json_shape():
-    p = pipeline("u1 + u1^-1")["polytope"]
+    p = pipeline("u1 + u1^-1").polytope
     obj = p.to_json_obj()
     assert obj["vars"] == 1 and obj["convenient"] is True
     assert sorted(map(tuple, obj["vertices"])) == [(-1,), (1,)]
