@@ -6,6 +6,17 @@ canonical coordinates over Q[theta] on the adapted monomial basis.  The
 operator t acts as multiplication by f on theta-degree zero and extends by
 t(theta^k x) = k theta^(k+1) x + theta^k t(x); on coordinate vectors this is
 t(v) = theta^2 v' + B(theta) v for the pencil B computed once per lattice.
+
+Reduction feeds plain dicts, exponent -> Fraction, to the division kernel
+of `jacobian` one theta power at a time, lowest first: the representatives
+land in the coordinates and the kernel's deta moves up one theta power.
+The pencil reduces f * u^m for every basis monomial m that way and fills
+B_0, ..., B_k from the nonzero coordinates only, checking the theta-degree
+bound and the order bound on them as explicit tests.
+
+The spectrum polynomial SP(S) = prod (S + alpha_i) is computed over the
+integers, as prod (d S + r_i) over the scaled degrees r_i = d alpha_i, and
+divided once by d^mu.
 """
 
 from __future__ import annotations
@@ -14,9 +25,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneracySuspectedError
-from .jacobian import JacobianAlgebra, divide
+from .jacobian import JacobianAlgebra, _divide_terms
 from .laurent import LaurentPolynomial
-from .linalg import pol_add, pol_deriv, pol_mul, pol_scale, pol_shift, pol_sub, pol_trim
+from .linalg import (
+    _axpy,
+    pol_add,
+    pol_deriv,
+    pol_mul,
+    pol_scale,
+    pol_shift,
+    pol_sub,
+    pol_trim,
+)
 
 
 @dataclass(frozen=True)
@@ -104,34 +124,33 @@ class BrieskornLattice:
         """Reduce a form given as {theta power: Laurent polynomial} to coordinates."""
         if isinstance(forms, LaurentPolynomial):
             forms = {0: forms}
-        pending = {}
-        for k, g in forms.items():
-            if not g.is_zero():
-                pending[k] = pending.get(k, LaurentPolynomial.zero(self.algebra.n)) + g
-        cap = (max(pending) if pending else 0) + self.algebra.n + 2
-        coords = [{} for _ in range(self.mu)]
-        while pending:
-            k = min(pending)
-            g = pending.pop(k)
-            if g.is_zero():
-                continue
-            w = divide(self.algebra, g)
-            for e, c in w.a.items():
-                slot = coords[self._index[e]]
-                slot[k] = slot.get(k, Fraction(0)) + c
-            if not w.deta.is_zero():
-                assert k + 1 <= cap, "theta degree cap exceeded during reduction"
-                pending[k + 1] = (
-                    pending.get(k + 1, LaurentPolynomial.zero(self.algebra.n)) + w.deta
-                )
         out = []
-        for slot in coords:
+        for slot in self._reduce_terms({k: g.terms for k, g in forms.items()}):
             if slot:
                 top = max(slot)
                 out.append(tuple(slot.get(i, Fraction(0)) for i in range(top + 1)))
             else:
                 out.append(())
         return BrieskornElement(tuple(out))
+
+    def _reduce_terms(self, forms):
+        """{theta power: {exponent: Fraction}} -> one {theta power: c} per slot."""
+        # copies: deta is added in place, and the callers' term dicts stay as they are
+        pending = {k: dict(t) for k, t in forms.items() if t}
+        cap = (max(pending) if pending else 0) + self.algebra.n + 2
+        coords = [{} for _ in range(self.mu)]
+        while pending:
+            k = min(pending)
+            a, _, deta = _divide_terms(self.algebra, pending.pop(k), self._index)
+            for e, c in a.items():
+                coords[self._index[e]][k] = c
+            if deta:
+                if k + 1 > cap:
+                    raise DegeneracySuspectedError(
+                        "reduction exceeded theta degree %d" % cap
+                    )
+                _axpy(pending.setdefault(k + 1, {}), 1, deta)
+        return coords
 
     def newton_order(self, elem: BrieskornElement):
         """max over components of (theta degree + basis degree); None for zero."""
@@ -147,14 +166,15 @@ class BrieskornLattice:
     def pencil(self) -> ConnectionPencil:
         if self._pencil is None:
             mu = self.mu
-            columns = []
-            for j, m in enumerate(self.basis.monomials):
-                g = self.algebra.f * LaurentPolynomial.monomial(m)
-                columns.append(self.reduce(g).coords)
-            top = 0
-            for col in columns:
-                for comp in col:
-                    top = max(top, len(comp) - 1)
+            f = self.algebra.f.terms
+            degrees = self.basis.degrees
+            columns = [
+                self._reduce_terms(
+                    {0: {tuple(x + y for x, y in zip(e, m)): c for e, c in f.items()}}
+                )
+                for m in self.basis.monomials
+            ]
+            top = max((k for col in columns for slot in col for k in slot), default=0)
             if top > self.algebra.n:
                 raise DegeneracySuspectedError(
                     "connection pencil has theta-degree %d > %d" % (top, self.algebra.n)
@@ -163,19 +183,16 @@ class BrieskornLattice:
                 [[Fraction(0)] * mu for _ in range(mu)] for _ in range(top + 1)
             ]
             for j, col in enumerate(columns):
-                for i, comp in enumerate(col):
-                    for k, c in enumerate(comp):
-                        if c:
-                            mats[k][i][j] = c
-            # order bound: t raises the Newton order by at most one
-            for k, mat in enumerate(mats):
-                for i in range(mu):
-                    for j in range(mu):
-                        if mat[i][j]:
-                            assert (
-                                self.basis.degrees[i] + k <= self.basis.degrees[j] + 1
-                            ), "entry (%d,%d) of B_%d violates the order bound" % (i, j, k)
-            self._pencil = ConnectionPencil(mats, self.basis.degrees)
+                for i, slot in enumerate(col):
+                    for k, c in slot.items():
+                        # order bound: t raises the Newton order by at most one
+                        if degrees[i] + k > degrees[j] + 1:
+                            raise DegeneracySuspectedError(
+                                "entry (%d,%d) of B_%d violates the order bound"
+                                % (i, j, k)
+                            )
+                        mats[k][i][j] = c
+            self._pencil = ConnectionPencil(mats, degrees)
         return self._pencil
 
     def facet_derivation(self, g: LaurentPolynomial, facet_index: int):
@@ -223,6 +240,23 @@ class SpectrumData:
         }
 
 
+def _spectrum_polynomial(scaled_degrees, d):
+    """prod (S + r/d) over the scaled degrees r, ascending Fractions.
+
+    The product prod (d S + r) runs on Python ints and is divided once by
+    d^mu.
+    """
+    poly = [1]
+    for r in scaled_degrees:
+        out = [r * c for c in poly]
+        out.append(0)
+        for i, c in enumerate(poly):
+            out[i + 1] += d * c
+        poly = out
+    den = d ** len(scaled_degrees)
+    return tuple(Fraction(c, den) for c in poly)
+
+
 def spectrum(algebra: JacobianAlgebra) -> SpectrumData:
     """Spectrum multiset from the adapted basis degrees, with sanity checks."""
     basis = algebra.basis()
@@ -242,10 +276,7 @@ def spectrum(algebra: JacobianAlgebra) -> SpectrumData:
                 "spectrum is not symmetric: nu(%s) = %d but nu(%s) = %d"
                 % (a, m, n - a, counts.get(n - a, 0))
             )
-    poly = [Fraction(1)]
-    for a, m in pairs:
-        for _ in range(m):
-            poly = pol_mul(poly, [a, Fraction(1)])
+    poly = _spectrum_polynomial(basis.scaled_degrees, algebra.d)
     factors = []
     for a, m in pairs:
         if a == 0:
@@ -257,7 +288,7 @@ def spectrum(algebra: JacobianAlgebra) -> SpectrumData:
     lhs = sum(((a - half) ** 2 * m for a, m in pairs), Fraction(0)) / mu
     return SpectrumData(
         pairs=pairs,
-        poly=tuple(poly),
+        poly=poly,
         factored="*".join(factors),
         variance_lhs=lhs,
         variance_rhs=Fraction(n, 12),

@@ -7,15 +7,18 @@ gates from the pipeline's report, as `analyze` does, and runs its property
 suites on the same polytope, algebra, lattice and pencil.
 
 Exit codes: 0 success; 1 when `check` finds a failed property; 2 invalid
-input (parse error, not convenient, degenerate), a failed structural check
-of the graded model, or a failed re-check of the Birkhoff or Frobenius data;
-3 Birkhoff obstruction (birkhoff/frobenius commands only).
+input (parse error, not convenient, degenerate), a failed bound of the
+connection pencil, a failed structural check of the graded model, or a
+failed re-check of the Birkhoff or Frobenius data; 3 Birkhoff obstruction
+(birkhoff/frobenius commands only).  The argument parser is built on the
+first call of `main` and reused by later calls in the same process.
 Identical inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -33,7 +36,9 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="newton-spectra",
         description="Newton-polytope spectra and Frobenius initial data "
@@ -287,7 +292,7 @@ def _run_check(args):
     report, _ = pipe.report()
     error = report["error"] or {"stage": None}
     stage = error["stage"]
-    if stage in ("polytope", "nondegeneracy", "basis"):
+    if stage in ("polytope", "nondegeneracy", "basis", "pencil"):
         print("error: %s" % error["message"], file=sys.stderr)
         return 2
 

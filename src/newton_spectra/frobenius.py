@@ -77,7 +77,6 @@ class FrobeniusInitialData:
     exponents: tuple          # alpha(k) per basis vector
     c: tuple                  # coefficients of [f om] in G0/theta G0
     charge: Fraction          # the homogeneity constant D
-    euler_terms: tuple        # ((linear coeff, constant) per k)
     euler_text: str
     normalized: bool          # False when no Birkhoff solution was available
 
@@ -150,7 +149,6 @@ def euler_field(algebra, pencil, solution, spectrum_data):
         exponents=tuple(degrees),
         c=c,
         charge=Fraction(charge),
-        euler_terms=terms,
         euler_text=text,
         normalized=solution is not None,
     )
@@ -165,7 +163,8 @@ _SECTIONS = ("polytope", "nondegeneracy", "mu", "basis", "spectrum", "pencil",
 # the exception each gate turns into the report's `error` section; a stage
 # missing here has no gate, so whatever it raises propagates
 _GATES = {"polytope": ValueError, "nondegeneracy": DegenerateError,
-          "basis": DegeneracySuspectedError, "birkhoff": VerificationError,
+          "basis": DegeneracySuspectedError, "pencil": DegeneracySuspectedError,
+          "birkhoff": VerificationError,
           "graded_model": GradedModelError, "frobenius": VerificationError}
 
 
@@ -291,6 +290,7 @@ class Pipeline:
             report["basis"] = basis
             stage = None
             report["spectrum"] = self.spectrum.to_json_obj()
+            stage = "pencil"
             report["pencil"] = self.pencil.to_json_obj()
             stage = "birkhoff"
             outcome = self.birkhoff
@@ -313,9 +313,10 @@ def analyze(f, var_names, *, seed=0):
     """Run the full chain; returns (report dict, status).
 
     status is "ok", "invalid" (gate failure: not convenient / degenerate, a
-    failed structural check of the graded model, or a failed re-check of the
-    Birkhoff or Frobenius data), or "obstruction" (pencil could not be
-    normalized; partial report).  Sections after a failed gate are null.
+    failed bound of the connection pencil, a failed structural check of the
+    graded model, or a failed re-check of the Birkhoff or Frobenius data),
+    or "obstruction" (pencil could not be normalized; partial report).
+    Sections after a failed gate are null.
     The seed is only recorded in the input section.
     """
     return Pipeline(f, var_names, seed).report()

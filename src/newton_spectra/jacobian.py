@@ -1,23 +1,33 @@
 """Graded Jacobian-type quotient of a convenient nondegenerate polynomial.
 
 Everything is organized by the scaled Newton degree r = scale * phi, an
-integer.  For each level r the multiples u^m * lead(xi_i(f)) of the leading
-forms of the n logarithmic derivatives, with m at level r - scale, span a
-subspace of the level-r monomials.  Each level caches one `linalg.Echelon` of
-that span: columns are the positions of the level's monomials in graded-lex
+integer.  One enumeration of the lattice points fills a level table,
+exponent -> scaled level, and the sorted monomial list of every level; an
+exponent outside the table has its level computed from the facet forms.
+For each level r the multiples u^m * lead(xi_i(f)) of the leading forms of
+the n logarithmic derivatives, with m at level r - scale, span a subspace
+of the level-r monomials.  Each level caches one `linalg.Echelon` of that
+span: columns are the positions of the level's monomials in graded-lex
 order, rows go in in (i, m) order and carry the label (i, m) as provenance.
-Non-pivot monomials are the canonical graded representatives; collecting them
-for r = 0 .. n*scale gives the adapted basis, and reducing against the
+Non-pivot monomials are the canonical graded representatives; collecting
+them for r = 0 .. n*scale gives the adapted basis, and reducing against the
 echelon gives division with certified cofactors read off the provenance.
 The levels n*scale + 1 .. (n+1)*scale are the window that
 `nondegeneracy.is_nondegenerate` reads: all of them are empty exactly when f
 is nondegenerate.
 
-Division descends level by level: the top graded slice of the residual is
-rewritten as representatives + leading-form multiples, the full (not just
-leading) products are subtracted, and the top level strictly drops.  For a
-nondegenerate input nothing survives above level n*scale; a violation raises
-DegeneracySuspectedError since it contradicts the dimension theory.
+Division runs on plain dicts, exponent -> Fraction (`_divide_terms`, shared
+by `divide` and the Brieskorn lattice).  The terms are bucketed by level and
+the levels are taken top down: the level-r slice is reduced against the
+level-r echelon into representatives + leading-form multiples, and each
+full product u^m * xi_i(f) is subtracted term by term into the buckets.
+The gauge is subadditive and the non-leading terms of xi_i(f) lie below
+level scale, so a product never lands above level r and its level-r part is
+the echelon row; the slice, together with any product term at level r or
+above, is checked to cancel exactly, so the top level strictly drops.  For a nondegenerate input nothing survives above level
+n*scale; a violation raises DegeneracySuspectedError since it contradicts
+the dimension theory.  `LaurentPolynomial`s are built only for the
+`DivisionWitness` that `divide` returns.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ class JacobianAlgebra:
             )
         self._levels = {}          # scaled level -> sorted monomial list
         self._index = {}           # scaled level -> monomial -> echelon column
+        self._level_of = {}        # enumerated monomial -> scaled level
         self._level_max = -1
         self._solvers = {}
         self._basis = None
@@ -90,14 +101,21 @@ class JacobianAlgebra:
         r = max(r, (self.n + 1) * self.d)
         pts = self.polytope.enumerate_sublevel(Fraction(r, self.d))
         levels = {}
+        level_of = self._level_of
         for e in pts:
-            levels.setdefault(self.polytope.scaled_phi_exp(e), []).append(e)
+            level_of[e] = k = self.polytope.scaled_phi_exp(e)
+            levels.setdefault(k, []).append(e)
         for k in range(r + 1):
             lst = levels.get(k, [])
             lst.sort(key=term_key)
             self._levels[k] = lst
             self._index[k] = {e: j for j, e in enumerate(lst)}
         self._level_max = r
+
+    def level(self, exp) -> int:
+        """Scaled level of an exponent tuple: the table, else the facet forms."""
+        k = self._level_of.get(exp)
+        return self.polytope.scaled_phi_exp(exp) if k is None else k
 
     def level_monomials(self, r: int):
         if r < 0:
@@ -197,66 +215,98 @@ class DivisionWitness:
         return deta == self.deta
 
 
-def divide(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:
-    """Express g over the adapted representatives modulo the log-derivative ideal."""
-    if g.arity != algebra.n:
-        raise ValueError("arity mismatch")
-    basis = algebra.basis()
-    rep_set = set(basis.monomials)
+def _divide_terms(algebra: JacobianAlgebra, terms: dict, reps):
+    """Division of {exponent: Fraction} by the log-derivative ideal.
+
+    reps holds the basis monomials (any container with `in`).  Returns
+    (a, cofactors, deta): a maps basis monomials to their coefficients, the
+    cofactors are one dict exponent -> Fraction per variable, and deta is
+    sum_i u_i d/du_i of cofactor i, with zero coefficients dropped.
+    """
     top_level = algebra.n * algebra.d
+    level = algebra.level
+    buckets = {}                # scaled level -> {exponent: Fraction}
+    for e, c in terms.items():
+        if c:
+            buckets.setdefault(level(e), {})[e] = c
     a = {}
-    cof = [LaurentPolynomial.zero(algebra.n) for _ in range(algebra.n)]
-    resid = g
-    guard = 0
-    start = algebra.polytope.scaled_phi(g) or 0
-    while not resid.is_zero():
-        r = algebra.polytope.scaled_phi(resid)
+    cof = [{} for _ in range(algebra.n)]
+    start = max(buckets, default=0)
+    rounds = 0
+    while buckets:
+        r = max(buckets)
+        slice_ = buckets.pop(r)
+        if not slice_:
+            continue
         ech = algebra.solver(r)
         index = algebra._index[r]
-        vec = {}
-        for e, c in resid.terms.items():
-            if algebra.polytope.scaled_phi_exp(e) == r:
-                vec[index[e]] = c
-        rest, combo = ech.reduce(vec)
+        rest, combo = ech.reduce({index[e]: c for e, c in slice_.items()})
         if rest and r > top_level:
             raise DegeneracySuspectedError(
                 "graded representative appears above the top level (scaled %d > %d)"
                 % (r, top_level)
             )
-        delta = LaurentPolynomial.zero(algebra.n)
-        for (i, m), c in sorted(combo.items()):
-            mono = LaurentPolynomial.monomial(m, c)
-            cof[i] = cof[i] + mono
-            delta = delta + mono * algebra.log_derivs[i]
         columns = algebra.level_monomials(r)
         for j, c in rest.items():
             e = columns[j]
-            if e not in rep_set:
+            if e not in reps:
                 raise DegeneracySuspectedError(
                     "residual monomial %s at scaled level %d is not a basis "
                     "representative" % (e, r)
                 )
-            a[e] = a.get(e, Fraction(0)) + c
-            delta = delta + LaurentPolynomial.monomial(e, c)
-        resid = resid - delta
-        nr = algebra.polytope.scaled_phi(resid)
-        if nr is not None and nr >= r:
+            a[e] = c
+            _add_term(slice_, e, -c)
+        # each level comes up once, so a representative or a label (i, m)
+        # gets its coefficient in one round only
+        for (i, m), c in combo.items():
+            cof[i][m] = c
+            for k, b in algebra.log_derivs[i].terms.items():
+                e = tuple(x + y for x, y in zip(m, k))
+                s = level(e)
+                _add_term(slice_ if s >= r else buckets.setdefault(s, {}), e, -c * b)
+        # what is left at level r or above did not cancel
+        if slice_:
             raise DegeneracySuspectedError(
                 "division failed to lower the scaled level %d" % r
             )
-        guard += 1
+        rounds += 1
         # the scaled level strictly drops each round, so the start level
         # bounds the iteration count
-        if guard > start + 1:
+        if rounds > start + 1:
             raise DegeneracySuspectedError(
                 "division took more than %d rounds from scaled level %d"
                 % (start + 1, start)
             )
-    a = {e: c for e, c in a.items() if c}
-    deta = LaurentPolynomial.zero(algebra.n)
+    deta = {}
     for i, gi in enumerate(cof):
-        deta = deta + gi.log_derivative(i)
-    return DivisionWitness(g=g, a=a, cofactors=cof, deta=deta)
+        for m, c in gi.items():
+            if m[i]:
+                _add_term(deta, m, c * m[i])
+    return a, cof, deta
+
+
+def _add_term(terms, e, c):
+    """terms[e] += c, dropping the entry when it cancels."""
+    s = terms.get(e)
+    s = c if s is None else s + c
+    if s:
+        terms[e] = s
+    else:
+        del terms[e]
+
+
+def divide(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:
+    """Express g over the adapted representatives modulo the log-derivative ideal."""
+    if g.arity != algebra.n:
+        raise ValueError("arity mismatch")
+    a, cof, deta = _divide_terms(algebra, g.terms, set(algebra.basis().monomials))
+    n = algebra.n
+    return DivisionWitness(
+        g=g,
+        a=a,
+        cofactors=[LaurentPolynomial(n, gi) for gi in cof],
+        deta=LaurentPolynomial(n, deta),
+    )
 
 
 def divide_exact(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:

@@ -20,13 +20,25 @@ gauge rows take their unknowns from dense_pattern_slots, the triple loop
 over every (k, i, j) that the package replaced by a bisection.
 planar_nondegenerate decides nondegeneracy
 in two variables from its own convex hull and polynomial gcd, independently
-of the package's certificate.
+of the package's certificate.  reference_divide and reference_reduce are the
+division and lattice reduction the package ran on `LaurentPolynomial`
+arithmetic before it moved both onto one dict kernel, kept as references
+for that kernel, and reference_spectrum_polynomial is the `pol_mul` product
+of SP(S) over Fractions that the integer product replaced.
 """
 
 from fractions import Fraction
 from math import floor, gcd
 
-from newton_spectra import Pipeline, parse_laurent
+from newton_spectra import (
+    BrieskornElement,
+    DegeneracySuspectedError,
+    LaurentPolynomial,
+    Pipeline,
+    parse_laurent,
+)
+from newton_spectra.jacobian import DivisionWitness
+from newton_spectra.linalg import pol_mul
 
 # (expression, arity, milnor number)
 CORPUS = [
@@ -47,6 +59,16 @@ DEGENERATE = "u1^2 - 2*u1*u2 + u2^2 + u1^-1*u2^-1"
 # (1+u1)(1+u2)*u3 on the square facet: every edge squarefree, the 2-face
 # system vanishes at u1 = u2 = -1
 SQUARE_FACET = "u3 + u1*u3 + u2*u3 + u1*u2*u3 + u1^-1*u2^-1*u3^-1 + u3^-1"
+
+# inputs of the benchmark ladder outside the corpus, mu 16 to 240
+LADDER = (
+    "u1^4 + u2^4 + u1^-1*u2^-1",
+    "u1^5 + u2^3 + u1^-1*u2^-1",
+    "u1^10 + u1^-10",
+    "u1^7 + u2^7 + u1^-2*u2^-3",
+    "u1^3 + u2^3 + u3^3 + u1^-1*u2^-1*u3^-1",
+    "u1^12 + u2^12 + u1^-3*u2^-5",
+)
 
 _CACHE = {}
 
@@ -302,3 +324,110 @@ def dense_build_linear_system(pencil, ainf, include_m1=True):
                     rhs.append(-const)
                     labels.append((m, i, j))
     return slots, rows, rhs, labels
+
+
+# ---------------------------------------------------------------------------
+# LaurentPolynomial references for the dict division kernel and SP(S)
+
+
+def reference_divide(algebra, g):
+    """Division round by round on LaurentPolynomial arithmetic."""
+    if g.arity != algebra.n:
+        raise ValueError("arity mismatch")
+    basis = algebra.basis()
+    rep_set = set(basis.monomials)
+    top_level = algebra.n * algebra.d
+    a = {}
+    cof = [LaurentPolynomial.zero(algebra.n) for _ in range(algebra.n)]
+    resid = g
+    guard = 0
+    start = algebra.polytope.scaled_phi(g) or 0
+    while not resid.is_zero():
+        r = algebra.polytope.scaled_phi(resid)
+        ech = algebra.solver(r)
+        index = algebra._index[r]
+        vec = {}
+        for e, c in resid.terms.items():
+            if algebra.polytope.scaled_phi_exp(e) == r:
+                vec[index[e]] = c
+        rest, combo = ech.reduce(vec)
+        if rest and r > top_level:
+            raise DegeneracySuspectedError(
+                "graded representative appears above the top level (scaled %d > %d)"
+                % (r, top_level)
+            )
+        delta = LaurentPolynomial.zero(algebra.n)
+        for (i, m), c in sorted(combo.items()):
+            mono = LaurentPolynomial.monomial(m, c)
+            cof[i] = cof[i] + mono
+            delta = delta + mono * algebra.log_derivs[i]
+        columns = algebra.level_monomials(r)
+        for j, c in rest.items():
+            e = columns[j]
+            if e not in rep_set:
+                raise DegeneracySuspectedError(
+                    "residual monomial %s at scaled level %d is not a basis "
+                    "representative" % (e, r)
+                )
+            a[e] = a.get(e, Fraction(0)) + c
+            delta = delta + LaurentPolynomial.monomial(e, c)
+        resid = resid - delta
+        nr = algebra.polytope.scaled_phi(resid)
+        if nr is not None and nr >= r:
+            raise DegeneracySuspectedError(
+                "division failed to lower the scaled level %d" % r
+            )
+        guard += 1
+        if guard > start + 1:
+            raise DegeneracySuspectedError(
+                "division took more than %d rounds from scaled level %d"
+                % (start + 1, start)
+            )
+    a = {e: c for e, c in a.items() if c}
+    deta = LaurentPolynomial.zero(algebra.n)
+    for i, gi in enumerate(cof):
+        deta = deta + gi.log_derivative(i)
+    return DivisionWitness(g=g, a=a, cofactors=cof, deta=deta)
+
+
+def reference_reduce(lattice, forms):
+    """Lattice reduction of {theta power: LaurentPolynomial} on reference_divide."""
+    if isinstance(forms, LaurentPolynomial):
+        forms = {0: forms}
+    n = lattice.algebra.n
+    index = {m: i for i, m in enumerate(lattice.basis.monomials)}
+    pending = {}
+    for k, g in forms.items():
+        if not g.is_zero():
+            pending[k] = pending.get(k, LaurentPolynomial.zero(n)) + g
+    cap = (max(pending) if pending else 0) + n + 2
+    coords = [{} for _ in range(lattice.mu)]
+    while pending:
+        k = min(pending)
+        g = pending.pop(k)
+        if g.is_zero():
+            continue
+        w = reference_divide(lattice.algebra, g)
+        for e, c in w.a.items():
+            slot = coords[index[e]]
+            slot[k] = slot.get(k, Fraction(0)) + c
+        if not w.deta.is_zero():
+            if k + 1 > cap:
+                raise DegeneracySuspectedError("theta degree cap exceeded")
+            pending[k + 1] = pending.get(k + 1, LaurentPolynomial.zero(n)) + w.deta
+    out = []
+    for slot in coords:
+        if slot:
+            top = max(slot)
+            out.append(tuple(slot.get(i, Fraction(0)) for i in range(top + 1)))
+        else:
+            out.append(())
+    return BrieskornElement(tuple(out))
+
+
+def reference_spectrum_polynomial(degrees):
+    """prod (S + alpha) over Fraction degrees, one pol_mul per factor."""
+    poly = [Fraction(1)]
+    for a in degrees:
+        poly = pol_mul(poly, [a, Fraction(1)])
+    return tuple(poly)

@@ -17,7 +17,7 @@ import sys
 import warnings
 from fractions import Fraction as F
 
-from conftest import CORPUS, pipeline
+from conftest import CORPUS, LADDER, pipeline
 from test_jacobian import _bruteforce_quotient_dim
 
 from newton_spectra import (
@@ -354,28 +354,48 @@ def test_report_bytes_unchanged_under_python_O():
 
 
 # 12. ladder regression outside the benchmark oracle: the sha256 of the
-#     `birkhoff` section (json.dumps(section, indent=2), as in
-#     perfbench/oracle.json).  The first three were taken from the
-#     implementation that computed F'^k from dense window matrices, the
-#     mu = 84 and mu = 54 inputs from the one that built dense gauge rows and
-#     residuals (each took about 3 s there and takes under 1 s now, so an
-#     input that turns slow again shows in the suite's time), and the
-#     mu = 240 input from the one that rebuilt an echelon of F'^k for every
-#     k (about 1.5 s now); all six end with every flag true
+#     `birkhoff`, `spectrum` and `pencil` sections (json.dumps(section,
+#     indent=2), as in perfbench/oracle.json).  The first three `birkhoff`
+#     digests were taken from the implementation that computed F'^k from
+#     dense window matrices, the mu = 84 and mu = 54 ones from the one that
+#     built dense gauge rows and residuals (each took about 3 s there and
+#     takes under 1 s now, so an input that turns slow again shows in the
+#     suite's time), and the mu = 240 one from the one that rebuilt an
+#     echelon of F'^k for every k; the `spectrum` and `pencil` digests from
+#     the one that divided on LaurentPolynomial arithmetic and multiplied
+#     SP(S) out over Fractions; all six end with every flag true
 
-LADDER_BIRKHOFF_SHA256 = {
-    "u1^4 + u2^4 + u1^-1*u2^-1":
-        "0a47673d75cc494490ee7503a69bb7f341e9a6e3f592467586450cab79972d70",
-    "u1^5 + u2^3 + u1^-1*u2^-1":
-        "5f5da45a3d810cc06b7bf97c25a8e0afe0c53434163b8601ae3f25ee0106957d",
-    "u1^10 + u1^-10":
-        "67d7c43ef45b3bec3afd086095ea4b37219715ba5fd03020687f8722814e7ccc",
-    "u1^7 + u2^7 + u1^-2*u2^-3":
-        "068c2216846da18d9c85573c8f07e07d5d5a2d2f01ca4142f81bce72860ab022",
-    "u1^3 + u2^3 + u3^3 + u1^-1*u2^-1*u3^-1":
-        "79047d58154810d8bea868243ac081d423c7d4fb2a51350113f92061eac89aea",
-    "u1^12 + u2^12 + u1^-3*u2^-5":
-        "cd0d95e9a1e1bddd3d140978fdc99caf6be3d06da50757f825010631fa98b483",
+LADDER_SECTION_SHA256 = {
+    "u1^4 + u2^4 + u1^-1*u2^-1": {
+        "birkhoff": "0a47673d75cc494490ee7503a69bb7f341e9a6e3f592467586450cab79972d70",
+        "spectrum": "d837b5862b9ed3f89c8a6dd0c6bd30c3b5f01d29ede84ae8b6cd61932feb4c43",
+        "pencil": "36d0befde40c42894e334738deb87d1dfcac008e0d4c21656f0273f8fc251e47",
+    },
+    "u1^5 + u2^3 + u1^-1*u2^-1": {
+        "birkhoff": "5f5da45a3d810cc06b7bf97c25a8e0afe0c53434163b8601ae3f25ee0106957d",
+        "spectrum": "39702b93b4954d7a87271595cd6009aa5741c2c9c8e805a317d7fafc71b15906",
+        "pencil": "75ba27d9012d49573cdca476aa31bb67067989eee103e7be7a4e05838ea7c20d",
+    },
+    "u1^10 + u1^-10": {
+        "birkhoff": "67d7c43ef45b3bec3afd086095ea4b37219715ba5fd03020687f8722814e7ccc",
+        "spectrum": "a1bc4c5910a92741e7526533fe62bd19ba0a2f8a38189b7f787b4fd01ea4f51f",
+        "pencil": "6a7d235435ed8753a3f5de54ce9c61973e1ee18f8aa845d45c46deb1e13cbc76",
+    },
+    "u1^7 + u2^7 + u1^-2*u2^-3": {
+        "birkhoff": "068c2216846da18d9c85573c8f07e07d5d5a2d2f01ca4142f81bce72860ab022",
+        "spectrum": "c11a990daf73f919c6c56723ef6e82669d0ab7211f0070831d764f9a301d4c31",
+        "pencil": "623ee532daf241e0f47a7e2e2e61d1158010ec1c9fea1a9d4971ac9d32b3ce33",
+    },
+    "u1^3 + u2^3 + u3^3 + u1^-1*u2^-1*u3^-1": {
+        "birkhoff": "79047d58154810d8bea868243ac081d423c7d4fb2a51350113f92061eac89aea",
+        "spectrum": "4e18ecd39dde92c4b7f6069a75fcc31b377b2812d46cfcc47738addf94a88c95",
+        "pencil": "ca9baee0470eb1577721a7d619233d2d65618e90b8880df93ece5f3a29614a44",
+    },
+    "u1^12 + u2^12 + u1^-3*u2^-5": {
+        "birkhoff": "cd0d95e9a1e1bddd3d140978fdc99caf6be3d06da50757f825010631fa98b483",
+        "spectrum": "d3a58c258f5927deb172ebbe9401c544a2792c28304723b8e70099e6bd8a8425",
+        "pencil": "06beede0a15ba1e51d1019928297aa629e261d34ded1ef4585c22594ac61ae3c",
+    },
 }
 
 
@@ -395,12 +415,14 @@ CHECK_STDOUT_SHA256 = {
 
 
 def test_ladder_birkhoff_sections_unchanged(capsys):
-    for expr, digest in LADDER_BIRKHOFF_SHA256.items():
+    assert tuple(LADDER_SECTION_SHA256) == LADDER
+    for expr, digests in LADDER_SECTION_SHA256.items():
         assert main(["analyze", "--json", expr, "--seed", "0"]) == 0, expr
-        section = json.loads(capsys.readouterr().out)["birkhoff"]
-        got = hashlib.sha256(json.dumps(section, indent=2).encode()).hexdigest()
-        assert got == digest, expr
-        assert all(section["flags"].values()), expr
+        report = json.loads(capsys.readouterr().out)
+        got = {key: hashlib.sha256(json.dumps(report[key], indent=2).encode()).hexdigest()
+               for key in digests}
+        assert got == digests, expr
+        assert all(report["birkhoff"]["flags"].values()), expr
 
 
 def test_check_stdout_unchanged(capsys):

@@ -8,8 +8,25 @@ B0 = [[0,2],[2,0]], B1 = diag(0,1).
 import random
 from fractions import Fraction as F
 
-from conftest import CORPUS, pipeline
-from newton_spectra import BrieskornElement, LaurentPolynomial
+import pytest
+
+from conftest import (
+    CORPUS,
+    LADDER,
+    pipeline,
+    reference_reduce,
+    reference_spectrum_polynomial,
+)
+from newton_spectra import (
+    BrieskornElement,
+    DegeneracySuspectedError,
+    LaurentPolynomial,
+    Pipeline,
+    parse_laurent,
+)
+from newton_spectra import brieskorn as brieskorn_mod
+from newton_spectra.brieskorn import _spectrum_polynomial
+from newton_spectra.cli import main
 
 
 def test_pencil_one_variable_hand_values():
@@ -71,6 +88,70 @@ def test_pencil_structure_on_corpus():
                 for i in range(mu):
                     if mat[j][i]:
                         assert k + degs[j] <= degs[i] + 1, (expr, k, j, i)
+
+
+@pytest.mark.parametrize("expr", [e for e, _, _ in CORPUS] + list(LADDER))
+def test_pencil_matches_the_laurent_reference(expr):
+    data = pipeline(expr)
+    pen = data.pencil
+    for j, m in enumerate(data.lattice.basis.monomials):
+        col = reference_reduce(data.lattice, data.f * LaurentPolynomial.monomial(m))
+        for i, comp in enumerate(col.coords):
+            entry = [mat[i][j] for mat in pen.matrices]
+            assert entry[len(comp):] == [0] * (len(entry) - len(comp)), (expr, i, j)
+            assert tuple(entry[:len(comp)]) == comp, (expr, i, j)
+
+
+def test_reduce_matches_the_laurent_reference():
+    rng = random.Random(29)
+    for expr, n, _ in CORPUS:
+        data = pipeline(expr)
+        pts = data.polytope.enumerate_sublevel(n + 1)
+        for _ in range(15):
+            forms = {}
+            for k in rng.sample(range(3), rng.randrange(1, 3)):
+                terms = {pts[rng.randrange(len(pts))]: F(rng.randrange(-4, 5))
+                         for _ in range(rng.randrange(1, 5))}
+                forms[k] = LaurentPolynomial(n, terms)
+            assert data.lattice.reduce(forms) == reference_reduce(data.lattice, forms), \
+                (expr, forms)
+
+
+def _fresh(expr):
+    return Pipeline(*parse_laurent(expr))
+
+
+def test_pencil_bounds_are_explicit_checks(monkeypatch, capsys):
+    # explicit raises, not asserts, so they hold under python -O; `analyze`
+    # reports them at the `pencil` stage with exit 2, `check` exits 2
+    kernel = brieskorn_mod._divide_terms
+    expr = "u1 + u2 + u1^-1*u2^-1"          # degrees 0, 1, 2
+
+    def off_bound(algebra, terms, reps):
+        # u1^2 (degree 2) in every column: entry (2, 0) of B_0 breaks the bound
+        a, cof, deta = kernel(algebra, terms, reps)
+        a[(2, 0)] = a.get((2, 0), 0) + 1
+        return a, cof, deta
+
+    def endless(algebra, terms, reps):
+        a, cof, _ = kernel(algebra, terms, reps)
+        return a, cof, {(0, 0): F(1)}
+
+    for fake, message in ((off_bound, "entry (2,0) of B_0 violates the order bound"),
+                          (endless, "reduction exceeded theta degree 4")):
+        monkeypatch.setattr(brieskorn_mod, "_divide_terms", fake)
+        with pytest.raises(DegeneracySuspectedError) as exc:
+            _fresh(expr).pencil
+        assert str(exc.value) == message
+        report, status = _fresh(expr).report()
+        assert status == "invalid"
+        assert report["error"] == {"stage": "pencil", "type": "DegeneracySuspectedError",
+                                   "message": message}
+        assert report["spectrum"] is not None and report["pencil"] is None
+        assert main(["analyze", expr]) == 2
+        assert capsys.readouterr().out == "error (pencil): %s\n" % message
+        assert main(["check", expr]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_reduce_and_newton_order():
@@ -144,6 +225,19 @@ def test_spectrum_polynomial_consistency():
         assert sp.poly[-1] == 1
         assert sp.poly[0] == 0 and sp.poly[1] != 0
         assert sum(nu for _, nu in sp.pairs) == mu
+
+
+def test_integer_spectrum_polynomial_matches_pol_mul():
+    rng = random.Random(41)
+    for _ in range(200):
+        d = rng.randint(1, 12)
+        scaled = sorted(rng.randint(0, 3 * d) for _ in range(rng.randint(1, 30)))
+        assert _spectrum_polynomial(scaled, d) == reference_spectrum_polynomial(
+            [F(r, d) for r in scaled])
+    basis = pipeline("u1^12 + u2^12 + u1^-3*u2^-5").algebra.basis()
+    assert len(basis) == 240
+    assert pipeline("u1^12 + u2^12 + u1^-3*u2^-5").spectrum.poly == \
+        reference_spectrum_polynomial(basis.degrees)
 
 
 def test_element_json_round_trip():

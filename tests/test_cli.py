@@ -13,7 +13,7 @@ from conftest import CORPUS, DEGENERATE
 from newton_spectra import BirkhoffObstruction, GradedModelError
 from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import frobenius as frobenius_mod
-from newton_spectra.cli import main
+from newton_spectra.cli import _build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -35,6 +35,30 @@ def test_spectrum_exact_bytes(capsys):
     assert rc == 0
     assert out == "0: 1\n1: 1\nSP(S) = S*(S+1)\n"
     assert err == ""
+
+
+def test_one_parser_serves_consecutive_calls(capsys):
+    # the parser is built once per process; no flag of one call may leak
+    # into the next, so each call prints what it prints with a fresh parser
+    runs = [
+        ["analyze", "--json", "u1 + u1^-1", "--seed", "7"],
+        ["spectrum", "x + x^-1", "--vars", "x"],
+        ["analyze", "--json", "u1 + u1^-1"],
+        ["spectrum", "u1 + u1^-2", "--json"],
+        ["frobenius", "x + y + x^-1*y^-1", "--vars", "x,y"],
+        ["spectrum", "u1 + u1^-2"],
+        ["check", "u1 + u1^-1", "--seed", "3", "--max-level", "1"],
+        ["mu", "u1 + u1^-1"],
+    ]
+    alone = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        alone.append(run_cli(capsys, argv))
+    assert _build_parser.cache_info().currsize == 1
+    parser = _build_parser()
+    assert [run_cli(capsys, argv) for argv in runs] == alone
+    assert _build_parser() is parser
+    assert '"seed": 7' in alone[0][1] and '"seed": 0' in alone[2][1]
 
 
 def test_mu_values_across_corpus(capsys):

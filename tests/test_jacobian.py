@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, DEGENERATE, dense_rank, pipeline
+from conftest import CORPUS, DEGENERATE, dense_rank, pipeline, reference_divide
 from newton_spectra import (
     AdaptedBasis,
     DegeneracySuspectedError,
@@ -157,6 +157,68 @@ def test_divide_refuses_a_residual_outside_the_basis():
     )
     with pytest.raises(DegeneracySuspectedError):
         divide(algebra, LaurentPolynomial.monomial(full.monomials[1], Fraction(1)))
+
+
+def _random_forms(rng, algebra, count, top):
+    """Seeded forms with 1-5 terms on the lattice points up to phi = top."""
+    pts = algebra.polytope.enumerate_sublevel(top)
+    for _ in range(count):
+        terms = {pts[rng.randrange(len(pts))]:
+                 Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                 for _ in range(rng.randrange(1, 6))}
+        yield LaurentPolynomial(algebra.n, terms)
+
+
+def _same_division(algebra, g):
+    """divide and reference_divide agree: the same witness, or the same error."""
+    try:
+        want = reference_divide(algebra, g)
+    except DegeneracySuspectedError as exc:
+        with pytest.raises(DegeneracySuspectedError) as got:
+            divide(algebra, g)
+        assert str(got.value) == str(exc)
+        return False
+    got = divide(algebra, g)
+    assert (got.g, got.a, got.cofactors, got.deta) == (
+        want.g, want.a, want.cofactors, want.deta)
+    return True
+
+
+def test_dict_kernel_matches_the_laurent_reference():
+    # forms reach past the top level n and past the enumerated window, so the
+    # level table and its facet-form fallback are both read
+    rng = random.Random(5)
+    for expr, n, _ in CORPUS:
+        algebra = pipeline(expr).algebra
+        for g in _random_forms(rng, algebra, 40, n + 3):
+            assert _same_division(algebra, g), (expr, g)
+
+
+def test_dict_kernel_raises_where_the_reference_raises():
+    rng = random.Random(6)
+    # degenerate: a representative survives above the top level
+    f, _ = parse_laurent(DEGENERATE)
+    algebra = JacobianAlgebra(f)
+    outcomes = [_same_division(algebra, g) for g in _random_forms(rng, algebra, 60, 4)]
+    assert outcomes.count(False) >= 10 and outcomes.count(True) >= 10
+    # a residual outside a truncated basis
+    f, _ = parse_laurent("u1 + u2 + u1^-1*u2^-1")
+    algebra = JacobianAlgebra(f)
+    full = algebra.basis()
+    algebra._basis = AdaptedBasis(full.monomials[:2], full.degrees[:2],
+                                  full.scaled_degrees[:2])
+    outcomes = [_same_division(algebra, g) for g in _random_forms(rng, algebra, 30, 3)]
+    assert not all(outcomes)
+    # log derivatives that no longer match the level echelons: the level-r
+    # slice does not cancel
+    algebra = JacobianAlgebra(f)
+    algebra.basis()
+    algebra.log_derivs = [xi * 2 for xi in algebra.log_derivs]
+    for e in ((0, 1), (1, 1), (-1, -1)):
+        g = LaurentPolynomial.monomial(e)
+        assert not _same_division(algebra, g)
+        with pytest.raises(DegeneracySuspectedError, match="failed to lower"):
+            divide(algebra, g)
 
 
 def test_degenerate_input_caught_by_dimension_check():
