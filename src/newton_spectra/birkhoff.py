@@ -100,6 +100,9 @@ def gauge_residual(pencil: ConnectionPencil, gauge, a0, ainf):
 # ---------------------------------------------------------------------------
 # solving the gauge system
 
+MAX_SWEEPS = 16       # fixed-point rounds after the diagonal ansatz fails
+MAX_CULPRITS = 8      # culprit equation labels kept in an obstruction record
+
 
 @dataclass
 class BirkhoffSolution:
@@ -235,21 +238,39 @@ def _gauge_from_solution(slots, x, mu, degrees):
     return _pm_trim(mats) or [identity(mu)]
 
 
-def _solve_system(n, rows, rhs):
-    """A solution of sparse rows in n unknowns, free unknowns zero, or None.
+def _solve_system(n, rows, rhs, labels):
+    """(solution or None, system rank, augmented rank, culprits) in one pass.
 
-    The right-hand side sits in column n, after every unknown, so a pivot
-    there means the rows are inconsistent.
+    The rows are sparse over n unknowns, with the right-hand side in column
+    n.  Each augmented row is reduced against the consistent rows before it.
+    A residual left only in the right-hand-side column is a culprit: that
+    equation turns the running system inconsistent.  Culprits are not stored,
+    so the stored rows have independent coefficient parts, every culprit's
+    residual is canonical, and both ranks count every row past the cap of
+    MAX_CULPRITS labels.  With no culprit the stored rows are the reduced
+    echelon form of the whole system, and the solution sets every free
+    unknown to zero.
     """
     ech = Echelon()
-    for row, b in zip(rows, rhs):
-        ech.insert({**row, n: b})
-    if n in ech.rows:
-        return None
-    x = [Fraction(0)] * n
-    for p, (row, _) in ech.rows.items():
-        x[p] = row.get(n, Fraction(0))
-    return x
+    culprits = []
+    inconsistent = False
+    for row, b, lab in zip(rows, rhs, labels):
+        res, _ = ech.reduce({**row, n: b})
+        if not res:
+            continue
+        if min(res) < n:
+            ech.insert(res)
+        else:
+            inconsistent = True
+            if len(culprits) < MAX_CULPRITS:
+                culprits.append(lab)
+    system = len(ech.rows)
+    x = None
+    if not inconsistent:
+        x = [Fraction(0)] * n
+        for p, (row, _) in ech.rows.items():
+            x[p] = row.get(n, Fraction(0))
+    return x, system, system + inconsistent, tuple(culprits)
 
 
 def _split_constant(ainf, degrees):
@@ -288,7 +309,7 @@ def _split_constant(ainf, degrees):
                 row[t] = row.get(t, 0) - y
         rows.append({t: y for t, y in row.items() if y})
         rhs.append(-ainf[i][j])
-    x = _solve_system(len(slots), rows, rhs)
+    x = _solve_system(len(slots), rows, rhs, slots)[0]
     if x is None:
         return None
     q = identity(mu)
@@ -311,34 +332,7 @@ def _apply_constant_split(pencil, gauge, a0, ainf, degrees):
     return _pm_trim(gauge) or [identity(len(degrees))], a0, ainf, True
 
 
-def _obstruction_ranks(n, rows, rhs, labels, cap=8):
-    """(system rank, augmented rank, culprit labels) in one elimination pass.
-
-    The rows are sparse over n unknowns, with the right-hand side in column
-    n.  Each augmented row is reduced against the consistent rows before it.
-    A residual left only in the right-hand-side column is a culprit: that
-    equation turns the running system inconsistent.  Culprits are not stored,
-    so the stored rows have independent coefficient parts, every culprit's
-    residual is canonical, and both ranks count every row past the cap.
-    """
-    ech = Echelon()
-    bad = []
-    inconsistent = False
-    for row, b, lab in zip(rows, rhs, labels):
-        res, _ = ech.reduce({**row, n: b})
-        if not res:
-            continue
-        if min(res) < n:
-            ech.insert(res)
-        else:
-            inconsistent = True
-            if len(bad) < cap:
-                bad.append(lab)
-    system = len(ech.rows)
-    return system, system + inconsistent, tuple(bad)
-
-
-def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
+def solve_birkhoff(pencil: ConnectionPencil):
     """Canonical normal-form attempt; solution or obstruction record.
 
     Raises VerificationError when a solved gauge fails the exact residual
@@ -353,7 +347,7 @@ def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
     b1 = pencil.matrices[1] if len(pencil.matrices) > 1 else zeros(mu, mu)
 
     slots, rows, rhs, labels = _build_linear_system(pencil, d_mat, include_m1=True)
-    x = _solve_system(len(slots), rows, rhs)
+    x, system_rank, augmented_rank, culprits = _solve_system(len(slots), rows, rhs, labels)
     if x is not None:
         gauge = _gauge_from_solution(slots, x, mu, degrees)
         if gauge_residual(pencil, gauge, b0, d_mat):
@@ -362,9 +356,9 @@ def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
 
     # fixed-point sweeps with A_inf frozen per round
     ainf = [row[:] for row in b1]
-    for sweep in range(1, max_sweeps + 1):
-        slots2, rows2, rhs2, _ = _build_linear_system(pencil, ainf, include_m1=False)
-        y = _solve_system(len(slots2), rows2, rhs2)
+    for sweep in range(1, MAX_SWEEPS + 1):
+        slots2, rows2, rhs2, labels2 = _build_linear_system(pencil, ainf, include_m1=False)
+        y = _solve_system(len(slots2), rows2, rhs2, labels2)[0]
         if y is None:
             break
         gauge = _gauge_from_solution(slots2, y, mu, degrees)
@@ -383,9 +377,6 @@ def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
             break
         ainf = nxt
 
-    system_rank, augmented_rank, culprits = _obstruction_ranks(
-        len(slots), rows, rhs, labels
-    )
     return BirkhoffObstruction(
         message="gauge equations are inconsistent for a diagonal residue matrix "
         "and the fixed-point sweeps did not stabilize",
@@ -393,7 +384,7 @@ def solve_birkhoff(pencil: ConnectionPencil, max_sweeps: int = 16):
         unknowns=len(slots),
         system_rank=system_rank,
         augmented_rank=augmented_rank,
-        sweeps=max_sweeps,
+        sweeps=MAX_SWEEPS,
         unsatisfiable=culprits,
     )
 

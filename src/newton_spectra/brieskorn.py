@@ -32,7 +32,6 @@ from .linalg import (
     pol_add,
     pol_deriv,
     pol_mul,
-    pol_scale,
     pol_shift,
     pol_sub,
     pol_trim,
@@ -57,9 +56,6 @@ class BrieskornElement:
         return BrieskornElement(
             tuple(tuple(pol_sub(a, b)) for a, b in zip(self.coords, other.coords))
         )
-
-    def scale(self, c):
-        return BrieskornElement(tuple(tuple(pol_scale(list(a), c)) for a in self.coords))
 
     def theta_shift(self, k: int = 1):
         return BrieskornElement(tuple(tuple(pol_shift(list(a), k)) for a in self.coords))

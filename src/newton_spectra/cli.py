@@ -9,9 +9,10 @@ suites on the same polytope, algebra, lattice and pencil.
 Exit codes: 0 success; 1 when `check` finds a failed property; 2 invalid
 input (parse error, not convenient, degenerate), a failed bound of the
 connection pencil, a failed structural check of the graded model, or a
-failed re-check of the Birkhoff or Frobenius data; 3 Birkhoff obstruction
-(birkhoff/frobenius commands only).  The argument parser is built on the
-first call of `main` and reused by later calls in the same process.
+failed re-check of the Milnor number, the Birkhoff or the Frobenius data;
+3 Birkhoff obstruction (birkhoff/frobenius commands only).  The argument
+parser is built on the first call of `main` and reused by later calls in
+the same process.
 Identical inputs and flags produce byte-identical output.
 """
 
@@ -292,7 +293,7 @@ def _run_check(args):
     report, _ = pipe.report()
     error = report["error"] or {"stage": None}
     stage = error["stage"]
-    if stage in ("polytope", "nondegeneracy", "basis", "pencil"):
+    if stage in ("polytope", "nondegeneracy", "mu", "basis", "pencil"):
         print("error: %s" % error["message"], file=sys.stderr)
         return 2
 

@@ -163,8 +163,8 @@ _SECTIONS = ("polytope", "nondegeneracy", "mu", "basis", "spectrum", "pencil",
 # the exception each gate turns into the report's `error` section; a stage
 # missing here has no gate, so whatever it raises propagates
 _GATES = {"polytope": ValueError, "nondegeneracy": DegenerateError,
-          "basis": DegeneracySuspectedError, "pencil": DegeneracySuspectedError,
-          "birkhoff": VerificationError,
+          "mu": VerificationError, "basis": DegeneracySuspectedError,
+          "pencil": DegeneracySuspectedError, "birkhoff": VerificationError,
           "graded_model": GradedModelError, "frobenius": VerificationError}
 
 
@@ -282,6 +282,7 @@ class Pipeline:
             report["nondegeneracy"] = self.certificate.to_json_obj()
             if not self.certificate.ok:
                 raise self.certificate.error()
+            stage = "mu"
             report["mu"] = self.mu
             stage = "basis"
             basis = self.basis.to_json_obj()
@@ -314,8 +315,9 @@ def analyze(f, var_names, *, seed=0):
 
     status is "ok", "invalid" (gate failure: not convenient / degenerate, a
     failed bound of the connection pencil, a failed structural check of the
-    graded model, or a failed re-check of the Birkhoff or Frobenius data),
-    or "obstruction" (pencil could not be normalized; partial report).
+    graded model, or a failed re-check of the Milnor number, the Birkhoff
+    or the Frobenius data), or "obstruction" (pencil could not be
+    normalized; partial report).
     Sections after a failed gate are null.
     The seed is only recorded in the input section.
     """

@@ -52,9 +52,6 @@ class AdaptedBasis:
     def __len__(self):
         return len(self.monomials)
 
-    def index(self, exp):
-        return self.monomials.index(tuple(exp))
-
     def to_json_obj(self):
         return {
             "monomials": [list(m) for m in self.monomials],

@@ -1,15 +1,16 @@
 """Exact linear algebra over Q (fractions.Fraction), plus small univariate
-polynomial and integer-lattice helpers used across the package.
+polynomial helpers used across the package.
 
 Matrices are plain lists of lists of Fraction, vectors are lists of Fraction.
 All row elimination over Q goes through one kernel, `Echelon`: sparse dict
 rows, the smallest column as pivot, fully reduced, with optional provenance.
 `rref`, `rank`, `solve_linear` and `nullspace` are thin dense wrappers around
-it for small dense systems: `solve_linear` serves the polytope's lattice
-coordinates, while the Birkhoff gauge system, whose rows hold a few nonzeros
-each, is built as sparse rows and fed to `Echelon` directly.  Everything is
-deterministic: the reduced row echelon form is unique, and free variables
-are always set to zero.
+it for small dense systems.  The package itself does not call
+`solve_linear`; it is kept for the tests and the benchmark tracer.  The
+Birkhoff gauge system, the polytope's affine span and its simplex
+determinants are built as sparse rows and fed to `Echelon` directly.
+Everything is deterministic: the reduced row echelon form is unique, and
+free variables are always set to zero.
 """
 
 from __future__ import annotations
@@ -228,13 +229,6 @@ def pol_sub(p, q):
     return pol_add(p, [-c for c in q])
 
 
-def pol_scale(p, c):
-    c = frac(c)
-    if c == 0:
-        return []
-    return [c * x for x in p]
-
-
 def pol_mul(p, q):
     p, q = pol_trim(p), pol_trim(q)
     if not p or not q:
@@ -335,7 +329,8 @@ def rational_roots(p):
         for r in sorted(set(cands)):
             if pol_eval(p, r) == 0:
                 p, rem = pol_divmod(p, [-r, Fraction(1)])
-                assert not rem
+                if rem:
+                    raise ValueError("division by a found root left a remainder")
                 roots[r] = roots.get(r, 0) + 1
                 den = 1
                 for c in p:
@@ -344,78 +339,3 @@ def rational_roots(p):
                 changed = True
                 break
     return sorted(roots.items()), p
-
-
-# ---------------------------------------------------------------------------
-# integer lattice utilities (small sizes only)
-
-
-def hnf_with_transform(a):
-    """Row Hermite form of an integer matrix with unimodular transform.
-
-    Returns (H, U) with U*a == H, U in GL_m(Z), H in (lower-staircase) row
-    echelon form over Z.  Only used on tiny matrices.
-    """
-    h = [list(map(int, row)) for row in a]
-    m = len(h)
-    n = len(h[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for c in range(n):
-        # gcd out column c below row r
-        piv = None
-        for i in range(r, m):
-            if h[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, m):
-            while h[i][c] != 0:
-                q = h[r][c] // h[i][c]
-                h[r] = [x - q * y for x, y in zip(h[r], h[i])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
-                h[r], h[i] = h[i], h[r]
-                u[r], u[i] = u[i], u[r]
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            if h[r][c] != 0:
-                q = h[i][c] // h[r][c]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-        if r == m:
-            break
-    return h, u
-
-
-def int_kernel(a):
-    """Primitive basis (rows) of the integer kernel {x in Z^n : a x = 0}."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    at = [list(col) for col in zip(*a)]  # n x m
-    h, u = hnf_with_transform(at)
-    out = []
-    for i in range(n):
-        if all(x == 0 for x in h[i]):
-            out.append(u[i])
-    return out
-
-
-def saturate_rows(a):
-    """Basis of the saturation of the integer row span of a (rows)."""
-    k1 = int_kernel(a)
-    if not k1:
-        # full row rank: the saturation is all of Z^n
-        n = len(a[0]) if a else 0
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return int_kernel(k1)

@@ -5,6 +5,11 @@ The polytope of f is the convex hull of the nonzero exponents in its support.
 every facet hyperplane can be normalized to a linear form L with L == 1 on the
 facet, and phi(x) = max over facets of L(x) is the polytope gauge.  All
 arithmetic is over Fraction; facet data is canonical, so repeated runs agree.
+
+Every elimination here runs on `linalg.Echelon`.  A hull of dimension
+below n is projected onto the pivot columns of the echelon of its
+differences p - p_0, an affine bijection of its span (`_extreme_points`),
+and each simplex |det| in the volume is a product of pivots (`_det`).
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm, ceil, floor
 
-from .errors import NotConvenientError
+from .errors import NotConvenientError, VerificationError
 from .laurent import LaurentPolynomial, term_key
-from .linalg import nullspace, rank, saturate_rows, solve_linear
+from .linalg import Echelon, nullspace, rank
 
 
 def _dot(a, b):
@@ -174,25 +179,20 @@ def newton_polytope(f: LaurentPolynomial) -> NewtonPolytope:
         raise ValueError("zero or constant polynomial has an empty Newton polytope")
     n = f.arity
     base = pts[0]
-    diffs = [[p[c] - base[c] for c in range(n)] for p in pts[1:]]
-    dim = rank(diffs) if diffs else 0
-    if dim < n:
-        verts = _extreme_points(pts, dim)
+    span = Echelon()
+    for p in pts[1:]:
+        span.insert({c: Fraction(p[c] - base[c]) for c in range(n) if p[c] != base[c]})
+    if len(span.rows) < n:
+        verts = _extreme_points(pts, sorted(span.rows))
         return NewtonPolytope(
             n,
             tuple(sorted(verts, key=term_key)),
             (),
             False,
-            "Newton polytope has dimension %d < %d" % (dim, n),
+            "Newton polytope has dimension %d < %d" % (len(span.rows), n),
         )
     halfspaces = _hull_halfspaces(pts, n)
-    # vertices: points whose active facet normals span everything
-    verts = []
-    for i, p in enumerate(pts):
-        active = [a for a, b in halfspaces if _dot(a, p) == b]
-        if len(active) >= n and rank(active) == n:
-            verts.append(p)
-    verts = tuple(sorted(verts, key=term_key))
+    verts = tuple(sorted((pts[i] for i in _vertex_ids(pts, halfspaces)), key=term_key))
     bad = [(a, b) for a, b in halfspaces if b <= 0]
     if bad:
         a, b = bad[0]
@@ -203,29 +203,29 @@ def newton_polytope(f: LaurentPolynomial) -> NewtonPolytope:
     return NewtonPolytope(n, verts, tuple(halfspaces), True, None)
 
 
-def _extreme_points(pts, dim):
-    """Extreme points of conv(pts) when the affine span has dimension dim."""
-    if dim == 0:
-        return [pts[0]]
-    n = len(pts[0])
-    base = pts[0]
-    lattice = saturate_rows([[p[c] - base[c] for c in range(n)] for p in pts[1:]])
-    coords = []
-    for p in pts:
-        rhs = [p[c] - base[c] for c in range(n)]
-        sol = solve_linear([list(col) for col in zip(*lattice)], rhs)
-        coords.append(tuple(sol))
-    if dim == 1:
-        lo = min(range(len(pts)), key=lambda i: coords[i])
-        hi = max(range(len(pts)), key=lambda i: coords[i])
-        return sorted({pts[lo], pts[hi]})
-    halfspaces = _hull_halfspaces(coords, dim)
+def _vertex_ids(pts, halfspaces):
+    """Indices of the points whose active facet normals span everything."""
+    dim = len(pts[0])
     out = []
-    for i, c in enumerate(coords):
-        active = [a for a, b in halfspaces if _dot(a, c) == b]
+    for i, p in enumerate(pts):
+        active = [a for a, b in halfspaces if _dot(a, p) == b]
         if len(active) >= dim and rank(active) == dim:
-            out.append(pts[i])
-    return sorted(set(out))
+            out.append(i)
+    return out
+
+
+def _extreme_points(pts, cols):
+    """Extreme points of conv(pts), given the pivot columns of its affine span.
+
+    The reduced echelon rows of the differences p - pts[0] are a basis of
+    the direction space with the identity in the pivot columns cols, so the
+    projection onto cols maps the affine span bijectively and affinely onto
+    Q^len(cols); it keeps the extreme points.
+    """
+    if not cols:
+        return [pts[0]]
+    proj = [tuple(p[c] for c in cols) for p in pts]
+    return [pts[i] for i in _vertex_ids(proj, _hull_halfspaces(proj, len(cols)))]
 
 
 def _triangulate(pts, dim):
@@ -251,45 +251,40 @@ def _triangulate(pts, dim):
 
 
 def _det(rows):
-    """Exact determinant by fraction-free-ish elimination over Fraction."""
-    a = [list(map(Fraction, r)) for r in rows]
-    n = len(a)
+    """|det| of a square matrix: the product of the pivots its rows meet.
+
+    Each row is reduced against the rows before it in one `Echelon`.  The
+    residual differs from the row by a combination of earlier rows and is
+    zero in every earlier pivot column, so with the columns taken in pivot
+    order the residuals form a triangular matrix of the same |det|, whose
+    diagonal holds their leading entries.
+    """
+    ech = Echelon()
     det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+    for row in rows:
+        vec, _ = ech.reduce({j: Fraction(x) for j, x in enumerate(row) if x})
+        if not vec:
             return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                factor = a[i][c] * inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[c])]
+        det *= abs(vec[min(vec)])
+        ech.insert(vec)
     return det
 
 
 def milnor_number(p: NewtonPolytope) -> int:
-    """Normalized lattice volume n! * vol of the polytope (cone over each facet)."""
+    """Normalized lattice volume n! * vol of the polytope (cone over each facet).
+
+    Raises VerificationError when the summed volume is not an integer; that
+    check is explicit, so it also runs under `python -O`.
+    """
     p.require_convenient()
     n = p.arity
     total = Fraction(0)
     for facet in p.facets:
         fpts = [p.vertices[i] for i in facet.vertex_ids]
-        if n == 1:
-            total += abs(Fraction(fpts[0][0]))
-            continue
-        normal, _ = _primitive(facet.coeffs), None
-        j0 = next(j for j in range(n) if normal[j] != 0)
+        j0 = next(j for j in range(n) if facet.coeffs[j] != 0)
         proj = [tuple(x for c, x in enumerate(q) if c != j0) for q in fpts]
         for tri in _triangulate(proj, n - 1):
-            simplex = [fpts[t] for t in tri]
-            total += abs(_det(simplex))
-    assert total.denominator == 1
+            total += _det([fpts[t] for t in tri])
+    if total.denominator != 1:
+        raise VerificationError("the normalized volume %s is not an integer" % total)
     return int(total)

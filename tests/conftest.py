@@ -25,9 +25,15 @@ division and lattice reduction the package ran on `LaurentPolynomial`
 arithmetic before it moved both onto one dict kernel, kept as references
 for that kernel, and reference_spectrum_polynomial is the `pol_mul` product
 of SP(S) over Fractions that the integer product replaced.
+
+dense_det is the Leibniz formula, a sum over permutations with no
+elimination at all, and caratheodory_vertices finds the vertices of a
+point set by Caratheodory's theorem with barycentric coordinates from
+dense_rref; both check the polytope's `Echelon`-based volume and hull.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import floor, gcd
 
 from newton_spectra import (
@@ -102,6 +108,50 @@ def dense_rref(a):
 
 def dense_rank(a):
     return len(dense_rref(a)[1])
+
+
+def dense_det(a):
+    """Leibniz formula: the sum over permutations of sign times product."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def _in_simplex(p, simplex):
+    """Whether p lies in the simplex of affinely independent points.
+
+    The barycentric coordinates solve sum l_q q = p, sum l_q = 1; an
+    affinely dependent set, or p off its affine span, counts as outside.
+    """
+    k = len(simplex)
+    rows = [[q[c] for q in simplex] + [p[c]] for c in range(len(p))]
+    rows.append([1] * (k + 1))
+    red, pivots = dense_rref(rows)
+    return pivots == list(range(k)) and all(red[r][k] >= 0 for r in range(k))
+
+
+def caratheodory_vertices(pts):
+    """The points of pts (distinct tuples) outside the hull of the others.
+
+    By Caratheodory's theorem a point of the hull of the others lies in the
+    simplex of some affinely independent set of at most dim + 1 of them,
+    dim being the dimension of the affine span of pts.  The points are
+    distinct, so a one-point simplex never holds another point.
+    """
+    dim = dense_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])
+    out = []
+    for i, p in enumerate(pts):
+        others = pts[:i] + pts[i + 1:]
+        if not any(_in_simplex(p, sub)
+                   for k in range(2, dim + 2) for sub in combinations(others, k)):
+            out.append(p)
+    return out
 
 
 def planar_hull(pts):

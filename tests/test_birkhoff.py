@@ -601,8 +601,7 @@ def test_sparse_gauge_rows_match_dense_reference():
                 n = len(slots)
                 assert [[row.get(t, 0) for t in range(n)] for row in rows] == drows, expr
                 # the same solution, and the same ranks as a dense elimination
-                x = birkhoff_mod._solve_system(n, rows, rhs)
+                x, system, augmented, _ = birkhoff_mod._solve_system(n, rows, rhs, labels)
                 assert x == (solve_linear(drows, drhs) if drows else [F(0)] * n), expr
-                system, augmented, _ = birkhoff_mod._obstruction_ranks(n, rows, rhs, labels)
                 assert system == dense_rank(drows), expr
                 assert augmented == dense_rank([r + [b] for r, b in zip(drows, drhs)]), expr

@@ -13,6 +13,7 @@ from conftest import CORPUS, DEGENERATE
 from newton_spectra import BirkhoffObstruction, GradedModelError
 from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import frobenius as frobenius_mod
+from newton_spectra import polytope as polytope_mod
 from newton_spectra.cli import _build_parser, main
 
 
@@ -231,6 +232,23 @@ def test_failed_gauge_recheck_exits_2(capsys, monkeypatch):
     }
     assert report["birkhoff"] is None and report["frobenius"] is None
     assert "gauge identity" in err
+
+
+def test_non_integral_volume_exits_2_at_the_mu_gate(capsys, monkeypatch):
+    # the volume is checked to be an integer by an explicit test, not an
+    # assert, so it also runs under python -O; the triangle has three cone
+    # simplices, so |det| = 1/2 each sums to 3/2
+    monkeypatch.setattr(polytope_mod, "_det", lambda rows: Fraction(1, 2))
+    message = "the normalized volume 3/2 is not an integer"
+    rc, out, err = run_cli(capsys, ["analyze", "--json", "u1 + u2 + u1^-1*u2^-1"])
+    assert rc == 2
+    report = json.loads(out)
+    assert report["error"] == {"stage": "mu", "type": "VerificationError", "message": message}
+    assert report["nondegeneracy"] is not None
+    assert report["mu"] is None and report["basis"] is None
+    assert err == "error: %s\n" % message
+    for command in ("mu", "check"):
+        assert run_cli(capsys, [command, "u1 + u2 + u1^-1*u2^-1"]) == (2, "", err), command
 
 
 def test_check_shares_the_gauge_recheck(capsys, monkeypatch):

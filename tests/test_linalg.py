@@ -8,9 +8,7 @@ from conftest import dense_mat_mul, dense_rank, dense_rref
 from newton_spectra.linalg import (
     Echelon,
     charpoly,
-    hnf_with_transform,
     identity,
-    int_kernel,
     mat_mul,
     nullspace,
     pol_divmod,
@@ -18,7 +16,6 @@ from newton_spectra.linalg import (
     rank,
     rational_roots,
     rref,
-    saturate_rows,
     solve_linear,
 )
 
@@ -213,32 +210,3 @@ def test_rational_roots_with_multiplicity():
     # x^2 - 2 has no rational roots
     roots, rest = rational_roots([F(-2), F(0), F(1)])
     assert roots == [] and len(rest) == 3
-
-
-def test_hnf_transform_is_unimodular():
-    a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    h, u = hnf_with_transform(a)
-    assert mat_mul([[F(x) for x in row] for row in u], [[F(x) for x in row] for row in a]) == [
-        [F(x) for x in row] for row in h
-    ]
-    # pivots positive, entries above pivots reduced
-    pivots = []
-    for row in h:
-        nz = [j for j, x in enumerate(row) if x != 0]
-        if nz:
-            pivots.append(nz[0])
-            assert row[nz[0]] > 0
-    assert pivots == sorted(pivots)
-
-
-def test_int_kernel_and_saturation():
-    ker = int_kernel([[1, 1, -2]])
-    assert len(ker) == 2
-    for v in ker:
-        assert v[0] + v[1] - 2 * v[2] == 0
-        assert any(x != 0 for x in v)
-    sat = saturate_rows([[2, 0], [0, 2]])
-    # saturation of an index-4 sublattice is the full lattice
-    assert rank([[F(x) for x in row] for row in sat]) == 2
-    h, _ = hnf_with_transform(sat)
-    assert h[0][0] == 1 and h[1][1] == 1

@@ -3,17 +3,31 @@
 The Milnor numbers frozen in the corpus come from n!*vol computed by
 facet triangulation; test_mu_matches_ehrhart_point_count re-derives each
 one independently by counting lattice points in dilates of the polytope
-and fitting the counting polynomial.
+and fitting the counting polynomial.  The simplex determinants are checked
+against the Leibniz formula, and the vertices of lower-dimensional hulls
+against a Caratheodory search.
 """
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
 import pytest
 
-from conftest import CORPUS, NOT_CONVENIENT, pipeline
-from newton_spectra import NotConvenientError, milnor_number, newton_polytope, parse_laurent
+from conftest import CORPUS, NOT_CONVENIENT, caratheodory_vertices, dense_det, pipeline
+from newton_spectra import (
+    LaurentPolynomial,
+    NotConvenientError,
+    milnor_number,
+    newton_polytope,
+    parse_laurent,
+)
+from newton_spectra import polytope as polytope_mod
+from newton_spectra.cli import main
+from newton_spectra.laurent import term_key
 
 
 def test_triangle_facets_exact():
@@ -142,3 +156,84 @@ def test_json_shape():
     q = newton_polytope(parse_laurent("u1 + u2")[0])
     qobj = q.to_json_obj()
     assert qobj["convenient"] is False and "halfspaces" in qobj and qobj["diagnostic"]
+
+
+def test_det_matches_leibniz_formula():
+    # |det| from the pivots of one echelon; rank-deficient matrices are
+    # built as products of thin factors, so a share of them is singular
+    rng = random.Random(20261018)
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        k = rng.choice([n, n, n - 1]) or 1
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+        want = abs(dense_det(a))
+        assert polytope_mod._det(a) == want, a
+        singular += want == 0
+    assert 100 <= singular <= 500
+
+
+def _low_dimensional_points(rng, n):
+    """Distinct nonzero integer points on a random affine subspace of dim < n."""
+    d = rng.randint(1, n - 1)
+    base = [rng.randint(-2, 2) for _ in range(n)]
+    dirs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+    pts = set()
+    for _ in range(rng.randint(2, 6)):
+        coeffs = [rng.randint(-2, 2) for _ in range(d)]
+        p = tuple(b + sum(c * v[j] for c, v in zip(coeffs, dirs)) for j, b in enumerate(base))
+        if any(p):
+            pts.add(p)
+    return sorted(pts)
+
+
+def test_low_dimensional_vertices_match_caratheodory():
+    rng = random.Random(20261019)
+    checked = interior = 0
+    while checked < 1000:
+        n = rng.randint(2, 4)
+        pts = _low_dimensional_points(rng, n)
+        if not pts:
+            continue
+        p = newton_polytope(LaurentPolynomial(n, dict.fromkeys(pts, 1)))
+        assert not p.convenient and not p.halfspaces, pts
+        want = caratheodory_vertices(pts)
+        assert p.vertices == tuple(sorted(want, key=term_key)), pts
+        checked += 1
+        interior += len(want) < len(pts)
+    assert interior >= 200
+
+
+# sha256 of json.dumps(newton_polytope(f).to_json_obj(), indent=2), taken
+# from the implementation that found the vertices of a lower-dimensional
+# hull through integer Hermite forms
+NOT_CONVENIENT_POLYTOPE_SHA256 = {
+    "u1 + u2": "18450203b55cc678d28e605db3f915d580cb36851458cf829b36e1381b2a7a0d",
+    "u1 + u1^2": "9e12b4689972c782229b06ca63a73afbb18703dffaa0c030b181ae78397c94d2",
+    "u1 + u2 + u1*u2": "a41f3874a3acf4144d97fb462fa7cee30f8ce03cbfd7ed56e0b5f9c7b3713f6e",
+    "u1 + u2 + u3": "677545b83e071f71fc260ff098c83236deb0dab9060f12d99e8cdfd50bd34bf7",
+    "u1*u3 + u2*u3 + u1^-1*u2^-1*u3 + u3":
+        "628e32e619dc397f6d96d031c3fc3a139e853ee90c935c1b3077a914d3b46ff8",
+    "u1 + u1^2*u2 + u1^3*u2^2 + u1^-1*u2^-2":
+        "833481acf4a39b28c55e03366aeae04c86dfb18ad66efa3820ef05cd6898f1b1",
+    "u1*u2*u4 + u1^2*u2^2*u4 + u1^-1*u3*u4 + u3^2*u4 + u1*u3*u4":
+        "5e8b212e959e49dc0abec00f733eb4199872504a016cb068c451884ee5f70eba",
+    "u1 + u1^2*u2 + u1^3*u2^2 + u1*u3 + u1^-1*u3^-1 + u1^-3*u2^-2":
+        "d273866049056cbc7948db5549dc6147b00764cc160d5819e9128ab4a75c74c6",
+}
+
+
+def test_not_convenient_polytope_bytes_unchanged(capsys):
+    assert set(NOT_CONVENIENT) <= set(NOT_CONVENIENT_POLYTOPE_SHA256)
+    for expr, digest in NOT_CONVENIENT_POLYTOPE_SHA256.items():
+        obj = newton_polytope(parse_laurent(expr)[0]).to_json_obj()
+        assert hashlib.sha256(json.dumps(obj, indent=2).encode()).hexdigest() == digest, expr
+    # the CLI prints no polytope section for a rejected input, only the
+    # diagnostic on stderr
+    for expr in NOT_CONVENIENT:
+        assert main(["polytope", "--json", expr, "--seed", "0"]) == 2
+        out, err = capsys.readouterr()
+        diagnostic = newton_polytope(parse_laurent(expr)[0]).diagnostic
+        assert (out, err) == ("", "error: polynomial is not convenient: %s\n" % diagnostic)
