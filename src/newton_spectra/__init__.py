@@ -47,7 +47,7 @@ from .jacobian import (
     divide_exact,
 )
 from .laurent import LaurentParseError, LaurentPolynomial, parse_laurent
-from .nondegeneracy import NondegeneracyCertificate, is_nondegenerate, proper_faces
+from .nondegeneracy import NondegeneracyCertificate, is_nondegenerate
 from .polytope import NewtonPolytope, milnor_number, newton_polytope
 
 __version__ = "0.1.0"
@@ -87,7 +87,6 @@ __all__ = [
     "newton_polytope",
     "parse_laurent",
     "pencil_in_gauge",
-    "proper_faces",
     "solve_birkhoff",
     "spectrum",
     "verify_v_plus",

@@ -65,7 +65,6 @@ class JacobianAlgebra:
     def __init__(self, f: LaurentPolynomial, p: NewtonPolytope = None):
         if p is None:
             p = newton_polytope(f)
-        p.require_convenient()
         self.f = f
         self.polytope = p
         self.n = f.arity

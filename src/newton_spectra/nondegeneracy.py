@@ -36,7 +36,9 @@ has graded dimension 0:
   window is then nonzero.
 
 So the certificate is exact for every n, with no sampling.  The proper faces
-are listed in the report for reference; no face is tested separately.
+are listed in the report for reference, read off the polytope's own face
+lattice (`NewtonPolytope.faces`, the one the volume is triangulated over);
+no face is tested separately.
 """
 
 from __future__ import annotations
@@ -82,24 +84,6 @@ class NondegeneracyCertificate:
         }
 
 
-def proper_faces(p: NewtonPolytope):
-    """All proper faces as sorted tuples of vertex ids (facets included)."""
-    p.require_convenient()
-    facet_sets = [frozenset(f.vertex_ids) for f in p.facets]
-    faces = set(facet_sets)
-    frontier = set(facet_sets)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in facet_sets:
-                c = a & b
-                if c and c not in faces:
-                    new.add(c)
-        faces |= new
-        frontier = new
-    return sorted(tuple(sorted(f)) for f in faces)
-
-
 def _face_dim(p: NewtonPolytope, vertex_ids) -> int:
     vs = [p.vertices[i] for i in vertex_ids]
     base = vs[0]
@@ -116,6 +100,6 @@ def is_nondegenerate(algebra) -> NondegeneracyCertificate:
     bad = next((r for r, k in zip(range(lo, hi + 1), dims) if k), None)
     faces = tuple(
         (_face_dim(p, ids), tuple(p.vertices[i] for i in ids))
-        for ids in proper_faces(p)
+        for ids in p.faces
     )
     return NondegeneracyCertificate(bad is None, (lo, hi), dims, faces, bad)

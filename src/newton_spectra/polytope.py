@@ -6,16 +6,22 @@ every facet hyperplane can be normalized to a linear form L with L == 1 on the
 facet, and phi(x) = max over facets of L(x) is the polytope gauge.  All
 arithmetic is over Fraction; facet data is canonical, so repeated runs agree.
 
-Every elimination here runs on `linalg.Echelon`.  A hull of dimension
-below n is projected onto the pivot columns of the echelon of its
-differences p - p_0, an affine bijection of its span (`_extreme_points`),
-and each simplex |det| in the volume is a product of pivots (`_det`).
+Only convenient polytopes are built: `newton_polytope` refuses any other
+support with `NotConvenientError`, a hull of dimension below n by the rank
+of the echelon of its differences p - p_0 and a facet with offset b <= 0
+before any vertex is computed.  The hull is computed once; the face lattice
+(`NewtonPolytope.faces`) is read off its facets once, and both the volume
+(a pulling triangulation over that lattice) and the nondegeneracy
+certificate's face list read it.  Every elimination here runs on
+`linalg.Echelon`, and each simplex |det| in the volume is a product of
+pivots (`_det`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd, lcm, ceil, floor
 
@@ -53,39 +59,42 @@ class FacetForm:
 
 
 class NewtonPolytope:
-    """Hull data for one polynomial; construct through newton_polytope()."""
+    """Hull data for one convenient polynomial; construct through newton_polytope()."""
 
-    def __init__(self, arity, vertices, halfspaces, convenient, diagnostic):
+    def __init__(self, arity, vertices, halfspaces):
         self.arity = arity
         self.vertices = vertices          # tuple of exponent tuples, graded-lex order
         self.halfspaces = halfspaces      # tuple of (primitive int normal, int offset), a.x <= b
-        self.convenient = convenient
-        self.diagnostic = diagnostic      # None when convenient
-        if convenient:
-            facets = []
-            for a, b in halfspaces:
-                coeffs = tuple(Fraction(ai, b) for ai in a)
-                on = tuple(
-                    i for i, v in enumerate(vertices) if _dot(a, v) == b
-                )
-                facets.append(FacetForm(coeffs, on))
-            facets.sort(key=lambda f: f.coeffs)
-            self.facets = tuple(facets)
-            self.scale = 1
-            for f in self.facets:
-                for c in f.coeffs:
-                    self.scale = lcm(self.scale, c.denominator)
-        else:
-            self.facets = ()
-            self.scale = 1
+        facets = []
+        for a, b in halfspaces:
+            coeffs = tuple(Fraction(ai, b) for ai in a)
+            on = tuple(i for i, v in enumerate(vertices) if _dot(a, v) == b)
+            facets.append(FacetForm(coeffs, on))
+        facets.sort(key=lambda f: f.coeffs)
+        self.facets = tuple(facets)
+        self.scale = 1
+        for f in self.facets:
+            for c in f.coeffs:
+                self.scale = lcm(self.scale, c.denominator)
         # scale * L for every facet form L: integer forms of the scaled gauge
         self._scaled_forms = tuple(
             tuple(int(c * self.scale) for c in f.coeffs) for f in self.facets
         )
 
-    def require_convenient(self):
-        if not self.convenient:
-            raise NotConvenientError(self.diagnostic or "not convenient")
+    @cached_property
+    def faces(self):
+        """Every proper face as a sorted tuple of vertex ids, facets included.
+
+        The faces are the nonempty intersections of facets, closed here
+        under intersection with one more facet at a time.
+        """
+        facet_sets = {frozenset(f.vertex_ids) for f in self.facets}
+        faces = set(facet_sets)
+        frontier = facet_sets
+        while frontier:
+            frontier = {a & b for a in frontier for b in facet_sets} - faces - {frozenset()}
+            faces |= frontier
+        return tuple(sorted(tuple(sorted(f)) for f in faces))
 
     # -- the gauge
 
@@ -93,7 +102,6 @@ class NewtonPolytope:
         return Fraction(self.scaled_phi_exp(exp), self.scale)
 
     def scaled_phi_exp(self, exp) -> int:
-        self.require_convenient()
         return max(sum(c * e for c, e in zip(a, exp)) for a in self._scaled_forms)
 
     def phi(self, g: LaurentPolynomial):
@@ -111,7 +119,6 @@ class NewtonPolytope:
 
     def enumerate_sublevel(self, alpha) -> list[tuple[int, ...]]:
         """All lattice points with phi <= alpha, graded-lex order."""
-        self.require_convenient()
         alpha = Fraction(alpha)
         if alpha < 0:
             return []
@@ -127,23 +134,16 @@ class NewtonPolytope:
         return out
 
     def to_json_obj(self):
-        obj = {
+        return {
             "vars": self.arity,
-            "convenient": self.convenient,
+            "convenient": True,
             "vertices": [list(v) for v in self.vertices],
-        }
-        if self.convenient:
-            obj["facets"] = [
+            "facets": [
                 {"coeffs": [str(c) for c in f.coeffs], "vertices": list(f.vertex_ids)}
                 for f in self.facets
-            ]
-            obj["scale"] = self.scale
-        else:
-            obj["halfspaces"] = [
-                {"normal": list(a), "offset": b} for a, b in self.halfspaces
-            ]
-            obj["diagnostic"] = self.diagnostic
-        return obj
+            ],
+            "scale": self.scale,
+        }
 
 
 def _hull_halfspaces(pts, n):
@@ -173,7 +173,7 @@ def _hull_halfspaces(pts, n):
 
 
 def newton_polytope(f: LaurentPolynomial) -> NewtonPolytope:
-    """Hull of the nonzero support of f, with the convenience verdict."""
+    """Hull of the nonzero support of f; raises NotConvenientError unless convenient."""
     pts = [e for e in f.support() if any(e)]
     if not pts:
         raise ValueError("zero or constant polynomial has an empty Newton polytope")
@@ -183,24 +183,14 @@ def newton_polytope(f: LaurentPolynomial) -> NewtonPolytope:
     for p in pts[1:]:
         span.insert({c: Fraction(p[c] - base[c]) for c in range(n) if p[c] != base[c]})
     if len(span.rows) < n:
-        verts = _extreme_points(pts, sorted(span.rows))
-        return NewtonPolytope(
-            n,
-            tuple(sorted(verts, key=term_key)),
-            (),
-            False,
-            "Newton polytope has dimension %d < %d" % (len(span.rows), n),
-        )
+        raise NotConvenientError("Newton polytope has dimension %d < %d" % (len(span.rows), n))
     halfspaces = _hull_halfspaces(pts, n)
+    for a, b in halfspaces:
+        if b <= 0:
+            raise NotConvenientError(
+                "origin is not strictly interior (facet %s . x <= %d)" % (list(a), b))
     verts = tuple(sorted((pts[i] for i in _vertex_ids(pts, halfspaces)), key=term_key))
-    bad = [(a, b) for a, b in halfspaces if b <= 0]
-    if bad:
-        a, b = bad[0]
-        return NewtonPolytope(
-            n, verts, tuple(halfspaces), False,
-            "origin is not strictly interior (facet %s . x <= %d)" % (list(a), b),
-        )
-    return NewtonPolytope(n, verts, tuple(halfspaces), True, None)
+    return NewtonPolytope(n, verts, tuple(halfspaces))
 
 
 def _vertex_ids(pts, halfspaces):
@@ -211,42 +201,6 @@ def _vertex_ids(pts, halfspaces):
         active = [a for a, b in halfspaces if _dot(a, p) == b]
         if len(active) >= dim and rank(active) == dim:
             out.append(i)
-    return out
-
-
-def _extreme_points(pts, cols):
-    """Extreme points of conv(pts), given the pivot columns of its affine span.
-
-    The reduced echelon rows of the differences p - pts[0] are a basis of
-    the direction space with the identity in the pivot columns cols, so the
-    projection onto cols maps the affine span bijectively and affinely onto
-    Q^len(cols); it keeps the extreme points.
-    """
-    if not cols:
-        return [pts[0]]
-    proj = [tuple(p[c] for c in cols) for p in pts]
-    return [pts[i] for i in _vertex_ids(proj, _hull_halfspaces(proj, len(cols)))]
-
-
-def _triangulate(pts, dim):
-    """Triangulate conv(pts), full-dimensional in R^dim; returns index simplices."""
-    if dim == 0:
-        return [(0,)]
-    if dim == 1:
-        lo = min(range(len(pts)), key=lambda i: pts[i])
-        hi = max(range(len(pts)), key=lambda i: pts[i])
-        return [(lo, hi)]
-    halfspaces = _hull_halfspaces(pts, dim)
-    apex = min(range(len(pts)), key=lambda i: pts[i])
-    out = []
-    for a, b in halfspaces:
-        on = [i for i, p in enumerate(pts) if _dot(a, p) == b]
-        if apex in on:
-            continue
-        j0 = next(j for j in range(dim) if a[j] != 0)
-        sub = [tuple(x for c, x in enumerate(pts[i]) if c != j0) for i in on]
-        for tri in _triangulate(sub, dim - 1):
-            out.append((apex,) + tuple(on[t] for t in tri))
     return out
 
 
@@ -273,18 +227,33 @@ def _det(rows):
 def milnor_number(p: NewtonPolytope) -> int:
     """Normalized lattice volume n! * vol of the polytope (cone over each facet).
 
+    Each facet is cut into simplices by pulling over the face lattice: a
+    face is its smallest vertex coned over the simplices of each of its own
+    facets (the maximal faces strictly inside it) that misses that vertex,
+    and a vertex is itself.  The cone from the origin over an
+    (n-1)-simplex of a facet has normalized volume |det| of its vertices.
+
     Raises VerificationError when the summed volume is not an integer; that
     check is explicit, so it also runs under `python -O`.
     """
-    p.require_convenient()
-    n = p.arity
+    faces = [frozenset(ids) for ids in p.faces]
+    simplices = {}
+
+    def pull(face):
+        if face not in simplices:
+            apex = min(face)
+            inner = [g for g in faces if g < face]
+            simplices[face] = [(apex,)] if len(face) == 1 else [
+                (apex,) + s
+                for g in inner if apex not in g and not any(g < h for h in inner)
+                for s in pull(g)
+            ]
+        return simplices[face]
+
     total = Fraction(0)
     for facet in p.facets:
-        fpts = [p.vertices[i] for i in facet.vertex_ids]
-        j0 = next(j for j in range(n) if facet.coeffs[j] != 0)
-        proj = [tuple(x for c, x in enumerate(q) if c != j0) for q in fpts]
-        for tri in _triangulate(proj, n - 1):
-            total += _det([fpts[t] for t in tri])
+        for simplex in pull(frozenset(facet.vertex_ids)):
+            total += _det([p.vertices[i] for i in simplex])
     if total.denominator != 1:
         raise VerificationError("the normalized volume %s is not an integer" % total)
     return int(total)

@@ -10,7 +10,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS, DEGENERATE
-from newton_spectra import BirkhoffObstruction, GradedModelError
+from newton_spectra import (
+    BirkhoffObstruction,
+    BrieskornLattice,
+    DegeneracySuspectedError,
+    GradedModelError,
+)
 from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import frobenius as frobenius_mod
 from newton_spectra import polytope as polytope_mod
@@ -218,20 +223,46 @@ def test_degenerate_analyze_names_the_level(capsys):
     assert "level 5/2" in err
 
 
+def _unordered(self, elem):
+    """A Newton order that matches no exponent."""
+    return None
+
+
 def test_failed_gauge_recheck_exits_2(capsys, monkeypatch):
-    # the re-check of the gauge identity is an explicit test, not an
+    # the re-check of the Newton orders is an explicit test, not an
     # assert, so it also runs under python -O
-    monkeypatch.setattr(frobenius_mod, "gauge_residual",
-                        lambda pencil, gauge, a0, ainf: [[[Fraction(1), 0], [0, 0]]])
+    monkeypatch.setattr(BrieskornLattice, "newton_order", _unordered)
     rc, out, err = run_cli(capsys, ["analyze", "--json", "u1 + u1^-1"])
     assert rc == 2
     report = json.loads(out)
     assert report["error"] == {
         "stage": "birkhoff", "type": "VerificationError",
-        "message": "the gauge identity does not hold",
+        "message": "gauge column 0 has the wrong Newton order",
     }
     assert report["birkhoff"] is None and report["frobenius"] is None
-    assert "gauge identity" in err
+    assert "wrong Newton order" in err
+
+
+def test_spectrum_gate_exits_2(capsys, monkeypatch):
+    # a spectrum that fails its own symmetry, range or nu_0 check ends the
+    # report at its stage instead of escaping as a traceback
+    message = "spectrum is not symmetric: nu(0) = 1 but nu(1) = 0"
+
+    def asymmetric(algebra):
+        raise DegeneracySuspectedError(message)
+
+    monkeypatch.setattr(frobenius_mod, "spectrum", asymmetric)
+    rc, out, err = run_cli(capsys, ["analyze", "--json", "u1 + u1^-1"])
+    assert rc == 2
+    report = json.loads(out)
+    assert report["error"] == {
+        "stage": "spectrum", "type": "DegeneracySuspectedError", "message": message,
+    }
+    assert report["basis"] is not None
+    assert report["spectrum"] is None and report["pencil"] is None
+    assert err == "error: %s\n" % message
+    for command in ("mu", "check"):
+        assert run_cli(capsys, [command, "u1 + u1^-1"]) == (2, "", err), command
 
 
 def test_non_integral_volume_exits_2_at_the_mu_gate(capsys, monkeypatch):
@@ -253,13 +284,12 @@ def test_non_integral_volume_exits_2_at_the_mu_gate(capsys, monkeypatch):
 
 def test_check_shares_the_gauge_recheck(capsys, monkeypatch):
     # `check` reads its normal-form gate off the same pipeline as `analyze`,
-    # so the re-check of the gauge identity fails it too
-    monkeypatch.setattr(frobenius_mod, "gauge_residual",
-                        lambda pencil, gauge, a0, ainf: [[[Fraction(1), 0], [0, 0]]])
+    # so the re-check of the Newton orders fails it too
+    monkeypatch.setattr(BrieskornLattice, "newton_order", _unordered)
     rc, out, _ = run_cli(capsys, ["check", "u1 + u1^-1"])
     assert rc == 1
     lines = out.splitlines()
-    assert "FAIL birkhoff-normal-form (the gauge identity does not hold)" in lines
+    assert "FAIL birkhoff-normal-form (gauge column 0 has the wrong Newton order)" in lines
     assert lines[-1] == "7 passed, 1 failed"
 
 

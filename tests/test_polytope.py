@@ -3,13 +3,11 @@
 The Milnor numbers frozen in the corpus come from n!*vol computed by
 facet triangulation; test_mu_matches_ehrhart_point_count re-derives each
 one independently by counting lattice points in dilates of the polytope
-and fitting the counting polynomial.  The simplex determinants are checked
-against the Leibniz formula, and the vertices of lower-dimensional hulls
-against a Caratheodory search.
+and fitting the counting polynomial, on the corpus and on seeded random
+polytopes.  The simplex determinants are checked against the Leibniz
+formula, and the face lattice against Euler's relation.
 """
 
-import hashlib
-import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -17,7 +15,7 @@ from math import factorial
 
 import pytest
 
-from conftest import CORPUS, NOT_CONVENIENT, caratheodory_vertices, dense_det, pipeline
+from conftest import CORPUS, NOT_CONVENIENT, dense_det, dense_rank, pipeline
 from newton_spectra import (
     LaurentPolynomial,
     NotConvenientError,
@@ -27,12 +25,11 @@ from newton_spectra import (
 )
 from newton_spectra import polytope as polytope_mod
 from newton_spectra.cli import main
-from newton_spectra.laurent import term_key
 
 
 def test_triangle_facets_exact():
     p = pipeline("u1 + u2 + u1^-1*u2^-1").polytope
-    assert p.convenient and p.scale == 1
+    assert p.scale == 1
     assert set(p.vertices) == {(1, 0), (0, 1), (-1, -1)}
     forms = {tuple(f.coeffs) for f in p.facets}
     assert forms == {(1, 1), (-2, 1), (1, -2)}
@@ -66,12 +63,8 @@ def test_fractional_scale():
 
 def test_convenient_flag_and_gate():
     for expr in NOT_CONVENIENT:
-        f, _ = parse_laurent(expr)
-        p = newton_polytope(f)
-        assert not p.convenient
-        assert p.diagnostic
         with pytest.raises(NotConvenientError):
-            p.require_convenient()
+            newton_polytope(parse_laurent(expr)[0])
     # constant-only and zero inputs are rejected outright
     with pytest.raises(ValueError):
         newton_polytope(parse_laurent("3")[0])
@@ -80,7 +73,6 @@ def test_convenient_flag_and_gate():
 def test_interior_origin_examples_pass_gate():
     for expr, _, _ in CORPUS:
         p = pipeline(expr).polytope
-        p.require_convenient()
         # 0 strictly inside: every facet form is positive somewhere on the
         # support and phi vanishes only at the origin among small points
         assert p.phi_exp(tuple([0] * p.arity)) == 0
@@ -130,15 +122,62 @@ def _fit_leading_coeff(values, deg):
     return diffs[0]
 
 
+def _ehrhart_mu(p):
+    """n! times the leading coefficient of k -> |kP| over k = 0..n+1."""
+    n = p.arity
+    counts = [_point_count(p, k) for k in range(n + 2)]
+    return factorial(n) * _fit_leading_coeff(counts, n)
+
+
 def test_mu_matches_ehrhart_point_count():
     # n!*vol equals the leading coefficient of the lattice-point counting
     # polynomial of the dilates, an algorithm with no shared volume code
     for expr, n, mu in CORPUS:
         p = pipeline(expr).polytope
-        counts = [_point_count(p, k) for k in range(n + 2)]
-        lead = _fit_leading_coeff(counts, n)
-        assert factorial(n) * lead == mu, expr
+        assert _ehrhart_mu(p) == mu, expr
         assert milnor_number(p) == mu, expr
+
+
+def _random_convenient(rng, n, size, radius):
+    """A seeded convenient polytope: random supports until one is not refused."""
+    while True:
+        pts = {tuple(rng.randint(-radius, radius) for _ in range(n)) for _ in range(size)}
+        pts.discard((0,) * n)
+        if not pts:
+            continue
+        try:
+            return newton_polytope(LaurentPolynomial(n, dict.fromkeys(pts, 1)))
+        except NotConvenientError:
+            continue
+
+
+def test_mu_matches_ehrhart_point_count_on_random_polytopes():
+    # the pulling triangulation over the face lattice against the point
+    # counts; about a fifth of these hulls have a non-simplicial facet
+    rng = random.Random(20261020)
+    for i in range(120):
+        n = 2 + i % 2
+        p = _random_convenient(rng, n, rng.randint(n + 2, 3 * n + 2), 2)
+        assert milnor_number(p) == _ehrhart_mu(p), p.vertices
+
+
+def test_faces_satisfy_euler_relation():
+    # sum over the proper faces of (-1)^dim is 1 - (-1)^n (Euler-Poincare)
+    polytopes = [pipeline(expr).polytope for expr, _, _ in CORPUS]
+    rng = random.Random(20261021)
+    for i in range(210):
+        n = 2 + i % 3
+        polytopes.append(_random_convenient(rng, n, rng.randint(n + 2, 2 * n + 2), 2))
+    for p in polytopes:
+        n = p.arity
+        total = 0
+        for ids in p.faces:
+            vs = [p.vertices[i] for i in ids]
+            total += (-1) ** dense_rank([[x - y for x, y in zip(v, vs[0])] for v in vs])
+        assert total == 1 - (-1) ** n, p.vertices
+        facets = {f.vertex_ids for f in p.facets}
+        assert facets <= set(p.faces) and p.faces == tuple(sorted(p.faces))
+        assert {(i,) for i in range(len(p.vertices))} <= set(p.faces)
 
 
 def test_volume_invariant_under_coordinate_swap():
@@ -153,9 +192,6 @@ def test_json_shape():
     assert obj["vars"] == 1 and obj["convenient"] is True
     assert sorted(map(tuple, obj["vertices"])) == [(-1,), (1,)]
     assert {tuple(fc["coeffs"]) for fc in obj["facets"]} == {("1",), ("-1",)}
-    q = newton_polytope(parse_laurent("u1 + u2")[0])
-    qobj = q.to_json_obj()
-    assert qobj["convenient"] is False and "halfspaces" in qobj and qobj["diagnostic"]
 
 
 def test_det_matches_leibniz_formula():
@@ -175,65 +211,33 @@ def test_det_matches_leibniz_formula():
     assert 100 <= singular <= 500
 
 
-def _low_dimensional_points(rng, n):
-    """Distinct nonzero integer points on a random affine subspace of dim < n."""
-    d = rng.randint(1, n - 1)
-    base = [rng.randint(-2, 2) for _ in range(n)]
-    dirs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
-    pts = set()
-    for _ in range(rng.randint(2, 6)):
-        coeffs = [rng.randint(-2, 2) for _ in range(d)]
-        p = tuple(b + sum(c * v[j] for c, v in zip(coeffs, dirs)) for j, b in enumerate(base))
-        if any(p):
-            pts.add(p)
-    return sorted(pts)
-
-
-def test_low_dimensional_vertices_match_caratheodory():
-    rng = random.Random(20261019)
-    checked = interior = 0
-    while checked < 1000:
-        n = rng.randint(2, 4)
-        pts = _low_dimensional_points(rng, n)
-        if not pts:
-            continue
-        p = newton_polytope(LaurentPolynomial(n, dict.fromkeys(pts, 1)))
-        assert not p.convenient and not p.halfspaces, pts
-        want = caratheodory_vertices(pts)
-        assert p.vertices == tuple(sorted(want, key=term_key)), pts
-        checked += 1
-        interior += len(want) < len(pts)
-    assert interior >= 200
-
-
-# sha256 of json.dumps(newton_polytope(f).to_json_obj(), indent=2), taken
-# from the implementation that found the vertices of a lower-dimensional
-# hull through integer Hermite forms
-NOT_CONVENIENT_POLYTOPE_SHA256 = {
-    "u1 + u2": "18450203b55cc678d28e605db3f915d580cb36851458cf829b36e1381b2a7a0d",
-    "u1 + u1^2": "9e12b4689972c782229b06ca63a73afbb18703dffaa0c030b181ae78397c94d2",
-    "u1 + u2 + u1*u2": "a41f3874a3acf4144d97fb462fa7cee30f8ce03cbfd7ed56e0b5f9c7b3713f6e",
-    "u1 + u2 + u3": "677545b83e071f71fc260ff098c83236deb0dab9060f12d99e8cdfd50bd34bf7",
-    "u1*u3 + u2*u3 + u1^-1*u2^-1*u3 + u3":
-        "628e32e619dc397f6d96d031c3fc3a139e853ee90c935c1b3077a914d3b46ff8",
-    "u1 + u1^2*u2 + u1^3*u2^2 + u1^-1*u2^-2":
-        "833481acf4a39b28c55e03366aeae04c86dfb18ad66efa3820ef05cd6898f1b1",
+# the refusal of every hull here, as printed by the implementation that
+# still built a polytope object for a non-convenient support
+NOT_CONVENIENT_MESSAGES = {
+    "u1 + u2": "Newton polytope has dimension 1 < 2",
+    "u1 + u1^2": "origin is not strictly interior (facet [-1] . x <= -1)",
+    "u1 + u2 + u1*u2": "origin is not strictly interior (facet [-1, -1] . x <= -1)",
+    "u1 + u2 + u3": "Newton polytope has dimension 2 < 3",
+    "u1*u3 + u2*u3 + u1^-1*u2^-1*u3 + u3": "Newton polytope has dimension 2 < 3",
+    "u1 + u1^2*u2 + u1^3*u2^2 + u1^-1*u2^-2": "Newton polytope has dimension 1 < 2",
     "u1*u2*u4 + u1^2*u2^2*u4 + u1^-1*u3*u4 + u3^2*u4 + u1*u3*u4":
-        "5e8b212e959e49dc0abec00f733eb4199872504a016cb068c451884ee5f70eba",
+        "Newton polytope has dimension 3 < 4",
     "u1 + u1^2*u2 + u1^3*u2^2 + u1*u3 + u1^-1*u3^-1 + u1^-3*u2^-2":
-        "d273866049056cbc7948db5549dc6147b00764cc160d5819e9128ab4a75c74c6",
+        "origin is not strictly interior (facet [-2, 3, 2] . x <= 0)",
 }
 
 
 def test_not_convenient_polytope_bytes_unchanged(capsys):
-    assert set(NOT_CONVENIENT) <= set(NOT_CONVENIENT_POLYTOPE_SHA256)
-    for expr, digest in NOT_CONVENIENT_POLYTOPE_SHA256.items():
-        obj = newton_polytope(parse_laurent(expr)[0]).to_json_obj()
-        assert hashlib.sha256(json.dumps(obj, indent=2).encode()).hexdigest() == digest, expr
+    assert set(NOT_CONVENIENT) <= set(NOT_CONVENIENT_MESSAGES)
+    for expr, diagnostic in NOT_CONVENIENT_MESSAGES.items():
+        with pytest.raises(NotConvenientError) as info:
+            newton_polytope(parse_laurent(expr)[0])
+        assert str(info.value) == "polynomial is not convenient: " + diagnostic, expr
+        assert info.value.diagnostic == diagnostic
     # the CLI prints no polytope section for a rejected input, only the
     # diagnostic on stderr
     for expr in NOT_CONVENIENT:
         assert main(["polytope", "--json", expr, "--seed", "0"]) == 2
         out, err = capsys.readouterr()
-        diagnostic = newton_polytope(parse_laurent(expr)[0]).diagnostic
+        diagnostic = NOT_CONVENIENT_MESSAGES[expr]
         assert (out, err) == ("", "error: polynomial is not convenient: %s\n" % diagnostic)

@@ -2,7 +2,8 @@
 
 Every re-check of a published result must still run under `python -O`,
 which strips `assert` statements, so the package raises a structured error
-instead of asserting.
+instead of asserting.  Code that nothing calls is deleted, so every private
+function or class of the package is named somewhere in it.
 """
 
 import ast
@@ -19,3 +20,23 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert sorted(PACKAGE.glob("*.py")) and found == []
+
+
+def test_every_private_definition_is_named():
+    # delete code that nothing calls: a private function or class must be
+    # named somewhere in the package, not only defined
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    named = set()
+    defined = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+    assert defined and sorted(defined - named) == []
