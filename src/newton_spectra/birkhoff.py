@@ -264,12 +264,12 @@ def _solve_system(n, rows, rhs, labels):
             inconsistent = True
             if len(culprits) < MAX_CULPRITS:
                 culprits.append(lab)
-    system = len(ech.rows)
+    system = len(ech)
     x = None
     if not inconsistent:
         x = [Fraction(0)] * n
-        for p, (row, _) in ech.rows.items():
-            x[p] = row.get(n, Fraction(0))
+        for p in ech.pivots:
+            x[p] = ech.row(p).get(n, Fraction(0))
     return x, system, system + inconsistent, tuple(culprits)
 
 
@@ -466,10 +466,10 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     span = Echelon()
     for j in range(mu):
         span.insert(
-            {key(i, k): Fraction(g[i][j])
+            {key(i, k): g[i][j]
              for k, g in enumerate(gauge) for i in range(mu) if g[i][j]}
         )
-    pivots = sorted(span.rows, reverse=True)     # ascending Newton order
+    pivots = sorted(span.pivots, reverse=True)  # ascending Newton order
     constant = {key(i, 0) for i in range(mu)}
     low = Echelon()
     taken = 0
@@ -480,12 +480,12 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     while Fraction(r, scale) <= top:
         alpha = Fraction(r, scale)
         while taken < len(pivots) and -(pivots[taken] // mu) * scale <= r * den:
-            row = span.rows[pivots[taken]][0]
+            row = span.row(pivots[taken])
             low.insert({p: x for p, x in row.items() if p in constant})
             taken += 1
         ambient = sum(floor(alpha - a) + 1 for a in degrees if a <= alpha)
         shifted = ambient - sum(1 for a in degrees if a <= alpha)
-        good = taken + shifted == ambient and shifted + len(low.rows) == ambient
+        good = taken + shifted == ambient and shifted + len(low) == ambient
         details.append(
             {"level": str(alpha), "ambient": ambient, "lattice": taken,
              "shifted": shifted, "ok": good}
@@ -679,7 +679,7 @@ def _opposite_filtration(pencil, gauge, classes):
             ech.insert({key(i, s - k): c for i, s, c in col})
         for rho, slots in symbols:
             if k <= kmax[rho] + 1:
-                rows = [ech.rows[p][0] for p in sorted(slots) if p in ech.rows]
+                rows = [ech.row(p) for p in sorted(slots) if p in ech]
                 out[rho][k] = [[row.get(q, Fraction(0)) for q in slots] for row in rows]
     return out
 
@@ -747,8 +747,8 @@ def graded_model(pencil: ConnectionPencil, gauge, scale: int):
             for v in fpr[k]:
                 ech.insert({-c: x for c, x in enumerate(v) if x})
             # oppositeness: F_{k-1} cap F'^k = 0 and F_k = (F_k cap F'^k) + F_{k-1}
-            low = sum(1 for p in ech.rows if -p < hodge[k - 1])
-            meet = sum(1 for p in ech.rows if -p < hodge[k])
+            low = sum(1 for p in ech.pivots if -p < hodge[k - 1])
+            meet = sum(1 for p in ech.pivots if -p < hodge[k])
             if low or meet != hodge[k] - hodge[k - 1]:
                 opp = False
         out.append(

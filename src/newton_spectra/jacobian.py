@@ -9,9 +9,11 @@ the n logarithmic derivatives, with m at level r - scale, span a subspace
 of the level-r monomials.  Each level caches one `linalg.Echelon` of that
 span: columns are the positions of the level's monomials in graded-lex
 order, rows go in in (i, m) order and carry the label (i, m) as provenance.
-Non-pivot monomials are the canonical graded representatives; collecting
-them for r = 0 .. n*scale gives the adapted basis, and reducing against the
-echelon gives division with certified cofactors read off the provenance.
+The leading forms keep integral coefficients as ints, so for f with integer
+coefficients a level echelon is built on integers alone.  Non-pivot
+monomials are the canonical graded representatives; collecting them for
+r = 0 .. n*scale gives the adapted basis, and reducing against the echelon
+gives division with certified cofactors read off the provenance.
 The levels n*scale + 1 .. (n+1)*scale are the window that
 `nondegeneracy.is_nondegenerate` reads: all of them are empty exactly when f
 is nondegenerate.
@@ -74,11 +76,13 @@ class JacobianAlgebra:
             if xi.is_zero():
                 # f independent of u_i contradicts convenience, but be precise
                 raise DegeneracySuspectedError("f does not involve variable %d" % i)
-        # leading parts of the log derivatives (terms on the polytope boundary)
+        # leading parts of the log derivatives (terms on the polytope boundary),
+        # integral coefficients as int, so the level echelons start on integers
         self.leading = []
         for xi in self.log_derivs:
             self.leading.append(
-                {e: c for e, c in xi.terms.items() if p.scaled_phi_exp(e) == self.d}
+                {e: c.numerator if c.denominator == 1 else c
+                 for e, c in xi.terms.items() if p.scaled_phi_exp(e) == self.d}
             )
         self._levels = {}          # scaled level -> sorted monomial list
         self._index = {}           # scaled level -> monomial -> echelon column
@@ -131,7 +135,7 @@ class JacobianAlgebra:
                     for k, b in lead.items():
                         j = index.get(tuple(a + t for a, t in zip(m, k)))
                         if j is not None:
-                            vec[j] = vec.get(j, Fraction(0)) + b
+                            vec[j] = vec.get(j, 0) + b
                     ech.insert(vec, (i, m))
             self._solvers[r] = ech
         return self._solvers[r]
@@ -140,8 +144,8 @@ class JacobianAlgebra:
 
     def representatives(self, r: int):
         """Level-r monomials outside the pivots: the graded basis slice."""
-        pivots = self.solver(r).rows
-        return [e for j, e in enumerate(self.level_monomials(r)) if j not in pivots]
+        ech = self.solver(r)
+        return [e for j, e in enumerate(self.level_monomials(r)) if j not in ech]
 
     def graded_dimension(self, r: int) -> int:
         return len(self.representatives(r))

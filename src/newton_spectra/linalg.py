@@ -1,11 +1,13 @@
-"""Exact linear algebra over Q (fractions.Fraction), plus small univariate
-polynomial helpers used across the package.
+"""Exact linear algebra over Q, plus small univariate polynomial helpers used
+across the package.
 
-Matrices are plain lists of lists of Fraction, vectors are lists of Fraction.
-All row elimination over Q goes through one kernel, `Echelon`: sparse dict
-rows, the smallest column as pivot, fully reduced, with optional provenance.
-`rref`, `rank`, `solve_linear` and `nullspace` are thin dense wrappers around
-it for small dense systems.  The package itself does not call
+Matrices are lists of lists and vectors lists, of Fractions or ints; what
+this module returns is Fraction throughout.  All row elimination over Q goes
+through one kernel, `Echelon`: sparse dict rows, the smallest column as
+pivot, fully reduced, with optional provenance.  It stores every row as
+integer numerators over one denominator, so an integer system is eliminated
+on integers.  `rref`, `rank`, `solve_linear` and `nullspace` are thin dense
+wrappers around it for small dense systems, and pass int entries through.  The package itself does not call
 `solve_linear`; it is kept for the tests and the benchmark tracer.  The
 Birkhoff gauge system, the polytope's affine span and its simplex
 determinants are built as sparse rows and fed to `Echelon` directly.
@@ -16,7 +18,7 @@ free variables are always set to zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -67,54 +69,146 @@ def trace(a) -> Fraction:
 class Echelon:
     """Sparse, fully reduced row echelon form over Q, grown one row at a time.
 
-    A row is a dict column -> Fraction without zero entries, and its pivot is
-    its smallest column.  Every stored row has coefficient 1 in its pivot and
-    0 in every other stored row's pivot, so the stored rows are the reduced
-    row echelon form of the span of the rows inserted so far, which is
-    unique.  A row inserted with a label carries a provenance dict label ->
-    Fraction naming the combination of labelled inserted rows it equals.
-    Rows that reduce to zero are dropped, so provenance depends on the order
-    of insertion as well as on the rows.
+    The pivot of a row is its smallest column.  Every stored row has
+    coefficient 1 in its pivot and 0 in every other stored row's pivot, so
+    the stored rows are the reduced row echelon form of the span of the rows
+    inserted so far, which is unique.  A row inserted with a label carries a
+    provenance, label -> coefficient, naming the combination of labelled
+    inserted rows it equals.  Rows that reduce to zero are dropped, so
+    provenance depends on the order of insertion as well as on the rows.
+
+    The arithmetic is on integers.  A stored row and its provenance are dicts
+    of integer numerators over one positive denominator, divided by their
+    content gcd, with numerator == denominator in the pivot.  An input vector
+    (int or Fraction values) is scaled to integers once and reduced with
+    integer multipliers over the lcm of the denominators of the rows it
+    meets.  A column index (column -> pivots of the stored rows nonzero
+    there) names the rows a new pivot is back-substituted into.  Only
+    `reduce` and `row` build Fractions, for their callers.
     """
 
     def __init__(self):
-        self.rows = {}      # pivot -> (row, provenance)
+        self._rows = {}     # pivot -> (numerators, provenance numerators, denominator)
+        self._cols = {}     # column -> pivots of the other rows nonzero there
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __contains__(self, p):
+        return p in self._rows
+
+    @property
+    def pivots(self):
+        """The pivot columns, in insertion order."""
+        return self._rows.keys()
+
+    def row(self, p):
+        """The stored row with pivot p, as a dict column -> Fraction."""
+        num, _, den = self._rows[p]
+        return _fractions(num, den)
+
+    def _split(self, vec):
+        """(w, d, hits, m): vec minus its pivot-row parts is w / d, w integral.
+
+        hits lists (pivot, numerator of vec there), and the row of each hit
+        pivot p was subtracted with the multiplier numerator * m // den(p).
+        """
+        den = lcm(*(x.denominator for x in vec.values()))
+        w = {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}
+        rows = self._rows
+        hits = [(p, c) for p, c in w.items() if p in rows]
+        if not hits:
+            return w, den, hits, 1
+        m = lcm(*(rows[p][2] for p, _ in hits))
+        if m != 1:
+            w = {k: v * m for k, v in w.items()}
+            den *= m
+        for p, c in hits:
+            num, _, d = rows[p]
+            _axpy(w, -c * (m // d), num)
+        return w, den, hits, m
+
+    def _combination(self, hits, m):
+        """Numerators, over the denominator `_split` returned, of the labels."""
+        combo = {}
+        rows = self._rows
+        for p, c in hits:
+            _, prov, d = rows[p]
+            if prov:
+                _axpy(combo, c * (m // d), prov)
+        return combo
 
     def reduce(self, vec):
         """Split vec as residual + sum of combination[label] * inserted row.
 
-        Returns (residual, combination).  The residual is zero in every pivot
-        column; the combination is over the labelled rows.  Stored rows are
-        zero in each other's pivots, so the coefficient of each pivot row is
-        vec's own entry there and the order of the subtractions is immaterial.
+        Returns (residual, combination), two dicts of Fractions.  The residual
+        is zero in every pivot column; the combination is over the labelled
+        rows.  Stored rows are zero in each other's pivots, so the coefficient
+        of each pivot row is vec's own entry there and the order of the
+        subtractions is immaterial.
         """
-        vec = {k: v for k, v in vec.items() if v}
-        combo = {}
-        for p in [k for k in vec if k in self.rows]:
-            c = vec[p]
-            row, prov = self.rows[p]
-            _axpy(vec, -c, row)
-            _axpy(combo, c, prov)
-        return vec, combo
+        w, den, hits, m = self._split(vec)
+        return _fractions(w, den), _fractions(self._combination(hits, m), den)
 
     def insert(self, vec, label=None):
         """Reduce vec and store what is left, if anything."""
-        vec, combo = self.reduce(vec)
-        if not vec:
+        w, den, hits, m = self._split(vec)
+        if not w:
             return
-        prov = {k: -v for k, v in combo.items()}
+        # w / den = vec - combination; scaled so the pivot entry is positive,
+        # w and label - combination share the denominator w[p]
+        p = min(w)
+        sign = 1 if w[p] > 0 else -1
+        prov = {k: -sign * v for k, v in self._combination(hits, m).items()}
         if label is not None:
-            prov[label] = prov.get(label, 0) + 1
-        p = min(vec)
-        lead = vec[p]
-        vec = {k: v / lead for k, v in vec.items()}
-        prov = {k: v / lead for k, v in prov.items()}
-        for row, rprov in self.rows.values():
-            c = row.get(p)
-            if c:
-                _axpy(row, -c, vec)
-                _axpy(rprov, -c, prov)
-        self.rows[p] = (vec, prov)
+            prov[label] = prov.get(label, 0) + sign * den
+        if sign < 0:
+            w = {k: -v for k, v in w.items()}
+        w, prov, lead = _primitive(w, prov, w[p])
+        rows = self._rows
+        cols = self._cols
+        for q in cols.pop(p, ()):
+            num, qprov, d = rows[q]
+            c = num[p]
+            g = gcd(c, lead)
+            a, b = lead // g, c // g
+            if a != 1:
+                num = {k: v * a for k, v in num.items()}
+                qprov = {k: v * a for k, v in qprov.items()}
+                d *= a
+            for k, v in w.items():
+                s = num.get(k)
+                t = b * v
+                if s is None:
+                    num[k] = -t
+                    cols.setdefault(k, set()).add(q)
+                elif s != t:
+                    num[k] = s - t
+                else:
+                    del num[k]
+                    if k != p:
+                        cols[k].discard(q)
+            _axpy(qprov, -b, prov)
+            rows[q] = _primitive(num, qprov, d)
+        for k in w:
+            if k != p:
+                cols.setdefault(k, set()).add(p)
+        rows[p] = (w, prov, lead)
+
+
+def _primitive(num, prov, den):
+    """(num, prov, den) divided by the gcd of all their entries."""
+    if den == 1:
+        return num, prov, den
+    g = gcd(den, *num.values(), *prov.values())
+    if g == 1:
+        return num, prov, den
+    return ({k: v // g for k, v in num.items()},
+            {k: v // g for k, v in prov.items()}, den // g)
+
+
+def _fractions(num, den):
+    return {k: Fraction(v, den) for k, v in num.items()}
 
 
 def _axpy(y, c, x):
@@ -131,7 +225,7 @@ def _axpy(y, c, x):
 def _echelon(a) -> Echelon:
     ech = Echelon()
     for row in a:
-        ech.insert({j: frac(x) for j, x in enumerate(row) if x})
+        ech.insert({j: x for j, x in enumerate(row) if x})
     return ech
 
 
@@ -143,30 +237,30 @@ def rref(a):
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    rows = _echelon(a).rows
-    pivots = sorted(rows)
+    ech = _echelon(a)
+    pivots = sorted(ech.pivots)
     out = []
     for p in pivots:
-        row = rows[p][0]
+        row = ech.row(p)
         out.append([row.get(j, Fraction(0)) for j in range(n)])
     out += [[Fraction(0)] * n for _ in range(m - len(pivots))]
     return out, pivots
 
 
 def rank(a) -> int:
-    return len(_echelon(a).rows)
+    return len(_echelon(a))
 
 
 def solve_linear(a, b):
     """One solution x of A x = b with all free variables zero, or None."""
     m = len(a)
     n = len(a[0]) if m else 0
-    rows = _echelon([list(a[i]) + [b[i]] for i in range(m)]).rows
-    if n in rows:
+    ech = _echelon([list(a[i]) + [b[i]] for i in range(m)])
+    if n in ech:
         return None
     x = [Fraction(0)] * n
-    for p, (row, _) in rows.items():
-        x[p] = row.get(n, Fraction(0))
+    for p in ech.pivots:
+        x[p] = ech.row(p).get(n, Fraction(0))
     return x
 
 
@@ -174,14 +268,14 @@ def nullspace(a):
     """Basis of the kernel of A, one vector per free column (that column = 1)."""
     m = len(a)
     n = len(a[0]) if m else 0
-    rows = _echelon(a).rows
+    ech = _echelon(a)
     basis = {}
     for c in range(n):
-        if c not in rows:
+        if c not in ech:
             basis[c] = [Fraction(0)] * n
             basis[c][c] = Fraction(1)
-    for p, (row, _) in rows.items():
-        for c, x in row.items():
+    for p in ech.pivots:
+        for c, x in ech.row(p).items():
             if c != p:
                 basis[c][p] = -x
     return list(basis.values())

@@ -3,8 +3,13 @@
 The polytope of f is the convex hull of the nonzero exponents in its support.
 "Convenient" means full-dimensional with the origin strictly inside; then
 every facet hyperplane can be normalized to a linear form L with L == 1 on the
-facet, and phi(x) = max over facets of L(x) is the polytope gauge.  All
-arithmetic is over Fraction; facet data is canonical, so repeated runs agree.
+facet, and phi(x) = max over facets of L(x) is the polytope gauge.  The hull
+is computed on integers: facet halfspaces a.x <= b with a primitive integer
+normal (`_hull_halfspaces`, from signed maximal minors), and the scaled
+forms scale * L are integer vectors, so the gauge, the vertex tests and the
+lattice-point walk (`enumerate_sublevel`) are integer sums; only the facet
+coefficients L and the degrees phi are Fractions.  Facet data is canonical,
+so repeated runs agree.
 
 Only convenient polytopes are built: `newton_polytope` refuses any other
 support with `NotConvenientError`, a hull of dimension below n by the rank
@@ -12,9 +17,9 @@ of the echelon of its differences p - p_0 and a facet with offset b <= 0
 before any vertex is computed.  The hull is computed once; the face lattice
 (`NewtonPolytope.faces`) is read off its facets once, and both the volume
 (a pulling triangulation over that lattice) and the nondegeneracy
-certificate's face list read it.  Every elimination here runs on
-`linalg.Echelon`, and each simplex |det| in the volume is a product of
-pivots (`_det`).
+certificate's face list read it.  The affine span and the vertex tests run
+on `linalg.Echelon`; the simplex |det| of the volume and the minors of the
+hull normals come from one integer determinant (`_det`).
 """
 
 from __future__ import annotations
@@ -22,29 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm, ceil, floor
+from operator import mul
 
 from .errors import NotConvenientError, VerificationError
 from .laurent import LaurentPolynomial, term_key
-from .linalg import Echelon, nullspace, rank
+from .linalg import Echelon, rank
 
 
 def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _primitive(v):
-    """Scale a rational vector to a primitive integer vector (same direction)."""
-    den = 1
-    for x in v:
-        f = Fraction(x)
-        den = lcm(den, f.denominator)
-    iv = [int(Fraction(x) * den) for x in v]
-    g = 0
-    for x in iv:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in iv)
+    """Dot product of two integer vectors, as an int."""
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -118,18 +112,54 @@ class NewtonPolytope:
     # -- lattice point enumeration
 
     def enumerate_sublevel(self, alpha) -> list[tuple[int, ...]]:
-        """All lattice points with phi <= alpha, graded-lex order."""
+        """All lattice points with phi <= alpha, graded-lex order.
+
+        They are the points of alpha times the vertices' bounding box on
+        which every scaled facet form is at most top = floor(alpha * scale).
+        The walk fixes one coordinate at a time.  Given a prefix, each form
+        bounds the next coordinate from one side: the form must stay <= top
+        with the coordinates after it at their smallest contribution in the
+        box, so a prefix is cut as soon as one form exceeds top.  At the
+        last coordinate the bounds are exact.
+        """
         alpha = Fraction(alpha)
         if alpha < 0:
             return []
         n = self.arity
-        ranges = []
+        box = []
         for j in range(n):
             lo = min(v[j] for v in self.vertices) * alpha
             hi = max(v[j] for v in self.vertices) * alpha
-            ranges.append(range(ceil(lo), floor(hi) + 1))
+            box.append((ceil(lo), floor(hi)))
         top = floor(alpha * self.scale)
-        out = [e for e in product(*ranges) if self.scaled_phi_exp(e) <= top]
+        forms = self._scaled_forms
+        # rest[j]: per form, its smallest value over the coordinates j.. in the box
+        rest = [[0] * len(forms)]
+        for j in range(n - 1, -1, -1):
+            lo, hi = box[j]
+            rest.append([r + min(a[j] * lo, a[j] * hi) for a, r in zip(forms, rest[-1])])
+        rest.reverse()
+        out = []
+
+        def walk(j, prefix, sums):
+            lo, hi = box[j]
+            for a, s, r in zip(forms, sums, rest[j + 1]):
+                room = top - s - r
+                c = a[j]
+                if c > 0:
+                    hi = min(hi, room // c)
+                elif c < 0:
+                    lo = max(lo, -(room // -c))
+                elif room < 0:
+                    return
+            for x in range(lo, hi + 1):
+                point = prefix + (x,)
+                if j + 1 == n:
+                    out.append(point)
+                else:
+                    walk(j + 1, point, [s + a[j] * x for a, s in zip(forms, sums)])
+
+        walk(0, (), [0] * len(forms))
         out.sort(key=term_key)
         return out
 
@@ -147,29 +177,67 @@ class NewtonPolytope:
 
 
 def _hull_halfspaces(pts, n):
-    """Facet halfspaces (a primitive integer, a.x <= b) of a full-dimensional hull."""
+    """Facet halfspaces (a primitive integer, a.x <= b) of a full-dimensional hull.
+
+    Every n-subset of the points spans a candidate hyperplane.  Its normal
+    is the vector of signed maximal minors of the n - 1 differences to the
+    first point (the generalized cross product, zero exactly when the subset
+    is affinely dependent), made primitive; the hyperplane bounds a facet
+    when every point lies on one side of it.
+    """
     if n == 1:
         vals = [p[0] for p in pts]
         return [((1,), max(vals)), ((-1,), -min(vals))]
-    found = {}
+    found = set()
     for sub in combinations(range(len(pts)), n):
         base = pts[sub[0]]
-        rows = [[pts[j][c] - base[c] for c in range(n)] for j in sub[1:]]
-        ns = nullspace(rows)
-        if len(ns) != 1:
+        diffs = [[x - y for x, y in zip(pts[j], base)] for j in sub[1:]]
+        a = [(-1) ** c * _det([row[:c] + row[c + 1:] for row in diffs]) for c in range(n)]
+        g = gcd(*a)
+        if not g:
             continue  # affinely dependent subset
-        a = _primitive(ns[0])
+        a = tuple(x // g for x in a)
         b = _dot(a, base)
-        vals = [_dot(a, p) - b for p in pts]
-        if all(v <= 0 for v in vals):
-            pass
-        elif all(v >= 0 for v in vals):
-            a = tuple(-x for x in a)
-            b = -b
+        if (a, b) in found or (tuple(-x for x in a), -b) in found:
+            continue  # a facet already found from another subset
+        above = below = False
+        for p in pts:
+            v = _dot(a, p) - b
+            above = above or v > 0
+            below = below or v < 0
+            if above and below:
+                break
         else:
-            continue
-        found[(a, int(b))] = True
+            if above:
+                a = tuple(-x for x in a)
+                b = -b
+            found.add((a, b))
     return sorted(found)
+
+
+def _det(m):
+    """Determinant of a square integer matrix, by fraction-free elimination.
+
+    Bareiss (Math. Comp. 22, 1968): after step i the entry (r, c) with
+    r, c > i is the minor on rows 0..i, r and columns 0..i, c (of the rows
+    as swapped), so the division by the previous pivot is exact and every
+    entry stays an integer.
+    """
+    m = [list(row) for row in m]
+    k = len(m)
+    sign = prev = 1
+    for i in range(k):
+        piv = next((r for r in range(i, k) if m[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            sign = -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
 
 
 def newton_polytope(f: LaurentPolynomial) -> NewtonPolytope:
@@ -181,9 +249,9 @@ def newton_polytope(f: LaurentPolynomial) -> NewtonPolytope:
     base = pts[0]
     span = Echelon()
     for p in pts[1:]:
-        span.insert({c: Fraction(p[c] - base[c]) for c in range(n) if p[c] != base[c]})
-    if len(span.rows) < n:
-        raise NotConvenientError("Newton polytope has dimension %d < %d" % (len(span.rows), n))
+        span.insert({c: p[c] - base[c] for c in range(n) if p[c] != base[c]})
+    if len(span) < n:
+        raise NotConvenientError("Newton polytope has dimension %d < %d" % (len(span), n))
     halfspaces = _hull_halfspaces(pts, n)
     for a, b in halfspaces:
         if b <= 0:
@@ -202,26 +270,6 @@ def _vertex_ids(pts, halfspaces):
         if len(active) >= dim and rank(active) == dim:
             out.append(i)
     return out
-
-
-def _det(rows):
-    """|det| of a square matrix: the product of the pivots its rows meet.
-
-    Each row is reduced against the rows before it in one `Echelon`.  The
-    residual differs from the row by a combination of earlier rows and is
-    zero in every earlier pivot column, so with the columns taken in pivot
-    order the residuals form a triangular matrix of the same |det|, whose
-    diagonal holds their leading entries.
-    """
-    ech = Echelon()
-    det = Fraction(1)
-    for row in rows:
-        vec, _ = ech.reduce({j: Fraction(x) for j, x in enumerate(row) if x})
-        if not vec:
-            return Fraction(0)
-        det *= abs(vec[min(vec)])
-        ech.insert(vec)
-    return det
 
 
 def milnor_number(p: NewtonPolytope) -> int:
@@ -253,7 +301,7 @@ def milnor_number(p: NewtonPolytope) -> int:
     total = Fraction(0)
     for facet in p.facets:
         for simplex in pull(frozenset(facet.vertex_ids)):
-            total += _det([p.vertices[i] for i in simplex])
+            total += abs(_det([p.vertices[i] for i in simplex]))
     if total.denominator != 1:
         raise VerificationError("the normalized volume %s is not an integer" % total)
     return int(total)

@@ -27,12 +27,19 @@ for that kernel, and reference_spectrum_polynomial is the `pol_mul` product
 of SP(S) over Fractions that the integer product replaced.
 
 dense_det is the Leibniz formula, a sum over permutations with no
-elimination at all; it checks the polytope's `Echelon`-based volume.
+elimination at all; it checks the polytope's fraction-free determinant.
+
+ReferenceEchelon is the `Fraction` row echelon the package ran before its
+kernel moved to integer rows, kept as the reference for that kernel.
+reference_enumerate_sublevel is the box scan and reference_hull_halfspaces
+the per-subset nullspace hull (here on dense_rref) that the pruned
+enumeration and the integer minors replaced.
 """
 
 from fractions import Fraction
-from itertools import permutations
-from math import floor, gcd
+from itertools import combinations, permutations, product
+from math import ceil, floor, gcd, lcm
+from operator import mul
 
 from newton_spectra import (
     BrieskornElement,
@@ -448,3 +455,101 @@ def reference_spectrum_polynomial(degrees):
     for a in degrees:
         poly = pol_mul(poly, [a, Fraction(1)])
     return tuple(poly)
+
+
+class ReferenceEchelon:
+    """The Fraction row echelon: rows[pivot] = (row, provenance), fully reduced."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec):
+        vec = {k: Fraction(v) for k, v in vec.items() if v}
+        combo = {}
+        for p in [k for k in vec if k in self.rows]:
+            c = vec[p]
+            row, prov = self.rows[p]
+            _fraction_axpy(vec, -c, row)
+            _fraction_axpy(combo, c, prov)
+        return vec, combo
+
+    def insert(self, vec, label=None):
+        vec, combo = self.reduce(vec)
+        if not vec:
+            return
+        prov = {k: -v for k, v in combo.items()}
+        if label is not None:
+            prov[label] = prov.get(label, 0) + 1
+        p = min(vec)
+        lead = vec[p]
+        vec = {k: v / lead for k, v in vec.items()}
+        prov = {k: v / lead for k, v in prov.items()}
+        for row, rprov in self.rows.values():
+            c = row.get(p)
+            if c:
+                _fraction_axpy(row, -c, vec)
+                _fraction_axpy(rprov, -c, prov)
+        self.rows[p] = (vec, prov)
+
+
+def _fraction_axpy(y, c, x):
+    for k, v in x.items():
+        s = y.get(k)
+        s = c * v if s is None else s + c * v
+        if s:
+            y[k] = s
+        else:
+            del y[k]
+
+
+def reference_enumerate_sublevel(p, alpha):
+    """Lattice points with phi <= alpha: every point of the dilated box, tested."""
+    alpha = Fraction(alpha)
+    if alpha < 0:
+        return []
+    ranges = []
+    for j in range(p.arity):
+        lo = min(v[j] for v in p.vertices) * alpha
+        hi = max(v[j] for v in p.vertices) * alpha
+        ranges.append(range(ceil(lo), floor(hi) + 1))
+    # a.e is an integer, so a.e <= alpha * b exactly when a.e <= floor(alpha * b)
+    bounds = [(normal, floor(alpha * b)) for normal, b in p.halfspaces]
+    out = [
+        e for e in product(*ranges)
+        if all(sum(map(mul, normal, e)) <= b for normal, b in bounds)
+    ]
+    out.sort(key=lambda e: (sum(e), e))
+    return out
+
+
+def reference_hull_halfspaces(pts, n):
+    """Facet halfspaces (primitive a, a.x <= b) from one kernel per n-subset."""
+    if n == 1:
+        vals = [q[0] for q in pts]
+        return [((1,), max(vals)), ((-1,), -min(vals))]
+    found = {}
+    for sub in combinations(range(len(pts)), n):
+        base = pts[sub[0]]
+        rows, pivots = dense_rref([[pts[j][c] - base[c] for c in range(n)] for j in sub[1:]])
+        free = [c for c in range(n) if c not in pivots]
+        if len(free) != 1:
+            continue  # affinely dependent subset
+        kernel = [Fraction(0)] * n
+        kernel[free[0]] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            kernel[c] = -row[free[0]]
+        den = lcm(*(x.denominator for x in kernel))
+        a = [int(x * den) for x in kernel]
+        g = gcd(*a)
+        a = tuple(x // g for x in a)
+        b = sum(x * y for x, y in zip(a, base))
+        vals = [sum(x * y for x, y in zip(a, q)) - b for q in pts]
+        if all(v <= 0 for v in vals):
+            pass
+        elif all(v >= 0 for v in vals):
+            a = tuple(-x for x in a)
+            b = -b
+        else:
+            continue
+        found[(a, b)] = True
+    return sorted(found)

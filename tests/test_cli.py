@@ -268,8 +268,11 @@ def test_spectrum_gate_exits_2(capsys, monkeypatch):
 def test_non_integral_volume_exits_2_at_the_mu_gate(capsys, monkeypatch):
     # the volume is checked to be an integer by an explicit test, not an
     # assert, so it also runs under python -O; the triangle has three cone
-    # simplices, so |det| = 1/2 each sums to 3/2
-    monkeypatch.setattr(polytope_mod, "_det", lambda rows: Fraction(1, 2))
+    # simplices, so |det| = 1/2 each sums to 3/2; the hull's normals take the
+    # 1 x 1 minors of the same determinant, which stay exact
+    det = polytope_mod._det
+    monkeypatch.setattr(polytope_mod, "_det",
+                        lambda rows: Fraction(1, 2) if len(rows) == 2 else det(rows))
     message = "the normalized volume 3/2 is not an integer"
     rc, out, err = run_cli(capsys, ["analyze", "--json", "u1 + u2 + u1^-1*u2^-1"])
     assert rc == 2

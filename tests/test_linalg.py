@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from fractions import Fraction as F
 
-from conftest import dense_mat_mul, dense_rank, dense_rref
+from conftest import ReferenceEchelon, dense_mat_mul, dense_rank, dense_rref
 from newton_spectra.linalg import (
     Echelon,
     charpoly,
@@ -136,17 +136,76 @@ def test_echelon_provenance_names_the_inserted_rows():
                     out[k] = out.get(k, 0) + c * v
             return {k: v for k, v in out.items() if v}
 
-        for p, (row, prov) in ech.rows.items():
+        for p in ech.pivots:
+            # a stored row reduces to zero, and its combination is its provenance
+            row = ech.row(p)
             assert min(row) == p and row[p] == 1
-            assert not any(q in row for q in ech.rows if q != p)
-            assert combination(prov) == row
+            assert not any(q in row for q in ech.pivots if q != p)
+            rest, prov = ech.reduce(row)
+            assert rest == {} and combination(prov) == row
         probe = {j: F(rng.randrange(-3, 4)) for j in range(n)}
         rest, combo = ech.reduce(probe)
-        assert not set(rest) & set(ech.rows)
+        assert not set(rest) & set(ech.pivots)
         total = combination(combo)
         for k, v in rest.items():
             total[k] = total.get(k, 0) + v
         assert {k: v for k, v in total.items() if v} == {k: v for k, v in probe.items() if v}
+
+
+def _random_entry(rng, kind):
+    x = rng.randrange(-4, 5)
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return x
+    return F(x, rng.randrange(1, 7))
+
+
+def test_echelon_matches_fraction_reference():
+    # the integer-row kernel against the Fraction one it replaced: the same
+    # pivots in the same order, the same rows and provenance, the same
+    # dropped labels, and the same residual and combination for probes
+    rng = random.Random(20261019)
+    dropped_total = 0
+    for case in range(2400):
+        n = rng.randrange(1, 9)
+        columns = rng.sample(range(-20, 21), n)
+        kind = ("int", "fraction", "mixed")[case % 3]
+        ech, ref = Echelon(), ReferenceEchelon()
+        inserted = []
+        dropped, ref_dropped = [], []
+        for label in range(rng.randrange(1, 11)):
+            if inserted and rng.random() < 0.3:
+                # a combination of earlier rows: dependent, so it is dropped
+                vec = {}
+                for _ in range(rng.randrange(1, 3)):
+                    u, c = rng.choice(inserted), _random_entry(rng, kind) or 1
+                    for k, v in u.items():
+                        vec[k] = vec.get(k, 0) + c * v
+                vec = {k: v for k, v in vec.items() if v}
+            else:
+                density = rng.choice((0.2, 0.5, 1.0))
+                vec = {j: _random_entry(rng, kind) for j in columns if rng.random() < density}
+            inserted.append(vec)
+            tag = label if rng.random() < 0.8 else None
+            before = len(ech), len(ref.rows)
+            ech.insert(dict(vec), tag)
+            ref.insert(dict(vec), tag)
+            if len(ech) == before[0]:
+                dropped.append(label)
+            if len(ref.rows) == before[1]:
+                ref_dropped.append(label)
+        assert dropped == ref_dropped
+        dropped_total += len(dropped)
+        assert list(ech.pivots) == list(ref.rows) and len(ech) == len(ref.rows)
+        for p, (row, prov) in ref.rows.items():
+            assert p in ech and ech.row(p) == row
+            assert ech.reduce(ech.row(p)) == ({}, prov)
+        for _ in range(3):
+            probe = {j: _random_entry(rng, kind) for j in columns if rng.random() < 0.6}
+            rest, combo = ech.reduce(probe)
+            assert (rest, combo) == ref.reduce(probe)
+            # Fractions only, so a later division stays exact
+            assert all(type(v) is F for v in [*rest.values(), *combo.values()])
+    assert dropped_total > 1000
 
 
 def test_mat_mul_matches_triple_loop():

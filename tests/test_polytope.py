@@ -15,7 +15,15 @@ from math import factorial
 
 import pytest
 
-from conftest import CORPUS, NOT_CONVENIENT, dense_det, dense_rank, pipeline
+from conftest import (
+    CORPUS,
+    NOT_CONVENIENT,
+    dense_det,
+    dense_rank,
+    pipeline,
+    reference_enumerate_sublevel,
+    reference_hull_halfspaces,
+)
 from newton_spectra import (
     LaurentPolynomial,
     NotConvenientError,
@@ -180,6 +188,28 @@ def test_faces_satisfy_euler_relation():
         assert {(i,) for i in range(len(p.vertices))} <= set(p.faces)
 
 
+def test_pruned_enumeration_and_integer_hull_match_the_references():
+    # the integer minors against the per-subset kernel hull, and the pruned
+    # walk against the scan of the whole dilated box, on convenient supports
+    rng = random.Random(20261019)
+    radius = {1: 4, 2: 3, 3: 2, 4: 1}
+    points = 0
+    for i in range(300):
+        n = 1 + i % 4
+        p = _random_convenient(rng, n, rng.randint(n + 1, 2 * n + 2), radius[n])
+        pts = sorted(set(p.vertices) | {
+            tuple(rng.randint(-radius[n], radius[n]) for _ in range(n)) for _ in range(2)
+        } - {(0,) * n})
+        # extra points inside or outside the hull change the candidate subsets
+        assert polytope_mod._hull_halfspaces(pts, n) == reference_hull_halfspaces(pts, n)
+        assert list(p.halfspaces) == reference_hull_halfspaces(list(p.vertices), n)
+        for alpha in (-1, 0, Fraction(1, 2), 1, n + 1, Fraction(5, 3)):
+            got = p.enumerate_sublevel(alpha)
+            assert got == reference_enumerate_sublevel(p, alpha), (p.vertices, alpha)
+            points += len(got)
+    assert points > 10000
+
+
 def test_volume_invariant_under_coordinate_swap():
     f, _ = parse_laurent("u1^2 + u2 + u1^-1*u2^-1")
     g, _ = parse_laurent("u2^2 + u1 + u1^-1*u2^-1")
@@ -195,8 +225,8 @@ def test_json_shape():
 
 
 def test_det_matches_leibniz_formula():
-    # |det| from the pivots of one echelon; rank-deficient matrices are
-    # built as products of thin factors, so a share of them is singular
+    # the signed determinant of the volume and the hull normals; rank-deficient
+    # matrices are built as products of thin factors, so a share is singular
     rng = random.Random(20261018)
     singular = 0
     for _ in range(600):
@@ -205,7 +235,7 @@ def test_det_matches_leibniz_formula():
         left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
         right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
         a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
-        want = abs(dense_det(a))
+        want = dense_det(a)
         assert polytope_mod._det(a) == want, a
         singular += want == 0
     assert 100 <= singular <= 500

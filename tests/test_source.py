@@ -3,7 +3,9 @@
 Every re-check of a published result must still run under `python -O`,
 which strips `assert` statements, so the package raises a structured error
 instead of asserting.  Code that nothing calls is deleted, so every private
-function or class of the package is named somewhere in it.
+function or class of the package is named somewhere in it.  The storage of
+`linalg.Echelon` rows is known to `linalg` alone: other modules read rows
+through `pivots`, `row(p)`, `len` and `in`.
 """
 
 import ast
@@ -40,3 +42,14 @@ def test_every_private_definition_is_named():
                 if node.name.startswith("_") and not node.name.endswith("__"):
                     defined.add(node.name)
     assert defined and sorted(defined - named) == []
+
+
+def test_only_linalg_reads_echelon_rows():
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("rows", "_rows")
+    ]
+    assert (PACKAGE / "linalg.py").exists() and found == []
