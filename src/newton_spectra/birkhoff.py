@@ -24,6 +24,23 @@ The filtration checks keep sparse echelons whose columns are ordered by
 Newton order, so they also apply to bases without the triangular pattern.
 The opposite filtration needs no window of theta shifts: the shifts that
 can change it end at a cutoff read off the gauge (`opposite_filtration`).
+
+Order arithmetic runs on integers.  The pencil carries den, the least
+common denominator of the basis degrees, and the orders o_i = den * alpha_i
+as ints (`ConnectionPencil`), so the Newton order s + alpha_i of the slot
+theta^s e_i is (den * s + o_i) / den, and every comparison, floor and class
+residue of orders is one on integers.  The products and echelons that only
+decide a verdict run on integers as well, scaled by a common denominator D:
+ * D A - D r I = D (A - r I), so a product of such factors vanishes
+   exactly when the unscaled product does (semisimplicity of A_inf);
+ * (D N)^k = D^k N^k, so D N is nilpotent iff N is;
+ * scaling a row by a nonzero number changes neither the span of an
+   `Echelon` nor its pivots, so the (B) test may reduce D N v for v scaled
+   to integers;
+ * the level count of `verify_v_solution` at alpha = r / scale is
+   floor(alpha - alpha_i) + 1 = (r * den - o_i * scale) // (scale * den) + 1
+   for each alpha_i <= alpha, that is, o_i * scale <= r * den.
+Reported values stay Fractions.
 """
 
 from __future__ import annotations
@@ -31,9 +48,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, lcm
+from math import lcm
 
-from .brieskorn import ConnectionPencil
+from .brieskorn import ConnectionPencil, integer_orders
 from .errors import GradedModelError, VerificationError
 from .linalg import (
     Echelon,
@@ -69,8 +86,8 @@ def gauge_residual(pencil: ConnectionPencil, gauge, a0, ainf):
     """
     acc = {}
     prows = [nonzero_rows(p) for p in gauge]
-    for k, b in enumerate(pencil.matrices):
-        for i, brow in enumerate(nonzero_rows(b)):
+    for k, brows in enumerate(pencil.nonzero):
+        for i, brow in enumerate(brows):
             for r, x in brow:
                 for l, pr in enumerate(prows):
                     for j, y in pr[r]:
@@ -154,18 +171,19 @@ class BirkhoffObstruction:
         }
 
 
-def _pattern_slots(degrees):
+def _pattern_slots(orders, den):
     """(k, i, j) triples where (P_k)_{ij} may be nonzero, k >= 1.
 
-    The degrees ascend (the basis is listed by level), so the j with
-    degrees[i] + k <= degrees[j] form a suffix, found by bisection.
+    deg(i) + k <= deg(j) reads orders[i] + k * den <= orders[j] on the
+    integer orders of the pencil.  They ascend (the basis is listed by
+    level), so those j form a suffix, found by bisection.
     """
-    mu = len(degrees)
-    kmax = int(floor(degrees[-1] - degrees[0]))
+    mu = len(orders)
+    kmax = (orders[-1] - orders[0]) // den
     return [(k, i, j)
             for k in range(1, max(kmax, 0) + 1)
             for i in range(mu)
-            for j in range(bisect_left(degrees, degrees[i] + k), mu)]
+            for j in range(bisect_left(orders, orders[i] + k * den), mu)]
 
 
 def _build_linear_system(pencil, ainf, include_m1=True):
@@ -179,7 +197,7 @@ def _build_linear_system(pencil, ainf, include_m1=True):
     slot, contributes to are formed; those whose row and right-hand side
     both vanish are dropped, and the rest come in (m, i, j) order.
     """
-    slots = _pattern_slots(pencil.degrees)
+    slots = _pattern_slots(pencil.orders, pencil.den)
     by_row = {}          # (k, row) -> [(col, slot index)]
     for t, (k, i, j) in enumerate(slots):
         by_row.setdefault((k, i), []).append((j, t))
@@ -195,8 +213,8 @@ def _build_linear_system(pencil, ainf, include_m1=True):
         consts[lab] = consts.get(lab, 0) + x
 
     # B_k P_l: P_0 = I gives the constant B_k, l >= 1 the slots (l, r, j)
-    for k, b in enumerate(pencil.matrices):
-        for i, brow in enumerate(nonzero_rows(b)):
+    for k, brows in enumerate(pencil.nonzero):
+        for i, brow in enumerate(brows):
             for r, x in brow:
                 if k:
                     add_const((k, i, r), x)
@@ -204,13 +222,13 @@ def _build_linear_system(pencil, ainf, include_m1=True):
                     for j, t in by_row.get((l, r), ()):
                         add((k + l, i, j), t, x)
     # theta^2 P' - P_l B_0 - theta P_l A_inf, with P_0 A_inf constant
-    b0rows = nonzero_rows(pencil.matrices[0])
+    b0rows = pencil.nonzero[0]
     arows = nonzero_rows(ainf)
     for i, arow in enumerate(arows):
         for j, y in arow:
             add_const((1, i, j), -y)
     for t, (l, i, s) in enumerate(slots):
-        add((l + 1, i, s), t, Fraction(l))
+        add((l + 1, i, s), t, l)
         for j, y in b0rows[s]:
             add((l, i, j), t, -y)
         for j, y in arows[s]:
@@ -230,7 +248,7 @@ def _build_linear_system(pencil, ainf, include_m1=True):
     return slots, rows, rhs, labels
 
 
-def _gauge_from_solution(slots, x, mu, degrees):
+def _gauge_from_solution(slots, x, mu):
     kmax = max((k for k, _, _ in slots), default=0)
     mats = [identity(mu)] + [zeros(mu, mu) for _ in range(kmax)]
     for t, (k, i, j) in enumerate(slots):
@@ -273,7 +291,7 @@ def _solve_system(n, rows, rhs, labels):
     return x, system, system + inconsistent, tuple(culprits)
 
 
-def _split_constant(ainf, degrees):
+def _split_constant(ainf, orders):
     """Constant base change Q with Q^-1 A_inf Q block diagonal by degree.
 
     Unknown entries of Q - I sit where deg(row) < deg(col), so conjugating a
@@ -281,10 +299,11 @@ def _split_constant(ainf, degrees):
     linear system expresses A_inf Q = Q blockdiag(A_inf); it has a unique
     solution whenever the diagonal blocks of A_inf have pairwise disjoint
     spectra.  Returns None when A_inf is already block diagonal or the
-    system is inconsistent.
+    system is inconsistent.  The degrees are only compared, so the
+    pencil's integer orders stand in for them.
     """
-    mu = len(degrees)
-    slots = [(i, j) for i in range(mu) for j in range(mu) if degrees[i] < degrees[j]]
+    mu = len(orders)
+    slots = [(i, j) for i in range(mu) for j in range(mu) if orders[i] < orders[j]]
     if all(ainf[i][j] == 0 for (i, j) in slots):
         return None
     index = {s: t for t, s in enumerate(slots)}
@@ -293,7 +312,7 @@ def _split_constant(ainf, degrees):
     dcols = [[] for _ in range(mu)]
     for k, arow in enumerate(arows):
         for j, y in arow:
-            if degrees[k] == degrees[j]:
+            if orders[k] == orders[j]:
                 dcols[j].append((k, y))
     rows = []
     rhs = []
@@ -318,9 +337,9 @@ def _split_constant(ainf, degrees):
     return q
 
 
-def _apply_constant_split(pencil, gauge, a0, ainf, degrees):
+def _apply_constant_split(pencil, gauge, a0, ainf):
     """Post-compose a solution with the degree-splitting base change."""
-    q = _split_constant(ainf, degrees)
+    q = _split_constant(ainf, pencil.orders)
     if q is None:
         return gauge, a0, ainf, False
     qinv = _invert(q)
@@ -329,7 +348,7 @@ def _apply_constant_split(pencil, gauge, a0, ainf, degrees):
     ainf = mat_mul(qinv, mat_mul(ainf, q))
     if gauge_residual(pencil, gauge, a0, ainf):
         raise VerificationError("the constant split broke the gauge identity")
-    return _pm_trim(gauge) or [identity(len(degrees))], a0, ainf, True
+    return _pm_trim(gauge) or [identity(pencil.mu)], a0, ainf, True
 
 
 def solve_birkhoff(pencil: ConnectionPencil):
@@ -349,7 +368,7 @@ def solve_birkhoff(pencil: ConnectionPencil):
     slots, rows, rhs, labels = _build_linear_system(pencil, d_mat, include_m1=True)
     x, system_rank, augmented_rank, culprits = _solve_system(len(slots), rows, rhs, labels)
     if x is not None:
-        gauge = _gauge_from_solution(slots, x, mu, degrees)
+        gauge = _gauge_from_solution(slots, x, mu)
         if gauge_residual(pencil, gauge, b0, d_mat):
             raise VerificationError("the diagonal ansatz left a nonzero gauge residual")
         return BirkhoffSolution(tuple(gauge), b0, d_mat, "diagonal-ansatz")
@@ -361,14 +380,14 @@ def solve_birkhoff(pencil: ConnectionPencil):
         y = _solve_system(len(slots2), rows2, rhs2, labels2)[0]
         if y is None:
             break
-        gauge = _gauge_from_solution(slots2, y, mu, degrees)
+        gauge = _gauge_from_solution(slots2, y, mu)
         p1 = gauge[1] if len(gauge) > 1 else zeros(mu, mu)
         nxt = mat_sub(b1, mat_sub(mat_mul(p1, b0), mat_mul(b0, p1)))
         if mat_eq(nxt, ainf):
             res = gauge_residual(pencil, gauge, b0, ainf)
             if not res:
                 gauge, a0, ainf, split = _apply_constant_split(
-                    pencil, gauge, b0, ainf, degrees
+                    pencil, gauge, b0, ainf
                 )
                 return BirkhoffSolution(
                     tuple(gauge), a0, ainf,
@@ -427,22 +446,20 @@ def _invert(m):
 # V-filtration checks
 
 
-def _order_keys(degrees):
-    """(den, key): integer column keys for the slots theta^s e_i.
+def _order_keys(pencil):
+    """Integer column keys for the slots theta^s e_i.
 
     The slot theta^s e_i has Newton order s + alpha_i = o / den with
-    o = den * s + den * alpha_i an integer, and key(i, s) = -o * mu + i.  Keys
+    o = den * s + orders[i] an integer, and key(i, s) = -o * mu + i.  Keys
     are smaller for higher order, ties broken by i, so an `Echelon` over them
     pivots every row on its highest-order entry; -(key // mu) gives back o.
     """
-    mu = len(degrees)
-    den = lcm(*(a.denominator for a in degrees))
-    scaled = [int(a * den) for a in degrees]
+    mu, den, orders = pencil.mu, pencil.den, pencil.orders
 
     def key(i, s):
-        return -(den * s + scaled[i]) * mu + i
+        return -(den * s + orders[i]) * mu + i
 
-    return den, key
+    return key
 
 
 def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
@@ -459,10 +476,14 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     with k >= 1, so the sum has dimension (number of those slots) + rank of
     the theta^0 parts of the counted rows; the rows only accumulate as alpha
     grows, so one more echelon takes those theta^0 parts incrementally.
+
+    The level test is on integers: alpha_i <= alpha reads
+    o_i * scale <= r * den, and the ambient count of slots theta^s e_i with
+    s + alpha_i <= alpha is then floor(alpha - alpha_i) + 1
+    = (r * den - o_i * scale) // (scale * den) + 1.
     """
-    degrees = pencil.degrees
-    mu = pencil.mu
-    den, key = _order_keys(degrees)
+    mu, den, orders = pencil.mu, pencil.den, pencil.orders
+    key = _order_keys(pencil)
     span = Echelon()
     for j in range(mu):
         span.insert(
@@ -473,21 +494,23 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     constant = {key(i, 0) for i in range(mu)}
     low = Echelon()
     taken = 0
-    top = degrees[-1]
+    step = scale * den
     details = []
     ok = True
     r = 0
-    while Fraction(r, scale) <= top:
-        alpha = Fraction(r, scale)
-        while taken < len(pivots) and -(pivots[taken] // mu) * scale <= r * den:
+    # level alpha = r / scale, compared as r * den against o * scale
+    while r * den <= orders[-1] * scale:
+        level = r * den
+        while taken < len(pivots) and -(pivots[taken] // mu) * scale <= level:
             row = span.row(pivots[taken])
             low.insert({p: x for p, x in row.items() if p in constant})
             taken += 1
-        ambient = sum(floor(alpha - a) + 1 for a in degrees if a <= alpha)
-        shifted = ambient - sum(1 for a in degrees if a <= alpha)
+        gaps = [level - o * scale for o in orders if o * scale <= level]
+        shifted = sum(g // step for g in gaps)
+        ambient = shifted + len(gaps)
         good = taken + shifted == ambient and shifted + len(low) == ambient
         details.append(
-            {"level": str(alpha), "ambient": ambient, "lattice": taken,
+            {"level": str(Fraction(r, scale)), "ambient": ambient, "lattice": taken,
              "shifted": shifted, "ok": good}
         )
         if not good:
@@ -541,6 +564,32 @@ def _eigenvalues(ainf, structural, candidates):
     return _split_over(charpoly(ainf), candidates)
 
 
+def _times(x, d):
+    """d * x as an int, for an int or Fraction x whose denominator divides d."""
+    return x.numerator * (d // x.denominator)
+
+
+def _product_vanishes(factors, dim):
+    """Whether the product of the dim x dim integer matrices factors is zero.
+
+    A factor is a list of sparse rows {column: int}; the product is formed
+    left to right on sparse rows and stops once it is zero.
+    """
+    prod = [{i: 1} for i in range(dim)]
+    for f in factors:
+        if not any(prod):
+            break
+        nxt = []
+        for prow in prod:
+            acc = {}
+            for t, c in prow.items():
+                for j, y in f[t].items():
+                    acc[j] = acc.get(j, 0) + c * y
+            nxt.append({j: x for j, x in acc.items() if x})
+        prod = nxt
+    return not any(prod)
+
+
 def verify_v_plus(ainf, degrees, spectrum_pairs):
     """Spectral test: structure, semisimplicity, eigenvalue moduli = spectrum.
 
@@ -557,15 +606,19 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
     The eigenvalues found are re-checked on every input: semisimplicity is
     the vanishing of the product of (A - r I) over the distinct roots.  Both
     that product and the structural test touch only the nonzero entries of
-    A_inf; the product is kept as sparse rows.
+    A_inf.  The structural test compares integer orders (`integer_orders`),
+    and the product is formed over the integers as the product of
+    D A - D r I = D (A - r I), D a common denominator of A and the roots,
+    which vanishes exactly when the product of the A - r I does.
     """
     mu = len(degrees)
     detail = {}
     arows = nonzero_rows(ainf)
+    _, orders = integer_orders(degrees)
     # structural: alpha_i on the diagonal, and every other nonzero entry
     # (i, j) has deg(i) < deg(j), so each degree block is alpha * I
     structural = all(ainf[i][i] == degrees[i] for i in range(mu)) and all(
-        j == i or degrees[i] < degrees[j] for i, arow in enumerate(arows) for j, _ in arow
+        j == i or orders[i] < orders[j] for i, arow in enumerate(arows) for j, _ in arow
     )
     detail["structure"] = structural
     candidates = [ainf[i][i] for i in range(mu)]
@@ -583,24 +636,21 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
         return False, detail
     detail["eigenvalues"] = [(str(r), m) for r, m in roots]
     # semisimple iff the product of (A - r I) over distinct roots vanishes
-    prod = [{i: Fraction(1)} for i in range(mu)]
+    d = lcm(*(x.denominator for arow in arows for _, x in arow),
+            *(rt.denominator for rt, _ in roots))
+    scaled = [{j: _times(x, d) for j, x in arow} for arow in arows]
+    factors = []
     for rt, _ in roots:
-        shifted = [dict(arow) for arow in arows]
+        shifted = [dict(row) for row in scaled]
+        dr = _times(rt, d)
         for i, row in enumerate(shifted):
-            x = row.get(i, 0) - rt
+            x = row.get(i, 0) - dr
             if x:
                 row[i] = x
             else:
                 row.pop(i, None)
-        nxt = []
-        for prow in prod:
-            acc = {}
-            for t, c in prow.items():
-                for j, y in shifted[t].items():
-                    acc[j] = acc.get(j, 0) + c * y
-            nxt.append({j: x for j, x in acc.items() if x})
-        prod = nxt
-    semisimple = not any(prod)
+        factors.append(shifted)
+    semisimple = _product_vanishes(factors, mu)
     detail["semisimple"] = semisimple
     want = {}
     for a, m in spectrum_pairs:
@@ -617,12 +667,18 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
 # graded model: Hodge-type filtration, its candidate opposite, and N
 
 
-def _residue_classes(degrees):
-    """(rho, indices) per residue class rho = alpha mod 1, indices by (alpha_i, i)."""
+def _residue_classes(pencil):
+    """(rho, res, indices) per residue class rho = alpha mod 1 = res / den.
+
+    res = o mod den is the class's integer residue, and the indices are
+    listed by (alpha_i, i).
+    """
+    den, orders = pencil.den, pencil.orders
     groups = {}
-    for i, a in enumerate(degrees):
-        groups.setdefault(a - floor(a), []).append(i)
-    return [(rho, sorted(groups[rho], key=lambda i: (degrees[i], i))) for rho in sorted(groups)]
+    for i, o in enumerate(orders):
+        groups.setdefault(o % den, []).append(i)
+    return [(Fraction(res, den), res, sorted(groups[res], key=lambda i: (orders[i], i)))
+            for res in sorted(groups)]
 
 
 def opposite_filtration(pencil: ConnectionPencil, gauge):
@@ -655,24 +711,25 @@ def opposite_filtration(pencil: ConnectionPencil, gauge):
     each other's pivots, so their order-rho parts are a basis of F'^k,
     listed by pivot.
     """
-    return _opposite_filtration(pencil, gauge, _residue_classes(pencil.degrees))
+    return _opposite_filtration(pencil, gauge, _residue_classes(pencil))
 
 
 def _opposite_filtration(pencil, gauge, classes):
-    degrees = pencil.degrees
-    mu = pencil.mu
+    mu, den, orders = pencil.mu, pencil.den, pencil.orders
     gauge = _pm_trim([list(map(list, m)) for m in gauge]) or [identity(mu)]
-    den, key = _order_keys(degrees)
+    key = _order_keys(pencil)
     columns = [
-        [(i, s, Fraction(g[i][j])) for s, g in enumerate(gauge) for i in range(mu) if g[i][j]]
+        [(i, s, g[i][j]) for s, g in enumerate(gauge) for i in range(mu) if g[i][j]]
         for j in range(mu)
     ]
-    top = max(s + degrees[i] for col in columns for i, s, _ in col)
-    cutoff = int(floor(top - classes[0][0]))
-    kmax = {rho: int(floor(degrees[-1] - rho)) + 1 for rho, _ in classes}
+    # orders times den: top, cutoff and kmax are floors of quotients by den
+    top = max(den * s + orders[i] for col in columns for i, s, _ in col)
+    cutoff = (top - classes[0][1]) // den
+    kmax = {rho: (orders[-1] - res) // den + 1 for rho, res, _ in classes}
     # keys of each class's order-rho slots, in the class's order
-    symbols = [(rho, [key(i, int(rho - degrees[i])) for i in idx]) for rho, idx in classes]
-    out = {rho: [[] for _ in range(kmax[rho] + 2)] for rho, _ in classes}
+    symbols = [(rho, [key(i, (res - orders[i]) // den) for i in idx])
+               for rho, res, idx in classes]
+    out = {rho: [[] for _ in range(kmax[rho] + 2)] for rho, _, _ in classes}
     ech = Echelon()
     for k in range(cutoff, -1, -1):
         for col in columns:
@@ -699,53 +756,69 @@ def graded_model(pencil: ConnectionPencil, gauge, scale: int):
     position is below hodge[k].  (B), N F'^k inside F'^{k+1}, reduces N v
     for every basis vector v of F'^k against the echelon before F'^k goes
     in, when it still spans F'^{k+1}.
+
+    The verdicts run on integers.  Within a class the orders differ by
+    multiples of den, so the theta power alpha_i - alpha_j + 1 of an entry
+    of N is (o_i - o_j) // den + 1, and hodge[k] counts o_i <= res + k * den.
+    N is nilpotent iff D N is, D a common denominator of N, so (D N)^dim is
+    formed over the integers; (B) reduces D N v for every F'^k vector v
+    scaled to integers, and the echelon takes those scaled vectors: scaling
+    a row changes neither the span of an `Echelon` nor its pivots.
     """
     degrees = pencil.degrees
+    den, orders = pencil.den, pencil.orders
     degb = len(pencil.matrices) - 1
-    classes = _residue_classes(degrees)
+    classes = _residue_classes(pencil)
     nmats = {}
-    for rho, idx in classes:
+    for rho, _, idx in classes:
         dim = len(idx)
         # N on the class: N e_i = alpha_i e_i - sum_j (B_{alpha_i - alpha_j + 1})_{ji} e_j
         nmat = zeros(dim, dim)
         for ti, i in enumerate(idx):
-            nmat[ti][ti] += Fraction(degrees[i])
+            nmat[ti][ti] += degrees[i]
             for tj, j in enumerate(idx):
-                m = degrees[i] - degrees[j] + 1
-                if m == int(m) and 0 <= int(m) <= degb:
-                    nmat[tj][ti] -= pencil.matrices[int(m)][j][i]
-        power = identity(dim)
-        for _ in range(dim):
-            power = mat_mul(power, nmat)
-        if any(any(row) for row in power):
+                m = (orders[i] - orders[j]) // den + 1
+                if 0 <= m <= degb:
+                    nmat[tj][ti] -= pencil.matrices[m][j][i]
+        nrows = nonzero_rows(nmat)
+        d = lcm(*(x.denominator for row in nrows for _, x in row))
+        scaled = [{c: _times(x, d) for c, x in row} for row in nrows]
+        if not _product_vanishes([scaled] * dim, dim):
             raise GradedModelError("N is not nilpotent on residue class %s" % rho, rho)
-        nmats[rho] = nmat
+        nmats[rho] = nmat, scaled
     fprime = _opposite_filtration(pencil, gauge, classes)
     all_ok_opposite = True
     all_ok_b = True
     out = []
-    for rho, idx in classes:
+    for rho, res, idx in classes:
         dim = len(idx)
-        nmat = nmats[rho]
+        nmat, scaled = nmats[rho]
         fpr = fprime[rho]
         kmax = len(fpr) - 2
-        hodge = {k: sum(1 for i in idx if degrees[i] <= rho + k) for k in range(-1, kmax + 2)}
-        ncols = [[(r, nmat[r][c]) for r in range(dim) if nmat[r][c]] for c in range(dim)]
+        hodge = {k: sum(1 for i in idx if orders[i] <= res + k * den)
+                 for k in range(-1, kmax + 2)}
+        ncols = [[] for _ in range(dim)]
+        for r, row in enumerate(scaled):
+            for c, y in row.items():
+                ncols[c].append((r, y))
         ech = Echelon()
         opp = True
         bgood = True
         for k in range(kmax + 1, -1, -1):
+            basis = []
+            for v in fpr[k]:
+                d = lcm(*(x.denominator for x in v))
+                basis.append({c: _times(x, d) for c, x in enumerate(v) if x})
             if k <= kmax:
-                for v in fpr[k]:
+                for v in basis:
                     img = {}
-                    for c, x in enumerate(v):
-                        if x:
-                            for r, y in ncols[c]:
-                                img[-r] = img.get(-r, 0) + y * x
+                    for c, x in v.items():
+                        for r, y in ncols[c]:
+                            img[-r] = img.get(-r, 0) + y * x
                     if ech.reduce(img)[0]:
                         bgood = False
-            for v in fpr[k]:
-                ech.insert({-c: x for c, x in enumerate(v) if x})
+            for v in basis:
+                ech.insert({-c: x for c, x in v.items()})
             # oppositeness: F_{k-1} cap F'^k = 0 and F_k = (F_k cap F'^k) + F_{k-1}
             low = sum(1 for p in ech.pivots if -p < hodge[k - 1])
             meet = sum(1 for p in ech.pivots if -p < hodge[k])

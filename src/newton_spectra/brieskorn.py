@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegeneracySuspectedError
 from .jacobian import JacobianAlgebra, _divide_terms
 from .laurent import LaurentPolynomial
 from .linalg import (
     _axpy,
+    nonzero_rows,
     pol_add,
     pol_deriv,
     pol_mul,
@@ -64,13 +66,28 @@ class BrieskornElement:
         return [[str(c) for c in comp] for comp in self.coords]
 
 
+def integer_orders(degrees):
+    """(den, orders): the least common denominator of the degrees, and
+    orders[i] = den * degrees[i] as ints.  The degrees may be ints or Fractions."""
+    den = lcm(*(a.denominator for a in degrees))
+    return den, [a.numerator * (den // a.denominator) for a in degrees]
+
+
 class ConnectionPencil:
-    """Matrix polynomial B(theta) = B_0 + theta B_1 + ... acting on coordinates."""
+    """Matrix polynomial B(theta) = B_0 + theta B_1 + ... acting on coordinates.
+
+    Besides the dense matrices and the degrees it carries their integer
+    form, built once here for the stages after the pencil: `den` and
+    `orders` (see `integer_orders`), and `nonzero[k]`, the nonzero entries of
+    each row of B_k as `linalg.nonzero_rows` lists them.
+    """
 
     def __init__(self, matrices, degrees):
         self.matrices = matrices        # list of mu x mu Fraction matrices
         self.degrees = degrees          # basis Newton degrees (Fractions)
         self.mu = len(matrices[0])
+        self.den, self.orders = integer_orders(degrees)
+        self.nonzero = [nonzero_rows(m) for m in matrices]
 
     @property
     def degree(self):

@@ -399,10 +399,26 @@ LADDER_SECTION_SHA256 = {
 }
 
 
-# 13. full `check` stdout: sha256 and exit code, taken from the
-#     implementation that wired `check`'s stages by hand, apart from
-#     `analyze`; the inputs are solved by the diagonal ansatz at
-#     --max-level 4, by sweep+split, and not at all (the mu = 5 obstruction)
+# 13. a negative verdict: every other pinned input ends with all four flags
+#     true, so a rewritten check that wrongly said "yes" would pass them.
+#     NEGATIVE (mu = 42) is solved by sweep+split, and its `birkhoff` section
+#     has structure, semisimple, v_plus and b_opposed all false.  The digest
+#     and the `check` entry below were taken from the implementation that
+#     ran the V-filtration checks on Fraction degrees.  ROADMAP item 1 (a
+#     gauge with a constant part) will change this gauge on purpose, and
+#     both digests with it.
+
+NEGATIVE = ("3*u1^-3*u2^-3 - 2*u1^-3*u2^3 + 2*u1^-1*u2^-3 + 3*u1^-1*u2^-2"
+            " - u1 + u1^3*u2^-3")
+NEGATIVE_BIRKHOFF_SHA256 = "099ac008421c6448da2f650f6553d1a419b1dbbb037491a0488e32459e833998"
+
+
+# 14. full `check` stdout: sha256 and exit code, the first three taken
+#     from the implementation that wired `check`'s stages by hand, apart
+#     from `analyze`; those inputs are solved by the diagonal ansatz at
+#     --max-level 4, by sweep+split, and not at all (the mu = 5
+#     obstruction).  NEGATIVE (see 13) fails its v-filtration gate and
+#     exits 1
 
 CHECK_STDOUT_SHA256 = {
     ("u1^2 + u2^2 + u1^-1*u2^-1", "--max-level", "4"):
@@ -411,6 +427,8 @@ CHECK_STDOUT_SHA256 = {
         ("64d022e8f419fd71ab6ffbe7ca656df9bbb3ce02d11807e533560101fe35a96b", 0),
     ("3*u1^2*u2^-1 - 2*u1 + u1*u2^-1 + u1^-1*u2 - 2*u1^-1",):
         ("49d8ed3f9310c5ccb0981d1718ece17de4c7d8c54723d4ff7f3ba7d7145993e8", 0),
+    (NEGATIVE, "--max-level", "2"):
+        ("66434811b6460c45694cb9c7730b4a6f73b4c5ec5b898b8e15e69b0824f98d85", 1),
 }
 
 
@@ -430,3 +448,17 @@ def test_check_stdout_unchanged(capsys):
         rc = main(["check", *args])
         out = capsys.readouterr().out
         assert (hashlib.sha256(out.encode()).hexdigest(), rc) == (digest, code), args
+
+
+def test_negative_verdict_unchanged(capsys):
+    assert main(["analyze", "--json", NEGATIVE, "--seed", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    section = report["birkhoff"]
+    assert report["mu"] == 42 and section["method"] == "sweep+split"
+    assert section["flags"] == {
+        "v_solution": True, "v_plus": False, "opposite": True, "b_opposed": False,
+    }
+    assert section["spectral"]["structure"] is False
+    assert section["spectral"]["semisimple"] is False
+    digest = hashlib.sha256(json.dumps(section, indent=2).encode()).hexdigest()
+    assert digest == NEGATIVE_BIRKHOFF_SHA256

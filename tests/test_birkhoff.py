@@ -31,6 +31,7 @@ from newton_spectra import (
     verify_v_plus,
     verify_v_solution,
 )
+from newton_spectra.brieskorn import integer_orders
 from newton_spectra.linalg import charpoly, identity, mat_mul, rational_roots, solve_linear
 
 
@@ -572,16 +573,19 @@ def test_sparse_residual_matches_dense_reference():
 
 def test_pattern_slots_match_the_triple_loop():
     # the bisection needs ascending degrees, as every pencil lists them;
-    # small denominators and ranges give many ties
+    # small denominators and ranges give many ties.  The slots are read off
+    # the integer orders; the triple loop compares the Fraction degrees
     rng = random.Random(20261018)
     for _ in range(300):
         scale = rng.randint(1, 4)
         degrees = sorted(F(rng.randint(0, 6 * scale), scale)
                          for _ in range(rng.randint(1, 14)))
-        assert birkhoff_mod._pattern_slots(degrees) == dense_pattern_slots(degrees), degrees
+        den, orders = integer_orders(degrees)
+        assert birkhoff_mod._pattern_slots(orders, den) == dense_pattern_slots(degrees), degrees
     for expr, _, _ in CORPUS:
-        degrees = pipeline(expr).pencil.degrees
-        assert birkhoff_mod._pattern_slots(degrees) == dense_pattern_slots(degrees), expr
+        pen = pipeline(expr).pencil
+        assert (birkhoff_mod._pattern_slots(pen.orders, pen.den)
+                == dense_pattern_slots(pen.degrees)), expr
 
 
 def test_sparse_gauge_rows_match_dense_reference():

@@ -19,6 +19,7 @@ from conftest import (
 )
 from newton_spectra import (
     BrieskornElement,
+    ConnectionPencil,
     DegeneracySuspectedError,
     LaurentPolynomial,
     Pipeline,
@@ -27,6 +28,7 @@ from newton_spectra import (
 from newton_spectra import brieskorn as brieskorn_mod
 from newton_spectra.brieskorn import _spectrum_polynomial
 from newton_spectra.cli import main
+from newton_spectra.linalg import nonzero_rows
 
 
 def test_pencil_one_variable_hand_values():
@@ -88,6 +90,39 @@ def test_pencil_structure_on_corpus():
                 for i in range(mu):
                     if mat[j][i]:
                         assert k + degs[j] <= degs[i] + 1, (expr, k, j, i)
+
+
+def _assert_integer_data(pen):
+    """den, orders and the nonzero index agree with the dense pencil."""
+    den, degrees = pen.den, pen.degrees
+    assert all(type(o) is int for o in pen.orders) and den >= 1
+    assert [F(o) for o in pen.orders] == [a * den for a in degrees]
+    # den is the least positive integer that clears every denominator
+    assert all(any(F(a * d).denominator != 1 for a in degrees) for d in range(1, den))
+    assert len(pen.nonzero) == len(pen.matrices)
+    assert all(rows == nonzero_rows(m) for rows, m in zip(pen.nonzero, pen.matrices))
+
+
+@pytest.mark.parametrize("expr", [e for e, _, _ in CORPUS] + list(LADDER))
+def test_pencil_carries_its_integer_orders_and_nonzero_index(expr):
+    _assert_integer_data(pipeline(expr).pencil)
+
+
+def test_hand_built_pencils_carry_integer_orders():
+    zero2 = [[F(0)] * 2 for _ in range(2)]
+    zero3 = [[0] * 3 for _ in range(3)]
+    cases = [
+        ([[[F(0)]], [[F(4)]]], (F(4),), 1, [4]),
+        ([zero2, [[F(0), F(1, 2)], [F(0), F(1)]]], (0, 1), 1, [0, 1]),
+        ([zero3, [[0, 0, 3], [0, F(1, 2), 0], [0, 0, 0]]], (0, F(1, 2), F(5, 3)), 6, [0, 3, 10]),
+        ([zero2, zero2], (F(1, 3), F(2, 3)), 3, [1, 2]),
+        ([zero2, zero2, [[F(0), F(1)], [F(0), F(0)]]], (F(-1, 2), F(1, 2)), 2, [-1, 1]),
+    ]
+    for matrices, degrees, den, orders in cases:
+        pen = ConnectionPencil(matrices, degrees)
+        assert (pen.den, pen.orders) == (den, orders), degrees
+        _assert_integer_data(pen)
+    assert ConnectionPencil(*cases[2][:2]).nonzero[1] == [[(2, 3)], [(1, F(1, 2))], []]
 
 
 @pytest.mark.parametrize("expr", [e for e, _, _ in CORPUS] + list(LADDER))
