@@ -9,7 +9,8 @@ invertible) with
 At theta^0 this forces A_0 = B_0.  The primary solver additionally demands
 A_inf = diag(basis degrees), which makes the whole system linear in the P_k;
 when that system is infeasible a bounded fixed-point sweep is tried where
-A_inf is frozen per sweep and recomputed as B_1 + [B_0, P_1].  A sweep result
+A_inf is frozen per sweep and recomputed as B_1 + [B_0, P_1], which is A_inf
+plus the theta^1 coefficient of the exact gauge residual.  A sweep result
 whose A_inf still couples distinct degrees is post-composed with a constant
 base change (entries allowed where deg(row) < deg(column), so it is still
 filtration-compatible) that block-diagonalizes A_inf; the coupling blocks
@@ -56,9 +57,7 @@ from .linalg import (
     Echelon,
     charpoly,
     identity,
-    mat_eq,
     mat_mul,
-    mat_sub,
     nonzero_rows,
     pol_divmod,
     rank,
@@ -363,7 +362,6 @@ def solve_birkhoff(pencil: ConnectionPencil):
     for i in range(mu):
         d_mat[i][i] = Fraction(degrees[i])
     b0 = pencil.matrices[0]
-    b1 = pencil.matrices[1] if len(pencil.matrices) > 1 else zeros(mu, mu)
 
     slots, rows, rhs, labels = _build_linear_system(pencil, d_mat, include_m1=True)
     x, system_rank, augmented_rank, culprits = _solve_system(len(slots), rows, rhs, labels)
@@ -373,28 +371,26 @@ def solve_birkhoff(pencil: ConnectionPencil):
             raise VerificationError("the diagonal ansatz left a nonzero gauge residual")
         return BirkhoffSolution(tuple(gauge), b0, d_mat, "diagonal-ansatz")
 
-    # fixed-point sweeps with A_inf frozen per round
-    ainf = [row[:] for row in b1]
+    # fixed-point sweeps with A_inf frozen per round; the round's system
+    # holds every theta^m equation with m >= 2 and P_0 = I, so the residual
+    # is [0, B_1 + [B_0, P_1] - A_inf], and A_inf steps by its theta^1 part
+    ainf = [row[:] for row in pencil.matrices[1]] if pencil.degree else zeros(mu, mu)
     for sweep in range(1, MAX_SWEEPS + 1):
         slots2, rows2, rhs2, labels2 = _build_linear_system(pencil, ainf, include_m1=False)
         y = _solve_system(len(slots2), rows2, rhs2, labels2)[0]
         if y is None:
             break
         gauge = _gauge_from_solution(slots2, y, mu)
-        p1 = gauge[1] if len(gauge) > 1 else zeros(mu, mu)
-        nxt = mat_sub(b1, mat_sub(mat_mul(p1, b0), mat_mul(b0, p1)))
-        if mat_eq(nxt, ainf):
-            res = gauge_residual(pencil, gauge, b0, ainf)
-            if not res:
-                gauge, a0, ainf, split = _apply_constant_split(
-                    pencil, gauge, b0, ainf
-                )
-                return BirkhoffSolution(
-                    tuple(gauge), a0, ainf,
-                    "sweep+split" if split else "sweep", sweeps=sweep,
-                )
-            break
-        ainf = nxt
+        res = gauge_residual(pencil, gauge, b0, ainf)
+        if not res:
+            gauge, a0, ainf, split = _apply_constant_split(pencil, gauge, b0, ainf)
+            return BirkhoffSolution(
+                tuple(gauge), a0, ainf,
+                "sweep+split" if split else "sweep", sweeps=sweep,
+            )
+        if len(res) != 2:
+            raise VerificationError("a sweep left a gauge residual outside theta^1")
+        ainf = [[a + r for a, r in zip(arow, rrow)] for arow, rrow in zip(ainf, res[1])]
 
     return BirkhoffObstruction(
         message="gauge equations are inconsistent for a diagonal residue matrix "
@@ -711,11 +707,8 @@ def opposite_filtration(pencil: ConnectionPencil, gauge):
     each other's pivots, so their order-rho parts are a basis of F'^k,
     listed by pivot.
     """
-    return _opposite_filtration(pencil, gauge, _residue_classes(pencil))
-
-
-def _opposite_filtration(pencil, gauge, classes):
     mu, den, orders = pencil.mu, pencil.den, pencil.orders
+    classes = _residue_classes(pencil)
     gauge = _pm_trim([list(map(list, m)) for m in gauge]) or [identity(mu)]
     key = _order_keys(pencil)
     columns = [
@@ -741,7 +734,7 @@ def _opposite_filtration(pencil, gauge, classes):
     return out
 
 
-def graded_model(pencil: ConnectionPencil, gauge, scale: int):
+def graded_model(pencil: ConnectionPencil, gauge):
     """Per residue class: N, the two filtrations, oppositeness and (B).
 
     F'^k comes from `opposite_filtration`, so the gauge need not have the
@@ -786,7 +779,7 @@ def graded_model(pencil: ConnectionPencil, gauge, scale: int):
         if not _product_vanishes([scaled] * dim, dim):
             raise GradedModelError("N is not nilpotent on residue class %s" % rho, rho)
         nmats[rho] = nmat, scaled
-    fprime = _opposite_filtration(pencil, gauge, classes)
+    fprime = opposite_filtration(pencil, gauge)
     all_ok_opposite = True
     all_ok_b = True
     out = []

@@ -126,13 +126,6 @@ class BrieskornLattice:
     def mu(self):
         return len(self.basis)
 
-    def element_from_monomial(self, exp, theta_power=0):
-        coords = [() for _ in range(self.mu)]
-        coords[self._index[tuple(exp)]] = tuple(
-            [Fraction(0)] * theta_power + [Fraction(1)]
-        )
-        return BrieskornElement(tuple(coords))
-
     def reduce(self, forms) -> BrieskornElement:
         """Reduce a form given as {theta power: Laurent polynomial} to coordinates."""
         if isinstance(forms, LaurentPolynomial):

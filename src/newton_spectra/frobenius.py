@@ -32,7 +32,7 @@ from .birkhoff import (
     verify_v_plus,
     verify_v_solution,
 )
-from .brieskorn import BrieskornElement, BrieskornLattice, spectrum
+from .brieskorn import BrieskornLattice, spectrum
 from .errors import (
     DegeneracySuspectedError,
     DegenerateError,
@@ -186,18 +186,28 @@ def _error_obj(stage, exc):
     }
 
 
-def _recheck_gauge(lattice, pencil, outcome):
+def _column_orders(pencil, gauge):
+    """den times the Newton order of each gauge column, as ints; None for zero.
+
+    The Newton order of column j is the largest s + alpha_i over the nonzero
+    entries (P_s)_ij, so den times it is the largest den * s + orders[i].
+    """
+    den, orders, mu = pencil.den, pencil.orders, pencil.mu
+    return [max((den * s + orders[i] for s, m in enumerate(gauge)
+                 for i in range(mu) if m[i][j]), default=None)
+            for j in range(mu)]
+
+
+def _recheck_gauge(pencil, outcome):
     """Re-verify a Birkhoff solution's Newton orders, which the solver never reads.
 
-    The gauge identity itself is not recomputed: `solve_birkhoff` returns a
-    solution only after its own explicit residual check.
+    Column j must have order alpha_j, compared as ints with orders[j]; a zero
+    column fails.  The gauge identity itself is not recomputed:
+    `solve_birkhoff` returns a solution only after its own explicit residual
+    check.
     """
-    # Newton order of every new basis vector must equal its exponent
-    for j in range(pencil.mu):
-        coords = tuple(
-            tuple(m[i][j] for m in outcome.gauge) for i in range(pencil.mu)
-        )
-        if lattice.newton_order(BrieskornElement(coords)) != pencil.degrees[j]:
+    for j, order in enumerate(_column_orders(pencil, outcome.gauge)):
+        if order != pencil.orders[j]:
             raise VerificationError("gauge column %d has the wrong Newton order" % j)
 
 
@@ -239,7 +249,7 @@ class Pipeline:
         """Solution or obstruction; a solution has passed `_recheck_gauge`."""
         outcome = solve_birkhoff(self.pencil)
         if isinstance(outcome, BirkhoffSolution):
-            _recheck_gauge(self.lattice, self.pencil, outcome)
+            _recheck_gauge(self.pencil, outcome)
         return outcome
 
     @cached_property
@@ -252,10 +262,9 @@ class Pipeline:
         sol = self.birkhoff
         if isinstance(sol, BirkhoffObstruction):
             return {}
-        scale = self.polytope.scale
-        okv, _ = verify_v_solution(self.pencil, sol.gauge, scale)
+        okv, _ = verify_v_solution(self.pencil, sol.gauge, self.polytope.scale)
         okp, spectral = verify_v_plus(sol.ainf, self.pencil.degrees, self.spectrum.pairs)
-        gm = graded_model(self.pencil, sol.gauge, scale)
+        gm = graded_model(self.pencil, sol.gauge)
         sol.flags = {"v_solution": okv, "v_plus": okp,
                      "opposite": gm["opposite"], "b_opposed": gm["b_opposed"]}
         return {"spectral": spectral, "filtration": gm}

@@ -138,13 +138,6 @@ class LaurentPolynomial:
             k >>= 1
         return out
 
-    def shift(self, exp: Exponent):
-        """Multiply by the monomial u^exp."""
-        exp = tuple(exp)
-        return LaurentPolynomial(
-            self.arity, {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()}
-        )
-
     def log_derivative(self, i: int):
         """Apply u_i d/du_i (exponents act as eigenvalues)."""
         t = {}
@@ -185,22 +178,6 @@ class LaurentPolynomial:
 
     def __repr__(self):
         return "LaurentPolynomial(%r)" % self.format()
-
-    # -- serialization
-
-    def to_json_obj(self):
-        return {
-            "vars": self.arity,
-            "terms": [
-                {"exp": list(e), "coeff": str(self.terms[e])}
-                for e in sorted(self.terms, key=term_key, reverse=True)
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        t = {tuple(rec["exp"]): Fraction(rec["coeff"]) for rec in obj["terms"]}
-        return cls(obj["vars"], t)
 
 
 def default_var_names(arity: int) -> list[str]:

@@ -54,14 +54,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def trace(a) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 

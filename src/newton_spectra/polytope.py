@@ -48,9 +48,6 @@ class FacetForm:
     coeffs: tuple[Fraction, ...]
     vertex_ids: tuple[int, ...]
 
-    def value(self, exp) -> Fraction:
-        return sum((c * e for c, e in zip(self.coeffs, exp)), Fraction(0))
-
 
 class NewtonPolytope:
     """Hull data for one convenient polynomial; construct through newton_polytope()."""
@@ -97,12 +94,6 @@ class NewtonPolytope:
 
     def scaled_phi_exp(self, exp) -> int:
         return max(sum(c * e for c, e in zip(a, exp)) for a in self._scaled_forms)
-
-    def phi(self, g: LaurentPolynomial):
-        """Newton degree of a polynomial; None for 0."""
-        if g.is_zero():
-            return None
-        return max(self.phi_exp(e) for e in g.terms)
 
     def scaled_phi(self, g: LaurentPolynomial):
         if g.is_zero():

@@ -38,6 +38,7 @@ from newton_spectra import (
     verify_v_solution,
 )
 from newton_spectra.cli import main
+from newton_spectra.frobenius import _column_orders
 from newton_spectra.linalg import charpoly, identity
 
 MIRRORS = {
@@ -462,3 +463,53 @@ def test_negative_verdict_unchanged(capsys):
     assert section["spectral"]["semisimple"] is False
     digest = hashlib.sha256(json.dumps(section, indent=2).encode()).hexdigest()
     assert digest == NEGATIVE_BIRKHOFF_SHA256
+
+
+# 15. the second sweep: NEGATIVE (see 13) is the only other pinned input that
+#     runs two sweeps, and it fails its filtration flags.  These two inputs
+#     of ROADMAP item 1's random.Random(11) sample run two sweeps and a
+#     constant split and pass all four flags.  The digests were taken from
+#     the implementation that stepped A_inf by the dense commutator
+#     B_1 + [B_0, P_1] rather than by the gauge residual.
+
+SWEEP2_BIRKHOFF_SHA256 = {
+    "3*u1^3*u2^3 + u1^3*u2^-2 + 2*u1^-1*u2^2 + u1^-1 - u1^-3*u2^2 + 3*u1^-2":
+        (38, "e7e80279938060f1d731c323efbcac14d5326a16632331f3de9eee1c8c260565"),
+    "2*u1*u2^3 + u1^3*u2^-2 + 2*u1^2*u2^-1 + 3*u1*u2^-1 + 2*u1^-1 - u1^-3*u2^2":
+        (26, "398d2b4bc5f92f1c9d11dacded71fd430f48d2bdf49c4a31e2f89a4f133a8ca9"),
+}
+
+
+def test_second_sweep_sections_unchanged(capsys):
+    for expr, (mu, digest) in SWEEP2_BIRKHOFF_SHA256.items():
+        assert main(["analyze", "--json", expr, "--seed", "0"]) == 0, expr
+        report = json.loads(capsys.readouterr().out)
+        section = report["birkhoff"]
+        assert report["mu"] == mu and section["method"] == "sweep+split", expr
+        assert section["sweeps"] == 2 and all(section["flags"].values()), expr
+        got = hashlib.sha256(json.dumps(section, indent=2).encode()).hexdigest()
+        assert got == digest, expr
+
+
+# 16. the gauge re-check compares integer column orders; on every solved
+#     corpus and ladder gauge, and on a copy with random entries zeroed
+#     (zero columns included), they are den times the order that
+#     `BrieskornLattice.newton_order` gives
+
+
+def test_integer_column_orders_match_newton_order():
+    rng = random.Random(23)
+    for expr in [e for e, _, _ in CORPUS] + list(LADDER):
+        data = pipeline(expr)
+        sol, pen, lat = data.birkhoff, data.pencil, data.lattice
+        assert isinstance(sol, BirkhoffSolution), expr
+        masked = [[[x if rng.random() < 0.5 else F(0) for x in row] for row in m]
+                  for m in sol.gauge]
+        for gauge in (sol.gauge, masked):
+            want = [
+                lat.newton_order(BrieskornElement(
+                    tuple(tuple(m[i][j] for m in gauge) for i in range(pen.mu))))
+                for j in range(pen.mu)
+            ]
+            got = [None if o is None else F(o, pen.den) for o in _column_orders(pen, gauge)]
+            assert got == want, expr

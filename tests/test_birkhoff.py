@@ -163,13 +163,13 @@ def test_filtration_flags_hold_for_solved_gauges():
         assert ok, (expr, detail)
         ok, detail = verify_v_plus(sol.ainf, pen.degrees, sp.pairs)
         assert ok, (expr, detail)
-        gm = graded_model(pen, sol.gauge, scale)
+        gm = graded_model(pen, sol.gauge)
         assert gm["opposite"] and gm["b_opposed"], (expr, gm)
 
 
 def test_graded_model_one_variable_values():
     data, sol = _solved("u1 + u1^-1")
-    gm = graded_model(data.pencil, sol.gauge, 1)
+    gm = graded_model(data.pencil, sol.gauge)
     assert len(gm["classes"]) == 1
     c = gm["classes"][0]
     assert c["n_matrix"] == [["0", "0"], ["-2", "0"]]
@@ -180,13 +180,13 @@ def test_graded_model_one_variable_values():
 
 def test_graded_model_two_variable_values():
     data, sol = _solved("u1 + u2 + u1^-1*u2^-1")
-    gm = graded_model(data.pencil, sol.gauge, 1)
+    gm = graded_model(data.pencil, sol.gauge)
     c = gm["classes"][0]
     assert c["n_matrix"] == [["0", "0", "0"], ["-3", "3", "3"], ["0", "-3", "-3"]]
     assert c["n_rank"] == 2
     # half-integer example splits into two residue classes
     datah, solh = _solved("u1 + u1^-2")
-    gmh = graded_model(datah.pencil, solh.gauge, 2)
+    gmh = graded_model(datah.pencil, solh.gauge)
     assert len(gmh["classes"]) == 2
     assert sorted(cl["residue"] for cl in gmh["classes"]) == ["0", "1/2"]
 

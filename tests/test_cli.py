@@ -1,5 +1,6 @@
 """Command-line interface: output bytes, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,6 @@ import pytest
 from conftest import CORPUS, DEGENERATE
 from newton_spectra import (
     BirkhoffObstruction,
-    BrieskornLattice,
     DegeneracySuspectedError,
     GradedModelError,
 )
@@ -223,15 +223,26 @@ def test_degenerate_analyze_names_the_level(capsys):
     assert "level 5/2" in err
 
 
-def _unordered(self, elem):
-    """A Newton order that matches no exponent."""
-    return None
+_SOLVE_BIRKHOFF = frobenius_mod.solve_birkhoff
+
+
+def _misordered(pencil):
+    """The solver's outcome with a theta^1 entry at (0, 0) of the gauge.
+
+    Column 0 then has Newton order 1 instead of alpha_0 = 0.
+    """
+    sol = _SOLVE_BIRKHOFF(pencil)
+    gauge = [[row[:] for row in m] for m in sol.gauge]
+    if len(gauge) == 1:
+        gauge.append([[Fraction(0)] * pencil.mu for _ in range(pencil.mu)])
+    gauge[1][0][0] = Fraction(1)
+    return dataclasses.replace(sol, gauge=tuple(gauge))
 
 
 def test_failed_gauge_recheck_exits_2(capsys, monkeypatch):
     # the re-check of the Newton orders is an explicit test, not an
     # assert, so it also runs under python -O
-    monkeypatch.setattr(BrieskornLattice, "newton_order", _unordered)
+    monkeypatch.setattr(frobenius_mod, "solve_birkhoff", _misordered)
     rc, out, err = run_cli(capsys, ["analyze", "--json", "u1 + u1^-1"])
     assert rc == 2
     report = json.loads(out)
@@ -288,7 +299,7 @@ def test_non_integral_volume_exits_2_at_the_mu_gate(capsys, monkeypatch):
 def test_check_shares_the_gauge_recheck(capsys, monkeypatch):
     # `check` reads its normal-form gate off the same pipeline as `analyze`,
     # so the re-check of the Newton orders fails it too
-    monkeypatch.setattr(BrieskornLattice, "newton_order", _unordered)
+    monkeypatch.setattr(frobenius_mod, "solve_birkhoff", _misordered)
     rc, out, _ = run_cli(capsys, ["check", "u1 + u1^-1"])
     assert rc == 1
     lines = out.splitlines()
@@ -315,8 +326,10 @@ def _residual_failing_from_call(n):
 @pytest.mark.parametrize("expr, call, message", [
     # the diagonal ansatz solves u1 + u1^-1 and checks its residual once
     ("u1 + u1^-1", 1, "the diagonal ansatz left a nonzero gauge residual"),
-    # u1^3 + u1 + u1^-2 needs a sweep (first residual) and a constant split
-    # (second residual)
+    # u1^3 + u1 + u1^-2 needs one sweep (first residual) and a constant
+    # split (second residual); a sweep's residual may be nonzero only at
+    # theta^1, and the stand-in's is nonzero at theta^0
+    ("u1^3 + u1 + u1^-2", 1, "a sweep left a gauge residual outside theta^1"),
     ("u1^3 + u1 + u1^-2", 2, "the constant split broke the gauge identity"),
 ])
 def test_failed_solver_residual_exits_2_and_fails_check(capsys, monkeypatch,
@@ -384,7 +397,7 @@ def test_obstruction_exit_code_3(capsys, monkeypatch):
 
 
 def test_graded_model_failure_exits_2_and_fails_check(capsys, monkeypatch):
-    def fail(pencil, gauge, scale):
+    def fail(pencil, gauge):
         raise GradedModelError("N is not nilpotent on residue class 0", Fraction(0))
 
     monkeypatch.setattr(frobenius_mod, "graded_model", fail)

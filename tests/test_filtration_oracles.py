@@ -209,7 +209,7 @@ def _check_against_oracles(pencil, gauge, scale):
         assert len(got[rho]) == len(want[rho]), rho
         for k, (a, b) in enumerate(zip(got[rho], want[rho])):
             assert _basis(a) == b, (rho, k)
-    gm = graded_model(pencil, gauge, scale)
+    gm = graded_model(pencil, gauge)
     nmats = {F(c["residue"]): [[F(x) for x in row] for row in c["n_matrix"]]
              for c in gm["classes"]}
     flags = oracle_flags(degrees, nmats, want)
@@ -268,7 +268,7 @@ def test_random_gauges_match_the_dense_oracles():
         pen = data.pencil
         gauge = _random_gauge(rng, pen.mu)
         _check_against_oracles(pen, gauge, data.polytope.scale)
-        gm = graded_model(pen, gauge, data.polytope.scale)
+        gm = graded_model(pen, gauge)
         verdicts.add((gm["opposite"], gm["b_opposed"]))
     # the random gauges reach every combination of the two flags
     assert len(verdicts) == 4
@@ -310,7 +310,7 @@ def test_degree_four_pencil_matches_the_oracle_at_every_window():
     for k, basis in enumerate(got[0]):
         for window in (4, 7, 10):
             assert oracle_fprime(pen.degrees, gauge, F(0), [0], k, window) == basis
-    gm = graded_model(pen, gauge, 1)
+    gm = graded_model(pen, gauge)
     assert gm["classes"][0]["opposite_dims"] == [1, 1, 1, 1, 1, 0]
 
 
@@ -350,13 +350,13 @@ def test_non_nilpotent_n_raises_a_typed_error():
     zero = [[F(0), F(0)], [F(0), F(0)]]
     pen = ConnectionPencil([zero, zero], (F(0), F(1)))
     with pytest.raises(GradedModelError) as info:
-        graded_model(pen, [identity(2)], 1)
+        graded_model(pen, [identity(2)])
     assert info.value.residue == 0
     assert str(info.value) == "N is not nilpotent on residue class 0"
 
 
 def test_analyze_reports_a_graded_model_failure(monkeypatch):
-    def fail(pencil, gauge, scale):
+    def fail(pencil, gauge):
         raise GradedModelError("N is not nilpotent on residue class 1/2", F(1, 2))
 
     monkeypatch.setattr(frobenius, "graded_model", fail)

@@ -92,14 +92,8 @@ def test_ring_axioms_spot_checks():
 
 def test_shift_and_log_derivative():
     f, _ = parse_laurent("u1 + u1^-1")
-    assert f.shift((2,)) == parse_laurent("u1^3 + u1")[0]
+    assert f * LaurentPolynomial.monomial((2,)) == parse_laurent("u1^3 + u1")[0]
     # u d/du multiplies each monomial by its exponent
     assert f.log_derivative(0) == parse_laurent("u1 - u1^-1")[0]
     g, _ = parse_laurent("u1^2*u2^-3")
     assert g.log_derivative(1) == parse_laurent("-3*u1^2*u2^-3")[0]
-
-
-def test_json_round_trip():
-    f, _ = parse_laurent("u1^2*u2^-1 - 5/3*u2")
-    g = LaurentPolynomial.from_json_obj(f.to_json_obj())
-    assert g == f

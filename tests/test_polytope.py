@@ -41,11 +41,12 @@ def test_triangle_facets_exact():
     assert set(p.vertices) == {(1, 0), (0, 1), (-1, -1)}
     forms = {tuple(f.coeffs) for f in p.facets}
     assert forms == {(1, 1), (-2, 1), (1, -2)}
-    # each facet form is 1 exactly on its own two vertices
+    # each facet form L = a / b is 1 exactly on its own two vertices: a.v == b
+    halfspaces = {tuple(Fraction(x, b) for x in a): (a, b) for a, b in p.halfspaces}
     for f in p.facets:
-        assert len(f.vertex_ids) == 2
-        for i in f.vertex_ids:
-            assert f.value(p.vertices[i]) == 1
+        a, b = halfspaces[f.coeffs]
+        on = [i for i, v in enumerate(p.vertices) if sum(x * y for x, y in zip(a, v)) == b]
+        assert len(f.vertex_ids) == 2 and f.vertex_ids == tuple(on)
 
 
 def test_phi_values_triangle():
@@ -56,8 +57,8 @@ def test_phi_values_triangle():
     assert p.phi_exp((1, 1)) == 2
     assert p.phi_exp((-1, -1)) == 1
     f, _ = parse_laurent("u1^-1 + u2")
-    assert p.phi(f) == 2
-    assert p.phi(f - f) is None
+    assert Fraction(p.scaled_phi(f), p.scale) == 2
+    assert p.scaled_phi(f - f) is None
 
 
 def test_fractional_scale():

@@ -3,7 +3,9 @@
 Every re-check of a published result must still run under `python -O`,
 which strips `assert` statements, so the package raises a structured error
 instead of asserting.  Code that nothing calls is deleted, so every private
-function or class of the package is named somewhere in it.  The storage of
+function or class of the package is named somewhere in it, and every public
+one is named in it, exported in `__all__` or wrapped by a `TARGETS` entry of
+the benchmark's tracer (`perfbench/tracer.py`).  The storage of
 `linalg.Echelon` rows is known to `linalg` alone: other modules read rows
 through `pivots`, `row(p)`, `len` and `in`.
 """
@@ -24,14 +26,12 @@ def test_package_has_no_assert_statements():
     assert sorted(PACKAGE.glob("*.py")) and found == []
 
 
-def test_every_private_definition_is_named():
-    # delete code that nothing calls: a private function or class must be
-    # named somewhere in the package, not only defined
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+def _named_and_defined():
+    """(names the package reads, names of the functions and classes it defines)."""
     named = set()
     defined = set()
-    for tree in trees:
-        for node in ast.walk(tree):
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -39,9 +39,40 @@ def test_every_private_definition_is_named():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.add(node.name)
-    assert defined and sorted(defined - named) == []
+    return named, defined
+
+
+def _assigned_strings(path, target):
+    """The string constants in the value of the module-level assignment to target."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == target for t in node.targets):
+            return [c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    return []
+
+
+def test_every_private_definition_is_named():
+    # delete code that nothing calls: a private function or class must be
+    # named somewhere in the package, not only defined
+    named, defined = _named_and_defined()
+    private = {name for name in defined if name.startswith("_")}
+    assert private and sorted(private - named) == []
+
+
+def test_every_public_definition_is_named_exported_or_traced():
+    # a public function or class is named in the package, exported, or a
+    # "module" / "attribute" / "Class.method" target the tracer wraps
+    named, defined = _named_and_defined()
+    exported = set(_assigned_strings(PACKAGE / "__init__.py", "__all__"))
+    tracer = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    traced = {part for entry in _assigned_strings(tracer, "TARGETS")
+              for part in entry.split(".")}
+    public = {name for name in defined if not name.startswith("_")}
+    assert exported and traced and public
+    assert sorted(public - named - exported - traced) == []
 
 
 def test_only_linalg_reads_echelon_rows():
