@@ -7,8 +7,10 @@ invertible) with
     B(theta) P + theta^2 P' = P (A_0 + theta A_inf).
 
 At theta^0 this forces A_0 = B_0.  The primary solver additionally demands
-A_inf = diag(basis degrees), which makes the whole system linear in the P_k;
-when that system is infeasible a bounded fixed-point sweep is tried where
+A_inf = diag(basis degrees), which makes the whole system linear in the P_k.
+A pencil that already reads B_0 + theta diag(basis degrees) gives that
+system a zero right-hand side, so its solution is P = I and no system is
+built.  When the system is infeasible a bounded fixed-point sweep is tried where
 A_inf is frozen per sweep and recomputed as B_1 + [B_0, P_1], which is A_inf
 plus the theta^1 coefficient of the exact gauge residual.  A sweep result
 whose A_inf still couples distinct degrees is post-composed with a constant
@@ -16,7 +18,9 @@ base change (entries allowed where deg(row) < deg(column), so it is still
 filtration-compatible) that block-diagonalizes A_inf; the coupling blocks
 have disjoint spectra, so that Sylvester-type system is uniquely solvable.
 Every candidate must pass an exact residual check before being accepted;
-otherwise a structured obstruction record is returned.
+otherwise a structured obstruction record is returned.  The pencil, the
+gauge, A_0 and A_inf are all matrices of sparse rows (see `linalg`), and
+every product and check here touches their nonzero entries only.
 
 The module also carries the V-filtration side: the finite level-by-level
 direct-sum test for a solution basis, the spectral test on A_inf, and the
@@ -55,24 +59,29 @@ from .brieskorn import ConnectionPencil, integer_orders
 from .errors import GradedModelError, VerificationError
 from .linalg import (
     Echelon,
+    _axpy,
     charpoly,
+    dense_strings,
     identity,
-    mat_mul,
-    nonzero_rows,
     pol_divmod,
-    rank,
-    rref,
-    zeros,
+    sparse_mul,
 )
 
 
 # ---------------------------------------------------------------------------
-# polynomial matrices: lists of constant matrices, ascending theta degree
+# polynomial matrices: lists of sparse-row matrices (see `linalg`),
+# ascending theta degree
 
 
-def _pm_trim(mats):
-    while mats and all(all(x == 0 for x in row) for row in mats[-1]):
-        mats = mats[:-1]
+def _empty(mu):
+    return [{} for _ in range(mu)]
+
+
+def _trim(mats):
+    """The matrices up to the last nonzero one."""
+    mats = list(mats)
+    while mats and not any(mats[-1]):
+        mats.pop()
     return mats
 
 
@@ -80,34 +89,33 @@ def gauge_residual(pencil: ConnectionPencil, gauge, a0, ainf):
     """B P + theta^2 P' - P (A_0 + theta A_inf) as a matrix polynomial.
 
     Only products of nonzero entries are formed, summed per (theta degree,
-    row, column).  The result is the list of theta coefficients up to the
-    highest nonzero one, so it is [] exactly when the gauge identity holds.
+    row, column).  The result is the list of theta coefficients, as sparse
+    rows, up to the highest nonzero one, so it is [] exactly when the gauge
+    identity holds.
     """
     acc = {}
-    prows = [nonzero_rows(p) for p in gauge]
-    for k, brows in enumerate(pencil.nonzero):
-        for i, brow in enumerate(brows):
-            for r, x in brow:
-                for l, pr in enumerate(prows):
-                    for j, y in pr[r]:
+    for k, bmat in enumerate(pencil.matrices):
+        for i, brow in enumerate(bmat):
+            for r, x in brow.items():
+                for l, p in enumerate(gauge):
+                    for j, y in p[r].items():
                         key = (k + l, i, j)
                         acc[key] = acc.get(key, 0) + x * y
-    right = ((0, nonzero_rows(a0)), (1, nonzero_rows(ainf)))
-    for l, pr in enumerate(prows):
-        for i, prow in enumerate(pr):
-            for s, x in prow:
+    right = ((0, a0), (1, ainf))
+    for l, p in enumerate(gauge):
+        for i, prow in enumerate(p):
+            for s, x in prow.items():
                 if l:
                     key = (l + 1, i, s)
                     acc[key] = acc.get(key, 0) + l * x
-                for d, arows in right:
-                    for j, y in arows[s]:
+                for d, amat in right:
+                    for j, y in amat[s].items():
                         key = (l + d, i, j)
                         acc[key] = acc.get(key, 0) - x * y
     nonzero = {key: x for key, x in acc.items() if x}
     if not nonzero:
         return []
-    mu = pencil.mu
-    out = [zeros(mu, mu) for _ in range(max(m for m, _, _ in nonzero) + 1)]
+    out = [_empty(pencil.mu) for _ in range(max(m for m, _, _ in nonzero) + 1)]
     for (m, i, j), x in nonzero.items():
         out[m][i][j] = x
     return out
@@ -122,22 +130,23 @@ MAX_CULPRITS = 8      # culprit equation labels kept in an obstruction record
 
 @dataclass
 class BirkhoffSolution:
-    gauge: tuple                 # (P_0, P_1, ..., P_K); P_0 = I unless a
-                                 # constant split was applied
-    a0: list
-    ainf: list
+    gauge: tuple                 # (P_0, P_1, ..., P_K) as sparse rows; P_0 = I
+                                 # unless a constant split was applied
+    a0: list                     # sparse rows
+    ainf: list                   # sparse rows
     method: str                  # "diagonal-ansatz" | "sweep" | "sweep+split"
     sweeps: int = 0
     flags: dict = field(default_factory=dict)
 
     def to_json_obj(self):
+        mu = len(self.a0)
         return {
             "status": "solved",
             "method": self.method,
             "sweeps": self.sweeps,
-            "gauge": [[[str(x) for x in row] for row in m] for m in self.gauge],
-            "a0": [[str(x) for x in row] for row in self.a0],
-            "ainf": [[str(x) for x in row] for row in self.ainf],
+            "gauge": [dense_strings(m, mu) for m in self.gauge],
+            "a0": dense_strings(self.a0, mu),
+            "ainf": dense_strings(self.ainf, mu),
             "flags": self.flags,
         }
 
@@ -212,25 +221,24 @@ def _build_linear_system(pencil, ainf, include_m1=True):
         consts[lab] = consts.get(lab, 0) + x
 
     # B_k P_l: P_0 = I gives the constant B_k, l >= 1 the slots (l, r, j)
-    for k, brows in enumerate(pencil.nonzero):
-        for i, brow in enumerate(brows):
-            for r, x in brow:
+    for k, bmat in enumerate(pencil.matrices):
+        for i, brow in enumerate(bmat):
+            for r, x in brow.items():
                 if k:
                     add_const((k, i, r), x)
                 for l in range(1, kmax + 1):
                     for j, t in by_row.get((l, r), ()):
                         add((k + l, i, j), t, x)
     # theta^2 P' - P_l B_0 - theta P_l A_inf, with P_0 A_inf constant
-    b0rows = pencil.nonzero[0]
-    arows = nonzero_rows(ainf)
-    for i, arow in enumerate(arows):
-        for j, y in arow:
+    b0 = pencil.matrices[0]
+    for i, arow in enumerate(ainf):
+        for j, y in arow.items():
             add_const((1, i, j), -y)
     for t, (l, i, s) in enumerate(slots):
         add((l + 1, i, s), t, l)
-        for j, y in b0rows[s]:
+        for j, y in b0[s].items():
             add((l, i, j), t, -y)
-        for j, y in arows[s]:
+        for j, y in ainf[s].items():
             add((l + 1, i, j), t, -y)
     rows = []
     rhs = []
@@ -248,11 +256,13 @@ def _build_linear_system(pencil, ainf, include_m1=True):
 
 
 def _gauge_from_solution(slots, x, mu):
-    kmax = max((k for k, _, _ in slots), default=0)
-    mats = [identity(mu)] + [zeros(mu, mu) for _ in range(kmax)]
-    for t, (k, i, j) in enumerate(slots):
-        mats[k][i][j] = x[t]
-    return _pm_trim(mats) or [identity(mu)]
+    """I + the solved slots, up to the highest theta power with a nonzero one."""
+    top = max((k for (k, _, _), y in zip(slots, x) if y), default=0)
+    mats = [identity(mu)] + [_empty(mu) for _ in range(top)]
+    for (k, i, j), y in zip(slots, x):
+        if y:
+            mats[k][i][j] = y
+    return mats
 
 
 def _solve_system(n, rows, rhs, labels):
@@ -302,22 +312,21 @@ def _split_constant(ainf, orders):
     pencil's integer orders stand in for them.
     """
     mu = len(orders)
-    slots = [(i, j) for i in range(mu) for j in range(mu) if orders[i] < orders[j]]
-    if all(ainf[i][j] == 0 for (i, j) in slots):
+    if not any(orders[i] < orders[j] for i, arow in enumerate(ainf) for j in arow):
         return None
+    slots = [(i, j) for i in range(mu) for j in range(mu) if orders[i] < orders[j]]
     index = {s: t for t, s in enumerate(slots)}
-    arows = nonzero_rows(ainf)
     # the nonzero entries of column j of blockdiag(A_inf)
     dcols = [[] for _ in range(mu)]
-    for k, arow in enumerate(arows):
-        for j, y in arow:
+    for k, arow in enumerate(ainf):
+        for j, y in arow.items():
             if orders[k] == orders[j]:
                 dcols[j].append((k, y))
     rows = []
     rhs = []
     for (i, j) in slots:
         row = {}
-        for k, y in arows[i]:
+        for k, y in ainf[i].items():
             t = index.get((k, j))
             if t is not None:
                 row[t] = row.get(t, 0) + y
@@ -326,13 +335,14 @@ def _split_constant(ainf, orders):
             if t is not None:
                 row[t] = row.get(t, 0) - y
         rows.append({t: y for t, y in row.items() if y})
-        rhs.append(-ainf[i][j])
+        rhs.append(-ainf[i].get(j, 0))
     x = _solve_system(len(slots), rows, rhs, slots)[0]
     if x is None:
         return None
     q = identity(mu)
-    for t, (i, j) in enumerate(slots):
-        q[i][j] = x[t]
+    for (i, j), y in zip(slots, x):
+        if y:
+            q[i][j] = y
     return q
 
 
@@ -342,12 +352,21 @@ def _apply_constant_split(pencil, gauge, a0, ainf):
     if q is None:
         return gauge, a0, ainf, False
     qinv = _invert(q)
-    gauge = [mat_mul(p, q) for p in gauge]
-    a0 = mat_mul(qinv, mat_mul(a0, q))
-    ainf = mat_mul(qinv, mat_mul(ainf, q))
+    # Q is invertible, so P_k Q is zero only where P_k is: no trim needed
+    gauge = [sparse_mul(p, q) for p in gauge]
+    a0 = sparse_mul(qinv, sparse_mul(a0, q))
+    ainf = sparse_mul(qinv, sparse_mul(ainf, q))
     if gauge_residual(pencil, gauge, a0, ainf):
         raise VerificationError("the constant split broke the gauge identity")
-    return _pm_trim(gauge) or [identity(pencil.mu)], a0, ainf, True
+    return gauge, a0, ainf, True
+
+
+def _ansatz_solution(pencil, gauge, d_mat):
+    """The diagonal-ansatz solution, once its exact gauge residual is zero."""
+    b0 = pencil.matrices[0]
+    if gauge_residual(pencil, gauge, b0, d_mat):
+        raise VerificationError("the diagonal ansatz left a nonzero gauge residual")
+    return BirkhoffSolution(tuple(gauge), b0, d_mat, "diagonal-ansatz")
 
 
 def solve_birkhoff(pencil: ConnectionPencil):
@@ -357,24 +376,24 @@ def solve_birkhoff(pencil: ConnectionPencil):
     check; that check is explicit, so it also runs under `python -O`.
     """
     mu = pencil.mu
-    degrees = pencil.degrees
-    d_mat = zeros(mu, mu)
-    for i in range(mu):
-        d_mat[i][i] = Fraction(degrees[i])
+    d_mat = [{i: Fraction(a)} if a else {} for i, a in enumerate(pencil.degrees)]
     b0 = pencil.matrices[0]
+    b1 = pencil.matrices[1] if pencil.degree else _empty(mu)
 
+    if pencil.degree <= 1 and b1 == d_mat:
+        # B = B_0 + theta diag(degrees) is normal already: every right-hand
+        # side of the ansatz system is zero, so its solution with the free
+        # unknowns zero is 0, and the gauge is I
+        return _ansatz_solution(pencil, [identity(mu)], d_mat)
     slots, rows, rhs, labels = _build_linear_system(pencil, d_mat, include_m1=True)
     x, system_rank, augmented_rank, culprits = _solve_system(len(slots), rows, rhs, labels)
     if x is not None:
-        gauge = _gauge_from_solution(slots, x, mu)
-        if gauge_residual(pencil, gauge, b0, d_mat):
-            raise VerificationError("the diagonal ansatz left a nonzero gauge residual")
-        return BirkhoffSolution(tuple(gauge), b0, d_mat, "diagonal-ansatz")
+        return _ansatz_solution(pencil, _gauge_from_solution(slots, x, mu), d_mat)
 
     # fixed-point sweeps with A_inf frozen per round; the round's system
     # holds every theta^m equation with m >= 2 and P_0 = I, so the residual
     # is [0, B_1 + [B_0, P_1] - A_inf], and A_inf steps by its theta^1 part
-    ainf = [row[:] for row in pencil.matrices[1]] if pencil.degree else zeros(mu, mu)
+    ainf = [dict(row) for row in b1]
     for sweep in range(1, MAX_SWEEPS + 1):
         slots2, rows2, rhs2, labels2 = _build_linear_system(pencil, ainf, include_m1=False)
         y = _solve_system(len(slots2), rows2, rhs2, labels2)[0]
@@ -390,7 +409,8 @@ def solve_birkhoff(pencil: ConnectionPencil):
             )
         if len(res) != 2:
             raise VerificationError("a sweep left a gauge residual outside theta^1")
-        ainf = [[a + r for a, r in zip(arow, rrow)] for arow, rrow in zip(ainf, res[1])]
+        for arow, rrow in zip(ainf, res[1]):
+            _axpy(arow, 1, rrow)
 
     return BirkhoffObstruction(
         message="gauge equations are inconsistent for a diagonal residue matrix "
@@ -411,31 +431,30 @@ def pencil_in_gauge(pencil: ConnectionPencil, gauge):
     P^(-1) (B P + theta^2 P'); a Birkhoff solution in the broad sense is one
     where this list has length <= 2 (degree <= 1 in theta).
     """
-    gauge = _pm_trim([list(map(list, m)) for m in gauge]) or [identity(pencil.mu)]
     mu = pencil.mu
+    gauge = _trim(gauge) or [identity(mu)]
     # B P + theta^2 P' is the gauge residual with A_0 = A_inf = 0
-    lhs = gauge_residual(pencil, gauge, zeros(mu, mu), zeros(mu, mu))
+    lhs = gauge_residual(pencil, gauge, _empty(mu), _empty(mu))
     p0inv = _invert(gauge[0])
     out = []
     for k in range(len(lhs)):
-        acc = [row[:] for row in lhs[k]]
-        for l in range(k):
-            if k - l < len(gauge):
-                prod = mat_mul(gauge[k - l], out[l])
-                for r in range(mu):
-                    for c in range(mu):
-                        acc[r][c] -= prod[r][c]
-        out.append(mat_mul(p0inv, acc))
-    return _pm_trim(out)
+        acc = [dict(row) for row in lhs[k]]
+        for l in range(max(k - len(gauge) + 1, 0), k):
+            for row, prow in zip(acc, sparse_mul(gauge[k - l], out[l])):
+                _axpy(row, -1, prow)
+        out.append(sparse_mul(p0inv, acc))
+    return _trim(out)
 
 
 def _invert(m):
+    """The inverse of a matrix of sparse rows, from one echelon of [m | I]."""
     mu = len(m)
-    aug = [row[:] + unit for row, unit in zip(m, identity(mu))]
-    red, piv = rref(aug)
-    if piv != list(range(mu)):
+    ech = Echelon()
+    for i, row in enumerate(m):
+        ech.insert({**row, mu + i: 1})
+    if sorted(ech.pivots) != list(range(mu)):
         raise ValueError("gauge constant term is singular")
-    return [row[mu:] for row in red]
+    return [{c - mu: x for c, x in ech.row(p).items() if c >= mu} for p in range(mu)]
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +475,16 @@ def _order_keys(pencil):
         return -(den * s + orders[i]) * mu + i
 
     return key
+
+
+def _columns(gauge, mu):
+    """The nonzero entries (i, s, (P_s)_ij) of each gauge column j, by s, then i."""
+    columns = [[] for _ in range(mu)]
+    for s, p in enumerate(gauge):
+        for i, row in enumerate(p):
+            for j, x in row.items():
+                columns[j].append((i, s, x))
+    return columns
 
 
 def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
@@ -481,11 +510,8 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     mu, den, orders = pencil.mu, pencil.den, pencil.orders
     key = _order_keys(pencil)
     span = Echelon()
-    for j in range(mu):
-        span.insert(
-            {key(i, k): g[i][j]
-             for k, g in enumerate(gauge) for i in range(mu) if g[i][j]}
-        )
+    for col in _columns(gauge, mu):
+        span.insert({key(i, s): x for i, s, x in col})
     pivots = sorted(span.pivots, reverse=True)  # ascending Newton order
     constant = {key(i, 0) for i in range(mu)}
     low = Echelon()
@@ -555,7 +581,8 @@ def _eigenvalues(ainf, structural, candidates):
     if structural:
         mult = {}
         for i, row in enumerate(ainf):
-            mult[row[i]] = mult.get(row[i], 0) + 1
+            x = row.get(i, Fraction(0))
+            mult[x] = mult.get(x, 0) + 1
         return sorted(mult.items()), [Fraction(1)]
     return _split_over(charpoly(ainf), candidates)
 
@@ -571,18 +598,11 @@ def _product_vanishes(factors, dim):
     A factor is a list of sparse rows {column: int}; the product is formed
     left to right on sparse rows and stops once it is zero.
     """
-    prod = [{i: 1} for i in range(dim)]
+    prod = identity(dim)
     for f in factors:
         if not any(prod):
             break
-        nxt = []
-        for prow in prod:
-            acc = {}
-            for t, c in prow.items():
-                for j, y in f[t].items():
-                    acc[j] = acc.get(j, 0) + c * y
-            nxt.append({j: x for j, x in acc.items() if x})
-        prod = nxt
+        prod = sparse_mul(prod, f)
     return not any(prod)
 
 
@@ -609,15 +629,15 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
     """
     mu = len(degrees)
     detail = {}
-    arows = nonzero_rows(ainf)
     _, orders = integer_orders(degrees)
+    diagonal = [ainf[i].get(i, Fraction(0)) for i in range(mu)]
     # structural: alpha_i on the diagonal, and every other nonzero entry
     # (i, j) has deg(i) < deg(j), so each degree block is alpha * I
-    structural = all(ainf[i][i] == degrees[i] for i in range(mu)) and all(
-        j == i or orders[i] < orders[j] for i, arow in enumerate(arows) for j, _ in arow
+    structural = diagonal == list(degrees) and all(
+        j == i or orders[i] < orders[j] for i, arow in enumerate(ainf) for j in arow
     )
     detail["structure"] = structural
-    candidates = [ainf[i][i] for i in range(mu)]
+    candidates = list(diagonal)
     for a, _ in spectrum_pairs:
         candidates += [a, -a]
     roots, cofactor = _eigenvalues(ainf, structural, candidates)
@@ -632,9 +652,9 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
         return False, detail
     detail["eigenvalues"] = [(str(r), m) for r, m in roots]
     # semisimple iff the product of (A - r I) over distinct roots vanishes
-    d = lcm(*(x.denominator for arow in arows for _, x in arow),
+    d = lcm(*(x.denominator for arow in ainf for x in arow.values()),
             *(rt.denominator for rt, _ in roots))
-    scaled = [{j: _times(x, d) for j, x in arow} for arow in arows]
+    scaled = [{j: _times(x, d) for j, x in arow.items()} for arow in ainf]
     factors = []
     for rt, _ in roots:
         shifted = [dict(row) for row in scaled]
@@ -709,12 +729,8 @@ def opposite_filtration(pencil: ConnectionPencil, gauge):
     """
     mu, den, orders = pencil.mu, pencil.den, pencil.orders
     classes = _residue_classes(pencil)
-    gauge = _pm_trim([list(map(list, m)) for m in gauge]) or [identity(mu)]
     key = _order_keys(pencil)
-    columns = [
-        [(i, s, g[i][j]) for s, g in enumerate(gauge) for i in range(mu) if g[i][j]]
-        for j in range(mu)
-    ]
+    columns = _columns(_trim(gauge) or [identity(mu)], mu)
     # orders times den: top, cutoff and kmax are floors of quotients by den
     top = max(den * s + orders[i] for col in columns for i, s, _ in col)
     cutoff = (top - classes[0][1]) // den
@@ -754,38 +770,43 @@ def graded_model(pencil: ConnectionPencil, gauge):
     multiples of den, so the theta power alpha_i - alpha_j + 1 of an entry
     of N is (o_i - o_j) // den + 1, and hodge[k] counts o_i <= res + k * den.
     N is nilpotent iff D N is, D a common denominator of N, so (D N)^dim is
-    formed over the integers; (B) reduces D N v for every F'^k vector v
+    formed over the integers, and the rank of N is that of D N, the size of
+    one echelon of its rows; (B) reduces D N v for every F'^k vector v
     scaled to integers, and the echelon takes those scaled vectors: scaling
     a row changes neither the span of an `Echelon` nor its pivots.
     """
     degrees = pencil.degrees
     den, orders = pencil.den, pencil.orders
-    degb = len(pencil.matrices) - 1
     classes = _residue_classes(pencil)
     nmats = {}
     for rho, _, idx in classes:
         dim = len(idx)
-        # N on the class: N e_i = alpha_i e_i - sum_j (B_{alpha_i - alpha_j + 1})_{ji} e_j
-        nmat = zeros(dim, dim)
-        for ti, i in enumerate(idx):
-            nmat[ti][ti] += degrees[i]
-            for tj, j in enumerate(idx):
-                m = (orders[i] - orders[j]) // den + 1
-                if 0 <= m <= degb:
-                    nmat[tj][ti] -= pencil.matrices[m][j][i]
-        nrows = nonzero_rows(nmat)
-        d = lcm(*(x.denominator for row in nrows for _, x in row))
-        scaled = [{c: _times(x, d) for c, x in row} for row in nrows]
+        pos = {i: t for t, i in enumerate(idx)}
+        # N on the class: N e_i = alpha_i e_i - sum_j (B_{alpha_i - alpha_j + 1})_{ji} e_j,
+        # from the nonzero entries (j, i) of the B_k with i and j in the class
+        acc = [{t: degrees[i]} for t, i in enumerate(idx)]
+        for tj, j in enumerate(idx):
+            for k, bmat in enumerate(pencil.matrices):
+                for i, x in bmat[j].items():
+                    ti = pos.get(i)
+                    if ti is not None and (orders[i] - orders[j]) // den + 1 == k:
+                        acc[tj][ti] = acc[tj].get(ti, 0) - x
+        nmat = [{c: x for c, x in row.items() if x} for row in acc]
+        d = lcm(*(x.denominator for row in nmat for x in row.values()))
+        scaled = [{c: _times(x, d) for c, x in row.items()} for row in nmat]
         if not _product_vanishes([scaled] * dim, dim):
             raise GradedModelError("N is not nilpotent on residue class %s" % rho, rho)
-        nmats[rho] = nmat, scaled
+        span = Echelon()
+        for row in scaled:
+            span.insert(row)
+        nmats[rho] = nmat, scaled, len(span)
     fprime = opposite_filtration(pencil, gauge)
     all_ok_opposite = True
     all_ok_b = True
     out = []
     for rho, res, idx in classes:
         dim = len(idx)
-        nmat, scaled = nmats[rho]
+        nmat, scaled, n_rank = nmats[rho]
         fpr = fprime[rho]
         kmax = len(fpr) - 2
         hodge = {k: sum(1 for i in idx if orders[i] <= res + k * den)
@@ -821,8 +842,8 @@ def graded_model(pencil: ConnectionPencil, gauge):
             {
                 "residue": str(rho),
                 "indices": idx,
-                "n_matrix": [[str(x) for x in row] for row in nmat],
-                "n_rank": rank(nmat),
+                "n_matrix": dense_strings(nmat, dim),
+                "n_rank": n_rank,
                 "hodge_dims": [hodge[k] for k in range(0, kmax + 1)],
                 "opposite_dims": [len(fpr[k]) for k in range(0, kmax + 1)],
                 "opposite": opp,

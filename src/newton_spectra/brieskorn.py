@@ -7,12 +7,14 @@ operator t acts as multiplication by f on theta-degree zero and extends by
 t(theta^k x) = k theta^(k+1) x + theta^k t(x); on coordinate vectors this is
 t(v) = theta^2 v' + B(theta) v for the pencil B computed once per lattice.
 
-Reduction feeds plain dicts, exponent -> Fraction, to the division kernel
+Reduction feeds plain dicts of integer numerators to the division kernel
 of `jacobian` one theta power at a time, lowest first: the representatives
 land in the coordinates and the kernel's deta moves up one theta power.
-The pencil reduces f * u^m for every basis monomial m that way and fills
-B_0, ..., B_k from the nonzero coordinates only, checking the theta-degree
-bound and the order bound on them as explicit tests.
+Every pending theta power shares one denominator, which moves to the one
+the kernel returns.  The pencil
+reduces f * u^m for every basis monomial m that way and fills the sparse
+rows of B_0, ..., B_k from the nonzero coordinates only, checking the
+theta-degree bound and the order bound on them as explicit tests.
 
 The spectrum polynomial SP(S) = prod (S + alpha_i) is computed over the
 integers, as prod (d S + r_i) over the scaled degrees r_i = d alpha_i, and
@@ -30,7 +32,8 @@ from .jacobian import JacobianAlgebra, _divide_terms
 from .laurent import LaurentPolynomial
 from .linalg import (
     _axpy,
-    nonzero_rows,
+    _numerators,
+    dense_strings,
     pol_add,
     pol_deriv,
     pol_mul,
@@ -76,18 +79,17 @@ def integer_orders(degrees):
 class ConnectionPencil:
     """Matrix polynomial B(theta) = B_0 + theta B_1 + ... acting on coordinates.
 
-    Besides the dense matrices and the degrees it carries their integer
-    form, built once here for the stages after the pencil: `den` and
-    `orders` (see `integer_orders`), and `nonzero[k]`, the nonzero entries of
-    each row of B_k as `linalg.nonzero_rows` lists them.
+    matrices[k] is B_k as sparse rows (see `linalg`): matrices[k][i] maps
+    the column j of every nonzero entry of row i to that entry.  Besides
+    the degrees the pencil carries their integer form, built once here for
+    the stages after the pencil: `den` and `orders` (see `integer_orders`).
     """
 
     def __init__(self, matrices, degrees):
-        self.matrices = matrices        # list of mu x mu Fraction matrices
+        self.matrices = matrices        # list of mu sparse rows per theta power
         self.degrees = degrees          # basis Newton degrees (Fractions)
         self.mu = len(matrices[0])
         self.den, self.orders = integer_orders(degrees)
-        self.nonzero = [nonzero_rows(m) for m in matrices]
 
     @property
     def degree(self):
@@ -95,23 +97,22 @@ class ConnectionPencil:
 
     def entry(self, i, j):
         """theta-polynomial at position (i, j), ascending coefficients."""
-        return pol_trim([m[i][j] for m in self.matrices])
+        return pol_trim([m[i].get(j, Fraction(0)) for m in self.matrices])
 
     def apply_t(self, elem: BrieskornElement) -> BrieskornElement:
         out = []
         for i in range(self.mu):
             acc = pol_shift(pol_deriv(list(elem.coords[i])), 2)
-            for j in range(self.mu):
-                e = self.entry(i, j)
-                if e and elem.coords[j]:
-                    acc = pol_add(acc, pol_mul(e, list(elem.coords[j])))
+            for j in sorted({j for m in self.matrices for j in m[i]}):
+                if elem.coords[j]:
+                    acc = pol_add(acc, pol_mul(self.entry(i, j), list(elem.coords[j])))
             out.append(tuple(acc))
         return BrieskornElement(tuple(out))
 
     def to_json_obj(self):
         return {
             "degree": self.degree,
-            "matrices": [[[str(x) for x in row] for row in m] for m in self.matrices],
+            "matrices": [dense_strings(m, self.mu) for m in self.matrices],
         }
 
 
@@ -130,8 +131,14 @@ class BrieskornLattice:
         """Reduce a form given as {theta power: Laurent polynomial} to coordinates."""
         if isinstance(forms, LaurentPolynomial):
             forms = {0: forms}
+        # one denominator for every theta power
+        den = lcm(*(c.denominator for g in forms.values() for c in g.terms.values()))
+        numerators = {
+            k: {e: c.numerator * (den // c.denominator) for e, c in g.terms.items() if c}
+            for k, g in forms.items()
+        }
         out = []
-        for slot in self._reduce_terms({k: g.terms for k, g in forms.items()}):
+        for slot in self._reduce_terms(numerators, den):
             if slot:
                 top = max(slot)
                 out.append(tuple(slot.get(i, Fraction(0)) for i in range(top + 1)))
@@ -139,17 +146,28 @@ class BrieskornLattice:
                 out.append(())
         return BrieskornElement(tuple(out))
 
-    def _reduce_terms(self, forms):
-        """{theta power: {exponent: Fraction}} -> one {theta power: c} per slot."""
-        # copies: deta is added in place, and the callers' term dicts stay as they are
-        pending = {k: dict(t) for k, t in forms.items() if t}
+    def _reduce_terms(self, forms, den):
+        """{theta power: {exponent: int}} over the int den -> one
+        {theta power: Fraction} per slot.
+
+        Every pending form shares one denominator; the dicts of forms are
+        taken over and changed.
+        """
+        pending = {k: t for k, t in forms.items() if t}
         cap = (max(pending) if pending else 0) + self.algebra.n + 2
         coords = [{} for _ in range(self.mu)]
         while pending:
             k = min(pending)
-            a, _, deta = _divide_terms(self.algebra, pending.pop(k), self._index)
+            a, _, deta, new = _divide_terms(self.algebra, pending.pop(k), den, self._index)
             for e, c in a.items():
-                coords[self._index[e]][k] = c
+                coords[self._index[e]][k] = Fraction(c, new)
+            if new != den:
+                # the division's denominator is a multiple of den: the forms
+                # still pending move over to it
+                for terms in pending.values():
+                    for e in terms:
+                        terms[e] *= new // den
+                den = new
             if deta:
                 if k + 1 > cap:
                     raise DegeneracySuspectedError(
@@ -172,11 +190,11 @@ class BrieskornLattice:
     def pencil(self) -> ConnectionPencil:
         if self._pencil is None:
             mu = self.mu
-            f = self.algebra.f.terms
+            f, den = _numerators(self.algebra.f.terms)
             degrees = self.basis.degrees
             columns = [
                 self._reduce_terms(
-                    {0: {tuple(x + y for x, y in zip(e, m)): c for e, c in f.items()}}
+                    {0: {tuple(x + y for x, y in zip(e, m)): c for e, c in f.items()}}, den
                 )
                 for m in self.basis.monomials
             ]
@@ -185,9 +203,7 @@ class BrieskornLattice:
                 raise DegeneracySuspectedError(
                     "connection pencil has theta-degree %d > %d" % (top, self.algebra.n)
                 )
-            mats = [
-                [[Fraction(0)] * mu for _ in range(mu)] for _ in range(top + 1)
-            ]
+            rows = [[{} for _ in range(mu)] for _ in range(top + 1)]
             for j, col in enumerate(columns):
                 for i, slot in enumerate(col):
                     for k, c in slot.items():
@@ -197,8 +213,8 @@ class BrieskornLattice:
                                 "entry (%d,%d) of B_%d violates the order bound"
                                 % (i, j, k)
                             )
-                        mats[k][i][j] = c
-            self._pencil = ConnectionPencil(mats, degrees)
+                        rows[k][i][j] = c
+            self._pencil = ConnectionPencil(rows, degrees)
         return self._pencil
 
     def facet_derivation(self, g: LaurentPolynomial, facet_index: int):

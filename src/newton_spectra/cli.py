@@ -364,12 +364,12 @@ def _run_check(args):
     degrees = pencil.degrees
     ok_pencil = pencil.degree <= n
     if len(pencil.matrices) > 1:
-        tr = sum(pencil.matrices[1][i][i] for i in range(pencil.mu))
+        tr = sum(row.get(i, 0) for i, row in enumerate(pencil.matrices[1]))
         ok_pencil = ok_pencil and tr == sum(degrees, Fraction(0))
     for k, m in enumerate(pencil.matrices):
-        for j in range(pencil.mu):
-            for i in range(pencil.mu):
-                if m[j][i] != 0 and Fraction(k) + degrees[j] > degrees[i] + 1:
+        for j, row in enumerate(m):
+            for i in row:
+                if Fraction(k) + degrees[j] > degrees[i] + 1:
                     ok_pencil = False
     record("pencil-invariants", ok_pencil,
            "theta degree <= n, trace, order bounds")

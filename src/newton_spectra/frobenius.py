@@ -117,19 +117,18 @@ def euler_field(algebra, pencil, solution, spectrum_data):
     primitive_index, alpha_min = canonical_primitive(algebra, spectrum_data)
     degrees = pencil.degrees
     n = algebra.f.arity
-    b0 = pencil.matrices[0]
+    a0 = pencil.matrices[0]
     if solution is not None:
         # the gauge cannot move the primitive element (no lower degree
         # exists to mix in), so c_k is read in the good basis
         if not all(
-            m[i][0] == (1 if (i, k) == (0, 0) else 0)
+            m[i].get(0, 0) == (1 if (i, k) == (0, 0) else 0)
             for k, m in enumerate(solution.gauge)
             for i in range(len(degrees))
         ):
             raise VerificationError("gauge moved the primitive element")
-        c = tuple(solution.a0[k][0] for k in range(len(degrees)))
-    else:
-        c = tuple(b0[k][0] for k in range(len(degrees)))
+        a0 = solution.a0
+    c = tuple(row.get(0, Fraction(0)) for row in a0)
     charge = 2 * alpha_min + 2 - n
     terms = tuple((1 + alpha_min - a, ck) for a, ck in zip(degrees, c))
     parts = []
@@ -192,10 +191,15 @@ def _column_orders(pencil, gauge):
     The Newton order of column j is the largest s + alpha_i over the nonzero
     entries (P_s)_ij, so den times it is the largest den * s + orders[i].
     """
-    den, orders, mu = pencil.den, pencil.orders, pencil.mu
-    return [max((den * s + orders[i] for s, m in enumerate(gauge)
-                 for i in range(mu) if m[i][j]), default=None)
-            for j in range(mu)]
+    den, orders = pencil.den, pencil.orders
+    best = [None] * pencil.mu
+    for s, m in enumerate(gauge):
+        for i, row in enumerate(m):
+            o = den * s + orders[i]
+            for j in row:
+                if best[j] is None or o > best[j]:
+                    best[j] = o
+    return best
 
 
 def _recheck_gauge(pencil, outcome):

@@ -9,8 +9,9 @@ the n logarithmic derivatives, with m at level r - scale, span a subspace
 of the level-r monomials.  Each level caches one `linalg.Echelon` of that
 span: columns are the positions of the level's monomials in graded-lex
 order, rows go in in (i, m) order and carry the label (i, m) as provenance.
-The leading forms keep integral coefficients as ints, so for f with integer
-coefficients a level echelon is built on integers alone.  Non-pivot
+The rows are the leading forms scaled to integers (see below), which moves
+neither the span nor the pivots, so a level echelon is built on integers
+alone.  Non-pivot
 monomials are the canonical graded representatives; collecting them for
 r = 0 .. n*scale gives the adapted basis, and reducing against the echelon
 gives division with certified cofactors read off the provenance.
@@ -18,11 +19,18 @@ The levels n*scale + 1 .. (n+1)*scale are the window that
 `nondegeneracy.is_nondegenerate` reads: all of them are empty exactly when f
 is nondegenerate.
 
-Division runs on plain dicts, exponent -> Fraction (`_divide_terms`, shared
-by `divide` and the Brieskorn lattice).  The terms are bucketed by level and
-the levels are taken top down: the level-r slice is reduced against the
-level-r echelon into representatives + leading-form multiples, and each
-full product u^m * xi_i(f) is subtracted term by term into the buckets.
+Division runs on plain dicts of integer numerators over one denominator
+(`_divide_terms`, shared by `divide` and the Brieskorn lattice).  The
+leading forms and the log derivatives enter scaled by L, the least common
+multiple of the denominators of the log-derivative coefficients, so for a
+rational f the level echelons and the products are still integral; the
+cofactor of xi_i(f) is L times that of L xi_i(f).  The terms are bucketed
+by level and the levels are taken top down: the level-r slice is reduced
+against the level-r echelon (`Echelon.integer_reduce`) into
+representatives + leading-form multiples over one denominator s, cut by
+its common factor with their numerators; every dict of the division is
+scaled by s so that they share the new denominator, and each full
+product u^m * L xi_i(f) is subtracted term by term into the buckets.
 The gauge is subadditive and the non-leading terms of xi_i(f) lie below
 level scale, so a product never lands above level r and its level-r part is
 the echelon row; the slice, together with any product term at level r or
@@ -36,10 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegeneracySuspectedError, NotInIdealError
 from .laurent import LaurentPolynomial, term_key
-from .linalg import Echelon
+from .linalg import Echelon, _fractions, _numerators, _primitive
 from .polytope import NewtonPolytope, newton_polytope
 
 
@@ -76,14 +85,15 @@ class JacobianAlgebra:
             if xi.is_zero():
                 # f independent of u_i contradicts convenience, but be precise
                 raise DegeneracySuspectedError("f does not involve variable %d" % i)
-        # leading parts of the log derivatives (terms on the polytope boundary),
-        # integral coefficients as int, so the level echelons start on integers
-        self.leading = []
-        for xi in self.log_derivs:
-            self.leading.append(
-                {e: c.numerator if c.denominator == 1 else c
-                 for e, c in xi.terms.items() if p.scaled_phi_exp(e) == self.d}
-            )
+        # L, and the leading parts of L times the log derivatives (terms on
+        # the polytope boundary) as ints, so the level echelons run on integers
+        self.deriv_den = lcm(*(c.denominator for xi in self.log_derivs
+                               for c in xi.terms.values()))
+        self.leading = [
+            {e: c.numerator * (self.deriv_den // c.denominator)
+             for e, c in xi.terms.items() if p.scaled_phi_exp(e) == self.d}
+            for xi in self.log_derivs
+        ]
         self._levels = {}          # scaled level -> sorted monomial list
         self._index = {}           # scaled level -> monomial -> echelon column
         self._level_of = {}        # enumerated monomial -> scaled level
@@ -215,17 +225,22 @@ class DivisionWitness:
         return deta == self.deta
 
 
-def _divide_terms(algebra: JacobianAlgebra, terms: dict, reps):
-    """Division of {exponent: Fraction} by the log-derivative ideal.
+def _divide_terms(algebra: JacobianAlgebra, terms: dict, den: int, reps):
+    """Division of terms / den by the log-derivative ideal.
 
-    reps holds the basis monomials (any container with `in`).  Returns
-    (a, cofactors, deta): a maps basis monomials to their coefficients, the
-    cofactors are one dict exponent -> Fraction per variable, and deta is
-    sum_i u_i d/du_i of cofactor i, with zero coefficients dropped.
+    terms maps exponents to int numerators and den is a positive int; reps
+    holds the basis monomials (any container with `in`).  Returns
+    (a, cofactors, deta, den): a maps basis monomials to their
+    coefficients, the cofactors are one dict exponent -> coefficient per
+    variable, and deta is sum_i u_i d/du_i of cofactor i, all as int
+    numerators over the returned den, with zero coefficients dropped.
     """
     top_level = algebra.n * algebra.d
     level = algebra.level
-    buckets = {}                # scaled level -> {exponent: Fraction}
+    deriv_den = algebra.deriv_den
+    derivs = [[(k, b.numerator * (deriv_den // b.denominator)) for k, b in xi.terms.items()]
+              for xi in algebra.log_derivs]
+    buckets = {}                # scaled level -> {exponent: numerator}
     for e, c in terms.items():
         if c:
             buckets.setdefault(level(e), {})[e] = c
@@ -240,12 +255,19 @@ def _divide_terms(algebra: JacobianAlgebra, terms: dict, reps):
             continue
         ech = algebra.solver(r)
         index = algebra._index[r]
-        rest, combo = ech.reduce({index[e]: c for e, c in slice_.items()})
+        rest, combo, s = _primitive(
+            *ech.integer_reduce({index[e]: c for e, c in slice_.items()}))
         if rest and r > top_level:
             raise DegeneracySuspectedError(
                 "graded representative appears above the top level (scaled %d > %d)"
                 % (r, top_level)
             )
+        if s != 1:
+            # rest and combo are over den * s: bring everything there
+            den *= s
+            for part in (slice_, a, *cof, *buckets.values()):
+                for e in part:
+                    part[e] *= s
         columns = algebra.level_monomials(r)
         for j, c in rest.items():
             e = columns[j]
@@ -259,11 +281,11 @@ def _divide_terms(algebra: JacobianAlgebra, terms: dict, reps):
         # each level comes up once, so a representative or a label (i, m)
         # gets its coefficient in one round only
         for (i, m), c in combo.items():
-            cof[i][m] = c
-            for k, b in algebra.log_derivs[i].terms.items():
+            cof[i][m] = c * deriv_den
+            for k, b in derivs[i]:
                 e = tuple(x + y for x, y in zip(m, k))
-                s = level(e)
-                _add_term(slice_ if s >= r else buckets.setdefault(s, {}), e, -c * b)
+                lv = level(e)
+                _add_term(slice_ if lv >= r else buckets.setdefault(lv, {}), e, -c * b)
         # what is left at level r or above did not cancel
         if slice_:
             raise DegeneracySuspectedError(
@@ -282,7 +304,7 @@ def _divide_terms(algebra: JacobianAlgebra, terms: dict, reps):
         for m, c in gi.items():
             if m[i]:
                 _add_term(deta, m, c * m[i])
-    return a, cof, deta
+    return a, cof, deta, den
 
 
 def _add_term(terms, e, c):
@@ -299,13 +321,14 @@ def divide(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:
     """Express g over the adapted representatives modulo the log-derivative ideal."""
     if g.arity != algebra.n:
         raise ValueError("arity mismatch")
-    a, cof, deta = _divide_terms(algebra, g.terms, set(algebra.basis().monomials))
+    terms, den = _numerators(g.terms)
+    a, cof, deta, den = _divide_terms(algebra, terms, den, set(algebra.basis().monomials))
     n = algebra.n
     return DivisionWitness(
         g=g,
-        a=a,
-        cofactors=[LaurentPolynomial(n, gi) for gi in cof],
-        deta=LaurentPolynomial(n, deta),
+        a=_fractions(a, den),
+        cofactors=[LaurentPolynomial(n, _fractions(gi, den)) for gi in cof],
+        deta=LaurentPolynomial(n, _fractions(deta, den)),
     )
 
 

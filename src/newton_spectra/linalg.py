@@ -1,16 +1,19 @@
 """Exact linear algebra over Q, plus small univariate polynomial helpers used
 across the package.
 
-Matrices are lists of lists and vectors lists, of Fractions or ints; what
-this module returns is Fraction throughout.  All row elimination over Q goes
+A matrix is a list of sparse rows, row i a dict column -> nonzero value
+(int or Fraction); a row never stores a zero, so its entries are the
+matrix's nonzero entries.  The connection pencil, the Birkhoff gauge and
+normal form and the graded model's N all use this format; `identity`,
+`sparse_mul` and `trace` act on it, and `dense_strings` writes one as the
+dense string rows of the JSON report.  All row elimination over Q goes
 through one kernel, `Echelon`: sparse dict rows, the smallest column as
 pivot, fully reduced, with optional provenance.  It stores every row as
 integer numerators over one denominator, so an integer system is eliminated
-on integers.  `rref`, `rank`, `solve_linear` and `nullspace` are thin dense
-wrappers around it for small dense systems, and pass int entries through.  The package itself does not call
-`solve_linear`; it is kept for the tests and the benchmark tracer.  The
-Birkhoff gauge system, the polytope's affine span and its simplex
-determinants are built as sparse rows and fed to `Echelon` directly.
+on integers.  `rref`, `rank`, `solve_linear` and `nullspace` are thin
+wrappers around it for small dense (list of lists) systems, and pass int
+entries through.  Of these the package calls only `rank`; the others are
+kept for the tests and the benchmark tracer.
 Everything is deterministic: the reduced row echelon form is unique, and
 free variables are always set to zero.
 """
@@ -27,35 +30,36 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def zeros(m: int, n: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(m)]
+def identity(n: int):
+    """The n x n identity as sparse rows."""
+    return [{i: 1} for i in range(n)]
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    a = zeros(n, n)
-    for i in range(n):
-        a[i][i] = Fraction(1)
-    return a
-
-
-def nonzero_rows(a):
-    """The nonzero entries of each row of a matrix, as (column, value) lists."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
-
-
-def mat_mul(a, b):
-    """Matrix product, multiplying only nonzero entries of both factors."""
-    brows = nonzero_rows(b)
-    out = zeros(len(a), len(b[0]))
-    for arow, oi in zip(nonzero_rows(a), out):
-        for t, c in arow:
-            for j, x in brows[t]:
-                oi[j] += c * x
+def sparse_mul(a, b):
+    """The product of two matrices given as sparse rows, as sparse rows."""
+    out = []
+    for arow in a:
+        acc = {}
+        for t, c in arow.items():
+            for j, x in b[t].items():
+                acc[j] = acc.get(j, 0) + c * x
+        out.append({j: x for j, x in acc.items() if x})
     return out
 
 
-def trace(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+def trace(a):
+    return sum((row.get(i, 0) for i, row in enumerate(a)), Fraction(0))
+
+
+def dense_strings(a, n: int):
+    """Sparse rows as rows of n strings: str of each stored entry, "0" elsewhere."""
+    out = []
+    for row in a:
+        line = ["0"] * n
+        for j, x in row.items():
+            line[j] = str(x)
+        out.append(line)
+    return out
 
 
 class Echelon:
@@ -105,8 +109,7 @@ class Echelon:
         hits lists (pivot, numerator of vec there), and the row of each hit
         pivot p was subtracted with the multiplier numerator * m // den(p).
         """
-        den = lcm(*(x.denominator for x in vec.values()))
-        w = {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}
+        w, den = _numerators(vec)
         rows = self._rows
         hits = [(p, c) for p, c in w.items() if p in rows]
         if not hits:
@@ -130,6 +133,17 @@ class Echelon:
                 _axpy(combo, c * (m // d), prov)
         return combo
 
+    def integer_reduce(self, vec):
+        """`reduce` on numerators: (residual, combination, den), two dicts
+        of integer numerators over the positive int den.
+
+        den is the lcm of the denominators of vec times the lcm of the
+        denominators of the stored rows vec meets, so an integer vec met by
+        integer rows gives den = 1.
+        """
+        w, den, hits, m = self._split(vec)
+        return w, self._combination(hits, m), den
+
     def reduce(self, vec):
         """Split vec as residual + sum of combination[label] * inserted row.
 
@@ -139,8 +153,8 @@ class Echelon:
         of each pivot row is vec's own entry there and the order of the
         subtractions is immaterial.
         """
-        w, den, hits, m = self._split(vec)
-        return _fractions(w, den), _fractions(self._combination(hits, m), den)
+        w, combo, den = self.integer_reduce(vec)
+        return _fractions(w, den), _fractions(combo, den)
 
     def insert(self, vec, label=None):
         """Reduce vec and store what is left, if anything."""
@@ -197,6 +211,13 @@ def _primitive(num, prov, den):
         return num, prov, den
     return ({k: v // g for k, v in num.items()},
             {k: v // g for k, v in prov.items()}, den // g)
+
+
+def _numerators(values):
+    """(numerators, den): the nonzero values of a dict as integer numerators
+    over den, the least common denominator of the values (ints or Fractions)."""
+    den = lcm(*(x.denominator for x in values.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in values.items() if x}, den
 
 
 def _fractions(num, den):
@@ -276,18 +297,22 @@ def nullspace(a):
 def charpoly(a):
     """Characteristic polynomial det(S*I - A), coefficients ascending in S.
 
-    Faddeev-LeVerrier; exact over Fraction.
+    Faddeev-LeVerrier on sparse rows; exact over Fraction.
     """
     n = len(a)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     m = identity(n)
     for k in range(1, n + 1):
-        m = mat_mul(a, m)
+        m = sparse_mul(a, m)
         c = -trace(m) / k
         coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
+        for i, row in enumerate(m):
+            x = row.get(i, 0) + c
+            if x:
+                row[i] = x
+            else:
+                row.pop(i, None)
     return coeffs
 
 

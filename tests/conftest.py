@@ -9,6 +9,10 @@ pipeline(expr) is the package's own `Pipeline` for one expression, kept
 for the whole session: a test reads the stages it needs as attributes
 (`pipeline(expr).pencil`), and only those stages are built.
 
+The package keeps a matrix as sparse rows, row i a dict column -> nonzero
+entry; sparse and dense convert a dense list of lists to that format and
+back, so a test can state a matrix densely.
+
 dense_rref is a reference dense Gauss-Jordan elimination that shares no
 code with the package, so the oracles built on it stay independent of the
 package's elimination kernel.  dense_mat_mul is a plain triple loop, and
@@ -194,6 +198,22 @@ def planar_nondegenerate(terms):
 
 
 # ---------------------------------------------------------------------------
+# the package's sparse rows and dense matrices
+
+
+def sparse(a):
+    """A dense matrix (list of lists) as sparse rows: column -> nonzero entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def dense(a, n=None):
+    """Sparse rows as a dense list of lists of Fractions with n columns
+    (by default as many as rows)."""
+    n = len(a) if n is None else n
+    return [[Fraction(row.get(j, 0)) for j in range(n)] for row in a]
+
+
+# ---------------------------------------------------------------------------
 # dense references for the sparse Birkhoff kernels
 
 
@@ -272,8 +292,11 @@ def _pm_theta2_deriv(a):
 
 
 def dense_gauge_residual(pencil, gauge, a0, ainf):
-    """B P + theta^2 P' - P (A_0 + theta A_inf) as a matrix polynomial."""
-    lhs = _pm_mul(list(pencil.matrices), list(gauge))
+    """B P + theta^2 P' - P (A_0 + theta A_inf) as a matrix polynomial.
+
+    The gauge and A_0, A_inf are dense; the pencil's rows are made dense.
+    """
+    lhs = _pm_mul([dense(m) for m in pencil.matrices], list(gauge))
     lhs = _pm_sub(lhs, [m for m in _pm_mul(list(gauge), _pm_trim([a0, ainf]))])
     der = _pm_theta2_deriv(list(gauge))
     if der:
@@ -295,10 +318,10 @@ def dense_pattern_slots(degrees):
 
 
 def dense_build_linear_system(pencil, ainf, include_m1=True):
-    """Dense rows of the linear system in the pattern unknowns, frozen A_inf."""
+    """Dense rows of the linear system in the pattern unknowns, frozen dense A_inf."""
     degrees = pencil.degrees
     mu = pencil.mu
-    bmats = pencil.matrices
+    bmats = [dense(m) for m in pencil.matrices]
     degb = len(bmats) - 1
     slots = dense_pattern_slots(degrees)
     index = {s: t for t, s in enumerate(slots)}

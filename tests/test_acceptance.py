@@ -17,7 +17,7 @@ import sys
 import warnings
 from fractions import Fraction as F
 
-from conftest import CORPUS, LADDER, pipeline
+from conftest import CORPUS, LADDER, dense, pipeline, sparse
 from test_jacobian import _bruteforce_quotient_dim
 
 from newton_spectra import (
@@ -229,11 +229,11 @@ def test_non_adapted_basis_fails_spectral_test():
     # eigenvalue moduli betray it: {2, 1} instead of the spectrum {0, 1}
     data = pipeline(MIRRORS[1])
     pen, sp = data.pencil, data.spectrum
-    wprime = [identity(2), [[F(0), F(0)], [F(1), F(0)]]]
+    wprime = [identity(2), sparse([[F(0), F(0)], [F(1), F(0)]])]
     amats = pencil_in_gauge(pen, wprime)
     assert len(amats) == 2
-    assert amats[0] == [[F(0), F(2)], [F(2), F(0)]]
-    assert amats[1] == [[F(2), F(0)], [F(0), F(-1)]]
+    assert dense(amats[0]) == [[F(0), F(2)], [F(2), F(0)]]
+    assert dense(amats[1]) == [[F(2), F(0)], [F(0), F(-1)]]
     ok, detail = verify_v_plus(amats[1], pen.degrees, sp.pairs)
     assert not ok
     assert detail["spectral_match"] is False
@@ -242,10 +242,10 @@ def test_non_adapted_basis_fails_spectral_test():
     # rescales the normal form and still passes the spectral test; the trace
     # identity tr(Ainf) = sum of the spectrum = 1 rules out Ainf = 0 for
     # every basis of this lattice
-    rescale = [[[F(1), F(0)], [F(0), F(2)]]]
+    rescale = [sparse([[F(1), F(0)], [F(0), F(2)]])]
     amats = pencil_in_gauge(pen, rescale)
-    assert amats[0] == [[F(0), F(4)], [F(1), F(0)]]
-    assert amats[1] == [[F(0), F(0)], [F(0), F(1)]]
+    assert dense(amats[0]) == [[F(0), F(4)], [F(1), F(0)]]
+    assert dense(amats[1]) == [[F(0), F(0)], [F(0), F(1)]]
     assert charpoly(amats[0]) == [F(-4), F(0), F(1)]
     ok, _ = verify_v_plus(amats[1], pen.degrees, sp.pairs)
     assert ok
@@ -503,13 +503,66 @@ def test_integer_column_orders_match_newton_order():
         data = pipeline(expr)
         sol, pen, lat = data.birkhoff, data.pencil, data.lattice
         assert isinstance(sol, BirkhoffSolution), expr
-        masked = [[[x if rng.random() < 0.5 else F(0) for x in row] for row in m]
+        masked = [[[x if rng.random() < 0.5 else F(0) for x in row] for row in dense(m)]
                   for m in sol.gauge]
-        for gauge in (sol.gauge, masked):
+        for gauge in (list(map(dense, sol.gauge)), masked):
             want = [
                 lat.newton_order(BrieskornElement(
                     tuple(tuple(m[i][j] for m in gauge) for i in range(pen.mu))))
                 for j in range(pen.mu)
             ]
-            got = [None if o is None else F(o, pen.den) for o in _column_orders(pen, gauge)]
+            got = [None if o is None else F(o, pen.den)
+                   for o in _column_orders(pen, list(map(sparse, gauge)))]
             assert got == want, expr
+
+
+# 17. rational coefficients: the division kernel runs on integer numerators
+#     over one denominator, and the log derivatives of f enter scaled by the
+#     lcm of their denominators.  The report and the `check` stdout of three
+#     inputs with non-integer coefficients, taken from the implementation
+#     that divided on Fraction dicts: solved by the diagonal ansatz, by
+#     sweep+split, and a two-variable one
+
+RATIONAL_SHA256 = {
+    "1/2*u1 + u1^-1": (
+        "diagonal-ansatz",
+        "8560317d29916491e4b56534ea76f205e6b388aa15091b80dc307d575c8d3dbb",
+        "46c18cdc9eadda370dd98f73e684aff3cbc364aaf60ab4be5985102ef0b080a6"),
+    "1/2*u1^3 + u1 + 2/3*u1^-2": (
+        "sweep+split",
+        "414f5def1f22ae269c8061cb62ff54e99938c765b36f5674d56ad66b4f2f40e6",
+        "64d022e8f419fd71ab6ffbe7ca656df9bbb3ce02d11807e533560101fe35a96b"),
+    "1/2*u1^2 + u2 + 2/3*u1^-1*u2^-1": (
+        "diagonal-ansatz",
+        "6db0ff8153bf4d22a3ec37dea78933882ad3f7e843486a299a20e1ab4be1e7b2",
+        "5dbbbfd8a830001b84b2112640fa5af4d1b5b2627ce42a209e26813ef19452e8"),
+}
+
+
+def test_rational_coefficient_reports_unchanged(capsys):
+    for expr, (method, report_digest, check_digest) in RATIONAL_SHA256.items():
+        assert main(["analyze", "--json", expr, "--seed", "0"]) == 0, expr
+        out = capsys.readouterr().out
+        assert json.loads(out)["birkhoff"]["method"] == method, expr
+        assert hashlib.sha256(out.encode()).hexdigest() == report_digest, expr
+        assert main(["check", "--max-level", "2", expr]) == 0, expr
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == check_digest, expr
+
+
+# 18. no stored zeros: the column orders, the level counts and the opposite
+#     filtration read every stored entry of a row as nonzero, so a stored 0
+#     would change a Newton order; every row of the pencil, the gauge, A_0
+#     and A_inf holds nonzero values only
+
+
+def test_matrix_rows_store_no_zeros():
+    exprs = ([e for e, _, _ in CORPUS] + list(LADDER) + [NEGATIVE]
+             + list(SWEEP2_BIRKHOFF_SHA256))
+    for expr in exprs:
+        data = pipeline(expr)
+        sol = data.birkhoff
+        assert isinstance(sol, BirkhoffSolution), expr
+        mats = [*data.pencil.matrices, *sol.gauge, sol.a0, sol.ainf]
+        assert all(len(m) == data.pencil.mu for m in mats), expr
+        assert all(x != 0 for m in mats for row in m for x in row.values()), expr

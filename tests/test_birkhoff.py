@@ -12,12 +12,16 @@ import pytest
 
 from conftest import (
     CORPUS,
+    LADDER,
+    dense,
     dense_build_linear_system,
     dense_gauge_residual,
     dense_pattern_slots,
     dense_rank,
+    dense_mat_mul,
     dense_semisimple,
     pipeline,
+    sparse,
 )
 from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import (
@@ -32,7 +36,13 @@ from newton_spectra import (
     verify_v_solution,
 )
 from newton_spectra.brieskorn import integer_orders
-from newton_spectra.linalg import charpoly, identity, mat_mul, rational_roots, solve_linear
+from newton_spectra.linalg import (
+    charpoly,
+    identity,
+    rational_roots,
+    solve_linear,
+    sparse_mul,
+)
 
 
 def _solved(expr):
@@ -46,8 +56,8 @@ def test_one_variable_identity_gauge():
     data, sol = _solved("u1 + u1^-1")
     assert sol.method == "diagonal-ansatz"
     assert sol.gauge == (identity(2),)
-    assert sol.a0 == [[F(0), F(2)], [F(2), F(0)]]
-    assert sol.ainf == [[F(0), F(0)], [F(0), F(1)]]
+    assert dense(sol.a0) == [[F(0), F(2)], [F(2), F(0)]]
+    assert dense(sol.ainf) == [[F(0), F(0)], [F(0), F(1)]]
     assert charpoly(sol.a0) == [F(-4), F(0), F(1)]
     assert gauge_residual(data.pencil, sol.gauge, sol.a0, sol.ainf) == []
 
@@ -57,16 +67,16 @@ def test_two_variable_single_correction():
     pen = data.pencil
     assert sol.method == "diagonal-ansatz"
     assert len(sol.gauge) == 2
-    assert sol.gauge[1] == [
+    assert dense(sol.gauge[1]) == [
         [F(0), F(0), F(0)],
         [F(0), F(0), F(-1)],
         [F(0), F(0), F(0)],
     ]
     # unipotent gauge: the theta^0 block is untouched
     assert sol.a0 == pen.matrices[0]
-    assert sol.ainf == [[F(0), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(2)]]
+    assert dense(sol.ainf) == [[F(0), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(2)]]
     assert charpoly(sol.a0) == [F(-27), F(0), F(0), F(1)]
-    assert mat_mul(sol.a0, mat_mul(sol.a0, sol.a0)) == [
+    assert dense(sparse_mul(sol.a0, sparse_mul(sol.a0, sol.a0))) == [
         [F(27) if i == j else F(0) for j in range(3)] for i in range(3)
     ]
     assert gauge_residual(pen, sol.gauge, sol.a0, sol.ainf) == []
@@ -85,10 +95,53 @@ def test_solver_on_harder_examples():
         assert gauge_residual(data.pencil, sol.gauge, sol.a0, sol.ainf) == [], expr
         # the normal form is diagonal in the basis degrees
         degs = data.pencil.degrees
-        assert sol.ainf == [
+        assert dense(sol.ainf) == [
             [degs[i] if i == j else F(0) for j in range(len(degs))]
             for i in range(len(degs))
         ], expr
+
+
+def _diagonal(degrees):
+    return [{i: a} if a else {} for i, a in enumerate(degrees)]
+
+
+def test_normal_pencil_skips_the_ansatz_elimination(monkeypatch):
+    # B = B_0 + theta diag(degrees): the ansatz system has right-hand side
+    # zero, so what _solve_system gives over _build_linear_system is the
+    # identity gauge, and solve_birkhoff returns it without either call
+    calls = []
+    for name in ("_build_linear_system", "_solve_system"):
+        def counted(*args, _f=getattr(birkhoff_mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(birkhoff_mod, name, counted)
+    spectral = ["u1^%d + u1^-%d" % (k, k) for k in range(4, 9)]
+    normal = []
+    for expr in [e for e, _, _ in CORPUS] + list(LADDER) + spectral:
+        pen = pipeline(expr).pencil
+        diag = _diagonal(pen.degrees)
+        if pen.degree != 1 or pen.matrices[1] != diag:
+            continue
+        normal.append(expr)
+        slots, rows, rhs, labels = birkhoff_mod._build_linear_system(pen, diag)
+        x = birkhoff_mod._solve_system(len(slots), rows, rhs, labels)[0]
+        assert not any(rhs), expr
+        want = birkhoff_mod._gauge_from_solution(slots, x, pen.mu)
+        calls.clear()
+        sol = solve_birkhoff(pen)
+        assert calls == [], expr
+        assert sol.method == "diagonal-ansatz", expr
+        assert list(sol.gauge) == want == [identity(pen.mu)], expr
+        assert sol.a0 == pen.matrices[0] and sol.ainf == diag, expr
+    assert normal == ["u1 + u1^-1", "u1 + u1^-2", "u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1",
+                      "u1^10 + u1^-10"] + spectral
+    # a nonzero B_2, and an off-diagonal B_1, still run the elimination
+    for expr in ("u1 + u2 + u1^-1*u2^-1", "u1^3 + u1 + u1^-2"):
+        pen = pipeline(expr).pencil
+        assert pen.degree >= 2 or pen.matrices[1] != _diagonal(pen.degrees), expr
+        calls.clear()
+        solve_birkhoff(pen)
+        assert "_build_linear_system" in calls and "_solve_system" in calls, expr
 
 
 def test_constant_split_on_cross_degree_coupling():
@@ -101,18 +154,18 @@ def test_constant_split_on_cross_degree_coupling():
     data, sol = _solved("u1^3 + u1 + u1^-2")
     pen = data.pencil
     assert pen.degrees == (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
-    assert pen.matrices[1][1][4] == F(2, 9)
+    assert dense(pen.matrices[1])[1][4] == F(2, 9)
     assert sol.method == "sweep+split"
     assert sol.sweeps == 1
-    q = identity(5)
+    q = dense(identity(5))
     q[1][4] = F(1, 3)
-    assert sol.gauge == (q,)
-    assert sol.ainf == [
+    assert tuple(map(dense, sol.gauge)) == (q,)
+    assert dense(sol.ainf) == [
         [pen.degrees[i] if i == j else F(0) for j in range(5)] for i in range(5)
     ]
     # a0 is the conjugated theta^0 matrix, not B_0 itself
     assert sol.a0 != pen.matrices[0]
-    assert sol.a0[1] == [F(2, 3), F(0), F(0), F(-2, 9), F(5, 3)]
+    assert dense(sol.a0)[1] == [F(2, 3), F(0), F(0), F(-2, 9), F(5, 3)]
     assert charpoly(sol.a0) == charpoly(pen.matrices[0])
     assert gauge_residual(pen, sol.gauge, sol.a0, sol.ainf) == []
     assert pencil_in_gauge(pen, sol.gauge) == [sol.a0, sol.ainf]
@@ -136,13 +189,15 @@ def test_constant_split_conjugates_to_the_diagonal_blocks():
                     ainf[i][j] = F(rng.randint(-3, 3), rng.randint(1, 2))
         blocks = [[ainf[i][j] if degrees[i] == degrees[j] else F(0) for j in range(mu)]
                   for i in range(mu)]
-        q = birkhoff_mod._split_constant(ainf, degrees)
+        q = birkhoff_mod._split_constant(sparse(ainf), degrees)
         if blocks == ainf:
             assert q is None
             continue
+        assert all(x for row in q for x in row.values())
+        q = dense(q)
         assert all(q[i][j] == (i == j) for i in range(mu) for j in range(mu)
                    if degrees[i] >= degrees[j])
-        assert mat_mul(ainf, q) == mat_mul(q, blocks)
+        assert dense_mat_mul(ainf, q) == dense_mat_mul(q, blocks)
         split += 1
     assert split >= 60
 
@@ -196,10 +251,10 @@ def test_non_adapted_basis_fails_filtration_tests():
     # form of degree one, but it mixes the filtration levels
     data = pipeline("u1 + u1^-1")
     pen = data.pencil
-    wprime = [identity(2), [[F(0), F(0)], [F(1), F(0)]]]
+    wprime = [identity(2), sparse([[F(0), F(0)], [F(1), F(0)]])]
     amats = pencil_in_gauge(pen, wprime)
-    assert amats[0] == [[F(0), F(2)], [F(2), F(0)]]
-    assert amats[1] == [[F(2), F(0)], [F(0), F(-1)]]
+    assert dense(amats[0]) == [[F(0), F(2)], [F(2), F(0)]]
+    assert dense(amats[1]) == [[F(2), F(0)], [F(0), F(-1)]]
     ok, _ = verify_v_solution(pen, wprime, 1)
     assert not ok
     ok, detail = verify_v_plus(amats[1], pen.degrees, data.spectrum.pairs)
@@ -218,10 +273,10 @@ def test_rescaled_column_basis_still_passes():
     # trace identity tr(Ainf) = sum of spectrum already rules out
     data = pipeline("u1 + u1^-1")
     pen = data.pencil
-    gauge = [[[F(1), F(0)], [F(0), F(2)]]]
+    gauge = [sparse([[F(1), F(0)], [F(0), F(2)]])]
     amats = pencil_in_gauge(pen, gauge)
-    assert amats[0] == [[F(0), F(4)], [F(1), F(0)]]
-    assert amats[1] == [[F(0), F(0)], [F(0), F(1)]]
+    assert dense(amats[0]) == [[F(0), F(4)], [F(1), F(0)]]
+    assert dense(amats[1]) == [[F(0), F(0)], [F(0), F(1)]]
     assert charpoly(amats[0]) == [F(-4), F(0), F(1)]
     ok, _ = verify_v_plus(amats[1], pen.degrees, data.spectrum.pairs)
     assert ok
@@ -250,11 +305,11 @@ def test_synthetic_obstruction_record():
     # theta^2 entry from slot 0 to 1 cannot be removed by any pattern gauge:
     # the single unknown (P_1)_{01} appears with coefficient 0 there
     fake = ConnectionPencil(
-        matrices=(
+        matrices=tuple(map(sparse, (
             [[F(0), F(0)], [F(0), F(0)]],
             [[F(0), F(0)], [F(0), F(1)]],
             [[F(0), F(1)], [F(0), F(0)]],
-        ),
+        ))),
         degrees=(F(0), F(1)),
     )
     obs = solve_birkhoff(fake)
@@ -286,7 +341,7 @@ def test_obstruction_caps_culprits_and_ranks_count_every_row():
         for j in range(3, 6):
             mats[2][i][j] = F(1)
     mats[2][3][0] = F(1)
-    obs = solve_birkhoff(ConnectionPencil(matrices=tuple(mats), degrees=degrees))
+    obs = solve_birkhoff(ConnectionPencil(matrices=tuple(map(sparse, mats)), degrees=degrees))
     assert isinstance(obs, BirkhoffObstruction)
     assert obs.to_json_obj() == {
         "status": "obstruction",
@@ -306,9 +361,9 @@ def test_obstruction_caps_culprits_and_ranks_count_every_row():
 
 def test_invert_rejects_a_singular_matrix():
     with pytest.raises(ValueError, match="singular"):
-        birkhoff_mod._invert([[F(1), F(2)], [F(2), F(4)]])
+        birkhoff_mod._invert(sparse([[F(1), F(2)], [F(2), F(4)]]))
     q = [[F(1), F(3)], [F(0), F(1)]]
-    assert mat_mul(q, birkhoff_mod._invert(q)) == identity(2)
+    assert dense_mat_mul(q, dense(birkhoff_mod._invert(sparse(q)))) == dense(identity(2))
 
 
 def test_solution_json_shape():
@@ -337,7 +392,7 @@ def test_structural_ainf_gives_its_diagonal_multiset():
         [F(0), F(0), F(0), F(1)],
     ]
     pairs = ((F(0), 1), (F(1, 2), 2), (F(1), 1))
-    ok, detail = verify_v_plus(ainf, degrees, pairs)
+    ok, detail = verify_v_plus(sparse(ainf), degrees, pairs)
     assert ok
     assert detail == {
         "structure": True,
@@ -357,7 +412,7 @@ def test_structural_ainf_gives_its_diagonal_multiset():
 def test_irrational_eigenvalues_do_not_split():
     # S^2 - 2
     ok, detail = verify_v_plus(
-        [[F(0), F(2)], [F(1), F(0)]], (F(0), F(1)), ((F(0), 1), (F(1), 1))
+        sparse([[F(0), F(2)], [F(1), F(0)]]), (F(0), F(1)), ((F(0), 1), (F(1), 1))
     )
     assert not ok
     assert detail["eigenvalues"] is None
@@ -369,7 +424,7 @@ def test_irrational_eigenvalues_do_not_split():
 def test_rational_eigenvalues_off_the_candidates_do_not_split():
     # eigenvalues 3 and 5: rational, but neither a diagonal entry nor
     # +-a spectral value, so the verdict is False without naming them
-    ainf = [[F(4), F(1)], [F(1), F(4)]]
+    ainf = sparse([[F(4), F(1)], [F(1), F(4)]])
     assert rational_roots(charpoly(ainf))[0] == [(F(3), 1), (F(5), 1)]
     ok, detail = verify_v_plus(ainf, (F(0), F(1)), ((F(0), 1), (F(1), 1)))
     assert not ok
@@ -417,12 +472,13 @@ def test_candidate_division_agrees_with_root_search(monkeypatch):
             for _ in range(rng.randint(1, 4)):
                 i, j = rng.sample(range(mu), 2)
                 ainf = _conjugate_elementary(ainf, i, j, F(rng.randint(-2, 2)))
-        new_ok, new = verify_v_plus(ainf, degrees, pairs)
-        old_ok, old = by_root_search(ainf, degrees, pairs)
+        new_ok, new = verify_v_plus(sparse(ainf), degrees, pairs)
+        old_ok, old = by_root_search(sparse(ainf), degrees, pairs)
         assert new_ok == old_ok
         cands = {ainf[i][i] for i in range(mu)}
         cands |= {s * a for a, _ in pairs for s in (1, -1)}
-        missing = sum(m for r, m in rational_roots(charpoly(ainf))[0] if r not in cands)
+        missing = sum(m for r, m in rational_roots(charpoly(sparse(ainf)))[0]
+                      if r not in cands)
         if missing <= 1:
             assert new == old
             agreed += 1
@@ -475,8 +531,8 @@ def test_structural_rule_agrees_with_the_characteristic_polynomial(monkeypatch):
         if rng.random() < 0.3:
             # a spectrum that does not match the eigenvalue moduli
             pairs = tuple((a + 1, m) for a, m in pairs)
-        new_ok, new = verify_v_plus(ainf, tuple(degrees), pairs)
-        old_ok, old = by_charpoly(ainf, tuple(degrees), pairs)
+        new_ok, new = verify_v_plus(sparse(ainf), tuple(degrees), pairs)
+        old_ok, old = by_charpoly(sparse(ainf), tuple(degrees), pairs)
         assert (new_ok, new) == (old_ok, old), (ainf, degrees, pairs)
         if new["structure"]:
             structural += 1
@@ -513,7 +569,7 @@ def test_sparse_semisimplicity_product_matches_dense_reference():
                 if i != j:
                     ainf = _conjugate_elementary(ainf, i, j, F(rng.randint(-2, 2)))
         pairs = tuple((a, degrees.count(a)) for a in sorted(set(degrees)))
-        _, detail = verify_v_plus(ainf, tuple(degrees), pairs)
+        _, detail = verify_v_plus(sparse(ainf), tuple(degrees), pairs)
         roots = [F(r) for r, _ in detail["eigenvalues"]]
         assert sorted(set(roots)) == sorted(set(degrees))
         assert detail["semisimple"] == dense_semisimple(ainf, roots)
@@ -548,26 +604,28 @@ def test_sparse_residual_matches_dense_reference():
         if trial % 4 == 0:
             # B = A_0 + theta A_inf with the identity gauge: zero residual
             mats = (a0, ainf)
-            gauge = [identity(mu)]
+            gauge = [dense(identity(mu))]
         else:
             mats = tuple(_random_matrix(rng, mu, mu, density)
                          for _ in range(rng.randint(1, 3)))
-            head = identity(mu)
+            head = dense(identity(mu))
             if rng.random() < 0.5:
                 for i, j in [(i, j) for i in range(mu) for j in range(i + 1, mu)]:
                     head[i][j] = F(rng.randint(-2, 2))
             gauge = [head] + [_random_matrix(rng, mu, mu, density)
                               for _ in range(rng.randint(0, 2))]
-        pen = ConnectionPencil(matrices=mats, degrees=degrees)
-        got = gauge_residual(pen, gauge, a0, ainf)
-        assert got == dense_gauge_residual(pen, gauge, a0, ainf)
+        pen = ConnectionPencil(matrices=tuple(map(sparse, mats)), degrees=degrees)
+        got = gauge_residual(pen, list(map(sparse, gauge)), sparse(a0), sparse(ainf))
+        assert all(x for m in got for row in m for x in row.values())
+        assert list(map(dense, got)) == dense_gauge_residual(pen, gauge, a0, ainf)
         if got:
             nonzero += 1
         else:
             zero += 1
     for expr, _, _ in CORPUS:
         data, sol = _solved(expr)
-        assert dense_gauge_residual(data.pencil, sol.gauge, sol.a0, sol.ainf) == []
+        assert dense_gauge_residual(data.pencil, list(map(dense, sol.gauge)),
+                                    dense(sol.a0), dense(sol.ainf)) == []
     assert zero >= 60 and nonzero >= 150
 
 
@@ -597,7 +655,7 @@ def test_sparse_gauge_rows_match_dense_reference():
         for ainf in (diag, _random_matrix(rng, mu, mu, 0.3)):
             for include_m1 in (True, False):
                 slots, rows, rhs, labels = birkhoff_mod._build_linear_system(
-                    pen, ainf, include_m1)
+                    pen, sparse(ainf), include_m1)
                 dslots, drows, drhs, dlabels = dense_build_linear_system(
                     pen, ainf, include_m1)
                 assert (slots, labels, rhs) == (dslots, dlabels, drhs), expr

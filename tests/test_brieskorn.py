@@ -13,9 +13,11 @@ import pytest
 from conftest import (
     CORPUS,
     LADDER,
+    dense,
     pipeline,
     reference_reduce,
     reference_spectrum_polynomial,
+    sparse,
 )
 from newton_spectra import (
     BrieskornElement,
@@ -28,14 +30,13 @@ from newton_spectra import (
 from newton_spectra import brieskorn as brieskorn_mod
 from newton_spectra.brieskorn import _spectrum_polynomial
 from newton_spectra.cli import main
-from newton_spectra.linalg import nonzero_rows
 
 
 def test_pencil_one_variable_hand_values():
     pen = pipeline("u1 + u1^-1").pencil
     assert pen.degree == 1
-    assert pen.matrices[0] == [[F(0), F(2)], [F(2), F(0)]]
-    assert pen.matrices[1] == [[F(0), F(0)], [F(0), F(1)]]
+    assert dense(pen.matrices[0]) == [[F(0), F(2)], [F(2), F(0)]]
+    assert dense(pen.matrices[1]) == [[F(0), F(0)], [F(0), F(1)]]
     assert pen.degrees == (F(0), F(1))
 
 
@@ -43,12 +44,12 @@ def test_pencil_fractional_orders_hand_values():
     # u + u^-2: basis (1, 1/u, u), orders (0, 1/2, 1)
     pen = pipeline("u1 + u1^-2").pencil
     assert pen.degrees == (F(0), F(1, 2), F(1))
-    assert pen.matrices[0] == [
+    assert dense(pen.matrices[0]) == [
         [F(0), F(3, 2), F(0)],
         [F(0), F(0), F(3)],
         [F(3, 2), F(0), F(0)],
     ]
-    assert pen.matrices[1] == [
+    assert dense(pen.matrices[1]) == [
         [F(0), F(0), F(0)],
         [F(0), F(1, 2), F(0)],
         [F(0), F(0), F(1)],
@@ -59,18 +60,18 @@ def test_pencil_two_variable_hand_values():
     # basis (1, u1, u1^2); multiplication by f cycles it with factor 3
     pen = pipeline("u1 + u2 + u1^-1*u2^-1").pencil
     assert pen.degree == 2
-    assert pen.matrices[0] == [
+    assert dense(pen.matrices[0]) == [
         [F(0), F(0), F(3)],
         [F(3), F(0), F(0)],
         [F(0), F(3), F(0)],
     ]
-    assert pen.matrices[1] == [
+    assert dense(pen.matrices[1]) == [
         [F(0), F(0), F(0)],
         [F(0), F(-2), F(0)],
         [F(0), F(0), F(5)],
     ]
-    assert pen.matrices[2][1][2] == F(-3)
-    assert sum(1 for row in pen.matrices[2] for x in row if x) == 1
+    assert dense(pen.matrices[2])[1][2] == F(-3)
+    assert sum(1 for row in dense(pen.matrices[2]) for x in row if x) == 1
 
 
 def test_pencil_structure_on_corpus():
@@ -82,10 +83,10 @@ def test_pencil_structure_on_corpus():
         # theta-degree of the pencil never exceeds n
         assert pen.degree <= n, expr
         # trace of B1 equals the sum of the spectral numbers
-        tr = sum(pen.matrices[1][i][i] for i in range(mu)) if pen.degree >= 1 else 0
+        tr = sum(dense(pen.matrices[1])[i][i] for i in range(mu)) if pen.degree >= 1 else 0
         assert tr == sum(degs), expr
         # order bound: theta^k entry (j,i) nonzero needs k + alpha_j <= alpha_i + 1
-        for k, mat in enumerate(pen.matrices):
+        for k, mat in enumerate(map(dense, pen.matrices)):
             for j in range(mu):
                 for i in range(mu):
                     if mat[j][i]:
@@ -93,14 +94,15 @@ def test_pencil_structure_on_corpus():
 
 
 def _assert_integer_data(pen):
-    """den, orders and the nonzero index agree with the dense pencil."""
+    """den and orders agree with the degrees, and the rows are the nonzero
+    entries of the dense pencil."""
     den, degrees = pen.den, pen.degrees
     assert all(type(o) is int for o in pen.orders) and den >= 1
     assert [F(o) for o in pen.orders] == [a * den for a in degrees]
     # den is the least positive integer that clears every denominator
     assert all(any(F(a * d).denominator != 1 for a in degrees) for d in range(1, den))
-    assert len(pen.nonzero) == len(pen.matrices)
-    assert all(rows == nonzero_rows(m) for rows, m in zip(pen.nonzero, pen.matrices))
+    assert all(len(m) == pen.mu for m in pen.matrices)
+    assert all(sparse(dense(m)) == m for m in pen.matrices)
 
 
 @pytest.mark.parametrize("expr", [e for e, _, _ in CORPUS] + list(LADDER))
@@ -119,10 +121,11 @@ def test_hand_built_pencils_carry_integer_orders():
         ([zero2, zero2, [[F(0), F(1)], [F(0), F(0)]]], (F(-1, 2), F(1, 2)), 2, [-1, 1]),
     ]
     for matrices, degrees, den, orders in cases:
-        pen = ConnectionPencil(matrices, degrees)
+        pen = ConnectionPencil([sparse(m) for m in matrices], degrees)
         assert (pen.den, pen.orders) == (den, orders), degrees
         _assert_integer_data(pen)
-    assert ConnectionPencil(*cases[2][:2]).nonzero[1] == [[(2, 3)], [(1, F(1, 2))], []]
+    pen = ConnectionPencil([sparse(m) for m in cases[2][0]], cases[2][1])
+    assert pen.matrices[1] == [{2: 3}, {1: F(1, 2)}, {}]
 
 
 @pytest.mark.parametrize("expr", [e for e, _, _ in CORPUS] + list(LADDER))
@@ -132,7 +135,7 @@ def test_pencil_matches_the_laurent_reference(expr):
     for j, m in enumerate(data.lattice.basis.monomials):
         col = reference_reduce(data.lattice, data.f * LaurentPolynomial.monomial(m))
         for i, comp in enumerate(col.coords):
-            entry = [mat[i][j] for mat in pen.matrices]
+            entry = [mat[i].get(j, 0) for mat in pen.matrices]
             assert entry[len(comp):] == [0] * (len(entry) - len(comp)), (expr, i, j)
             assert tuple(entry[:len(comp)]) == comp, (expr, i, j)
 
@@ -162,15 +165,15 @@ def test_pencil_bounds_are_explicit_checks(monkeypatch, capsys):
     kernel = brieskorn_mod._divide_terms
     expr = "u1 + u2 + u1^-1*u2^-1"          # degrees 0, 1, 2
 
-    def off_bound(algebra, terms, reps):
+    def off_bound(algebra, terms, den, reps):
         # u1^2 (degree 2) in every column: entry (2, 0) of B_0 breaks the bound
-        a, cof, deta = kernel(algebra, terms, reps)
-        a[(2, 0)] = a.get((2, 0), 0) + 1
-        return a, cof, deta
+        a, cof, deta, den = kernel(algebra, terms, den, reps)
+        a[(2, 0)] = a.get((2, 0), 0) + den
+        return a, cof, deta, den
 
-    def endless(algebra, terms, reps):
-        a, cof, _ = kernel(algebra, terms, reps)
-        return a, cof, {(0, 0): F(1)}
+    def endless(algebra, terms, den, reps):
+        a, cof, _, den = kernel(algebra, terms, den, reps)
+        return a, cof, {(0, 0): den}, den
 
     for fake, message in ((off_bound, "entry (2,0) of B_0 violates the order bound"),
                           (endless, "reduction exceeded theta degree 4")):

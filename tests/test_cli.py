@@ -232,9 +232,9 @@ def _misordered(pencil):
     Column 0 then has Newton order 1 instead of alpha_0 = 0.
     """
     sol = _SOLVE_BIRKHOFF(pencil)
-    gauge = [[row[:] for row in m] for m in sol.gauge]
+    gauge = [[dict(row) for row in m] for m in sol.gauge]
     if len(gauge) == 1:
-        gauge.append([[Fraction(0)] * pencil.mu for _ in range(pencil.mu)])
+        gauge.append([{} for _ in range(pencil.mu)])
     gauge[1][0][0] = Fraction(1)
     return dataclasses.replace(sol, gauge=tuple(gauge))
 

@@ -26,7 +26,7 @@ from math import floor
 
 import pytest
 
-from conftest import CORPUS, dense_rank, dense_rref, pipeline
+from conftest import CORPUS, dense, dense_rank, dense_rref, pipeline, sparse
 from newton_spectra import (
     BirkhoffSolution,
     ConnectionPencil,
@@ -78,7 +78,7 @@ def _trim(gauge, mu):
     gauge = [m for m in gauge]
     while gauge and not any(any(row) for row in gauge[-1]):
         gauge.pop()
-    return gauge or [identity(mu)]
+    return gauge or [dense(identity(mu))]
 
 
 def oracle_fprime(degrees, gauge, rho, idx, k, window):
@@ -198,18 +198,20 @@ def oracle_flags(degrees, nmats, fprime):
 
 
 def _check_against_oracles(pencil, gauge, scale):
+    """The package on the sparse rows of a dense gauge against the oracles."""
     degrees = pencil.degrees
     want = oracle_opposite_filtration(degrees, gauge)
     assert want is not None
-    assert verify_v_solution(pencil, gauge, scale)[1] == oracle_v_solution(
+    rows = [sparse(m) for m in gauge]
+    assert verify_v_solution(pencil, rows, scale)[1] == oracle_v_solution(
         degrees, _trim(gauge, pencil.mu), scale)
-    got = opposite_filtration(pencil, gauge)
+    got = opposite_filtration(pencil, rows)
     assert sorted(got) == sorted(want)
     for rho in want:
         assert len(got[rho]) == len(want[rho]), rho
         for k, (a, b) in enumerate(zip(got[rho], want[rho])):
             assert _basis(a) == b, (rho, k)
-    gm = graded_model(pencil, gauge)
+    gm = graded_model(pencil, rows)
     nmats = {F(c["residue"]): [[F(x) for x in row] for row in c["n_matrix"]]
              for c in gm["classes"]}
     flags = oracle_flags(degrees, nmats, want)
@@ -224,19 +226,19 @@ def test_solved_gauges_match_the_dense_oracles(expr):
     data = pipeline(expr)
     sol = solve_birkhoff(data.pencil)
     assert isinstance(sol, BirkhoffSolution)
-    _check_against_oracles(data.pencil, sol.gauge, data.polytope.scale)
+    _check_against_oracles(data.pencil, [dense(m) for m in sol.gauge], data.polytope.scale)
 
 
 def test_non_adapted_gauge_matches_the_dense_oracles():
     pen = pipeline("u1 + u1^-1").pencil
-    wprime = [identity(2), [[F(0), F(0)], [F(1), F(0)]]]
+    wprime = [dense(identity(2)), [[F(0), F(0)], [F(1), F(0)]]]
     _check_against_oracles(pen, wprime, 1)
-    assert verify_v_solution(pen, wprime, 1)[0] is False
+    assert verify_v_solution(pen, [sparse(m) for m in wprime], 1)[0] is False
 
 
 def _random_gauge(rng, mu):
     """Product of elementary matrices I + c theta^d E_ij, theta degree <= 2."""
-    gauge = [identity(mu)] + [[[F(0)] * mu for _ in range(mu)] for _ in range(2)]
+    gauge = [dense(identity(mu))] + [[[F(0)] * mu for _ in range(mu)] for _ in range(2)]
     for j in rng.sample(range(mu), rng.randint(0, 2)):
         for m in gauge:
             for i in range(mu):
@@ -268,7 +270,7 @@ def test_random_gauges_match_the_dense_oracles():
         pen = data.pencil
         gauge = _random_gauge(rng, pen.mu)
         _check_against_oracles(pen, gauge, data.polytope.scale)
-        gm = graded_model(pen, gauge)
+        gm = graded_model(pen, [sparse(m) for m in gauge])
         verdicts.add((gm["opposite"], gm["b_opposed"]))
     # the random gauges reach every combination of the two flags
     assert len(verdicts) == 4
@@ -302,15 +304,15 @@ def test_degree_four_pencil_matches_the_oracle_at_every_window():
     # the single degree 4 puts the order-0 slot of theta^-m e_0 at m = 4, so
     # F'^k is the whole class for k <= M = 4 and 0 above; the window of the
     # oracle's W vs W + 3 comparison (W = 2) is too short for it
-    pen = ConnectionPencil([[[F(0)]], [[F(4)]]], (F(4),))
-    gauge = [identity(1)]
+    pen = ConnectionPencil([sparse([[F(0)]]), sparse([[F(4)]])], (F(4),))
+    gauge = [dense(identity(1))]
     assert _cutoff(pen.degrees, gauge) == 4
-    got = opposite_filtration(pen, gauge)
+    got = opposite_filtration(pen, [identity(1)])
     assert [len(v) for v in got[0]] == [1, 1, 1, 1, 1, 0, 0]
     for k, basis in enumerate(got[0]):
         for window in (4, 7, 10):
             assert oracle_fprime(pen.degrees, gauge, F(0), [0], k, window) == basis
-    gm = graded_model(pen, gauge)
+    gm = graded_model(pen, [identity(1)])
     assert gm["classes"][0]["opposite_dims"] == [1, 1, 1, 1, 1, 0]
 
 
@@ -327,11 +329,11 @@ def test_high_lowest_degree_pencils_are_cut_off_exactly():
         degrees = tuple(low + F(d) for d in shapes[t // 4 % 4])
         mu = len(degrees)
         zero = [[F(0)] * mu for _ in range(mu)]
-        pen = ConnectionPencil([zero, zero], degrees)
+        pen = ConnectionPencil([sparse(zero), sparse(zero)], degrees)
         gauge = _random_gauge(rng, mu)
         cutoff = _cutoff(degrees, gauge)
         window = len(_trim(gauge, mu)) - 1 + int(floor(degrees[-1] - degrees[0])) + 2
-        got = opposite_filtration(pen, gauge)
+        got = opposite_filtration(pen, [sparse(m) for m in gauge])
         for rho, idx in _classes(degrees):
             for k, basis in enumerate(got[rho]):
                 if k > cutoff:
@@ -348,7 +350,7 @@ def test_non_nilpotent_n_raises_a_typed_error():
     # one class of degrees (0, 1) and B = 0, so N = diag(0, 1): nothing in B
     # cancels alpha_1 = 1 on the diagonal
     zero = [[F(0), F(0)], [F(0), F(0)]]
-    pen = ConnectionPencil([zero, zero], (F(0), F(1)))
+    pen = ConnectionPencil([sparse(zero), sparse(zero)], (F(0), F(1)))
     with pytest.raises(GradedModelError) as info:
         graded_model(pen, [identity(2)])
     assert info.value.residue == 0

@@ -4,12 +4,18 @@ import random
 from fractions import Fraction
 from fractions import Fraction as F
 
-from conftest import ReferenceEchelon, dense_mat_mul, dense_rank, dense_rref
+from conftest import (
+    ReferenceEchelon,
+    dense,
+    dense_mat_mul,
+    dense_rank,
+    dense_rref,
+    sparse,
+)
 from newton_spectra.linalg import (
     Echelon,
     charpoly,
     identity,
-    mat_mul,
     nullspace,
     pol_divmod,
     pol_mul,
@@ -17,6 +23,7 @@ from newton_spectra.linalg import (
     rational_roots,
     rref,
     solve_linear,
+    sparse_mul,
 )
 
 
@@ -41,7 +48,7 @@ def test_rank_random_products():
         a = [[F(rng.randrange(-4, 5)) for _ in range(k)] for _ in range(m)]
         b = [[F(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(k)]
         # rank of a product never exceeds the inner dimension
-        assert rank(mat_mul(a, b)) <= min(rank(a), rank(b), k)
+        assert rank(dense_mat_mul(a, b)) <= min(rank(a), rank(b), k)
 
 
 def test_solve_linear_exact_and_inconsistent():
@@ -73,7 +80,7 @@ def _random_system(rng, kind):
         k = rng.randrange(1, min(m, n) + 1)
         left = [[F(rng.randrange(-3, 4)) for _ in range(k)] for _ in range(m)]
         right = [[F(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(k)]
-        a = mat_mul(left, right)
+        a = dense_mat_mul(left, right)
     else:
         density = {"sparse": 0.2, "dense": 1.0, "inconsistent": 0.5}[kind]
         a = [
@@ -222,18 +229,22 @@ def test_mat_mul_matches_triple_loop():
                      else F(0) for _ in range(c)] for _ in range(r)]
 
         a, b = rand(n, k), rand(k, m)
-        assert mat_mul(a, b) == dense_mat_mul(a, b)
-        assert mat_mul(identity(n), a) == a and mat_mul(a, identity(k)) == a
+        prod = sparse_mul(sparse(a), sparse(b))
+        assert dense(prod, m) == dense_mat_mul(a, b)
+        # the product stores no zero
+        assert all(x for row in prod for x in row.values())
+        assert dense(sparse_mul(identity(n), sparse(a)), k) == a
+        assert dense(sparse_mul(sparse(a), identity(k)), k) == a
 
 
 def test_charpoly_known_matrices():
     # companion-style checks; coefficients ascending
-    assert charpoly([[F(0), F(2)], [F(2), F(0)]]) == [F(-4), F(0), F(1)]
+    assert charpoly(sparse([[F(0), F(2)], [F(2), F(0)]])) == [F(-4), F(0), F(1)]
     a = [[F(0), F(0), F(3)], [F(3), F(0), F(0)], [F(0), F(3), F(0)]]
-    assert charpoly(a) == [F(-27), F(0), F(0), F(1)]
+    assert charpoly(sparse(a)) == [F(-27), F(0), F(0), F(1)]
     # trace and determinant appear with the right signs
     b = [[F(1), F(2)], [F(3), F(4)]]
-    cp = charpoly(b)
+    cp = charpoly(sparse(b))
     assert cp[2] == 1 and cp[1] == -(F(1) + F(4)) and cp[0] == F(4) - F(6)
 
 
@@ -242,14 +253,14 @@ def test_charpoly_matches_cayley_hamilton():
     for _ in range(6):
         n = rng.randrange(1, 5)
         a = [[F(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
-        cp = charpoly(a)
+        cp = charpoly(sparse(a))
         acc = [[F(0)] * n for _ in range(n)]
-        power = identity(n)
+        power = dense(identity(n))
         for c in cp:
             for i in range(n):
                 for j in range(n):
                     acc[i][j] += c * power[i][j]
-            power = mat_mul(power, a)
+            power = dense_mat_mul(power, a)
         assert all(x == 0 for row in acc for x in row)
 
 
