@@ -85,29 +85,44 @@ def _trim(mats):
     return mats
 
 
+def _scaled(mats):
+    """(D, the matrices times D as int sparse rows), D the least common
+    denominator of their entries (ints or Fractions)."""
+    mats = [[{j: x.as_integer_ratio() for j, x in row.items()} for row in m]
+            for m in mats]
+    d = lcm(*(q for m in mats for row in m for _, q in row.values()))
+    return d, [[{j: x * (d // q) for j, (x, q) in row.items()} for row in m]
+               for m in mats]
+
+
 def gauge_residual(pencil: ConnectionPencil, gauge, a0, ainf):
     """B P + theta^2 P' - P (A_0 + theta A_inf) as a matrix polynomial.
 
     Only products of nonzero entries are formed, summed per (theta degree,
-    row, column).  The result is the list of theta coefficients, as sparse
-    rows, up to the highest nonzero one, so it is [] exactly when the gauge
-    identity holds.
+    row, column).  They run on ints: with D_B clearing the denominators of
+    B, A_0 and A_inf and D_P those of P, D_B D_P times the residual is
+    (D_B B)(D_P P) + D_B theta^2 (D_P P)' - (D_P P)(D_B A_0 + theta D_B A_inf),
+    and only its nonzero entries are divided by D_B D_P.  The result is the
+    list of theta coefficients, as sparse rows of Fractions, up to the
+    highest nonzero one, so it is [] exactly when the gauge identity holds.
     """
+    db, scaled = _scaled([*pencil.matrices, a0, ainf])
+    dp, gauge = _scaled(gauge)
     acc = {}
-    for k, bmat in enumerate(pencil.matrices):
+    for k, bmat in enumerate(scaled[:-2]):
         for i, brow in enumerate(bmat):
             for r, x in brow.items():
                 for l, p in enumerate(gauge):
                     for j, y in p[r].items():
                         key = (k + l, i, j)
                         acc[key] = acc.get(key, 0) + x * y
-    right = ((0, a0), (1, ainf))
+    right = ((0, scaled[-2]), (1, scaled[-1]))
     for l, p in enumerate(gauge):
         for i, prow in enumerate(p):
             for s, x in prow.items():
                 if l:
                     key = (l + 1, i, s)
-                    acc[key] = acc.get(key, 0) + l * x
+                    acc[key] = acc.get(key, 0) + db * l * x
                 for d, amat in right:
                     for j, y in amat[s].items():
                         key = (l + d, i, j)
@@ -115,9 +130,10 @@ def gauge_residual(pencil: ConnectionPencil, gauge, a0, ainf):
     nonzero = {key: x for key, x in acc.items() if x}
     if not nonzero:
         return []
+    den = db * dp
     out = [_empty(pencil.mu) for _ in range(max(m for m, _, _ in nonzero) + 1)]
     for (m, i, j), x in nonzero.items():
-        out[m][i][j] = x
+        out[m][i][j] = Fraction(x, den)
     return out
 
 
@@ -282,7 +298,9 @@ def _solve_system(n, rows, rhs, labels):
     culprits = []
     inconsistent = False
     for row, b, lab in zip(rows, rhs, labels):
-        res, _ = ech.reduce({**row, n: b})
+        # the residual as integer numerators: a row scaled by a nonzero
+        # number moves neither the span nor the pivots
+        res, _, _ = ech.integer_reduce({**row, n: b})
         if not res:
             continue
         if min(res) < n:

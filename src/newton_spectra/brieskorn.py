@@ -7,14 +7,21 @@ operator t acts as multiplication by f on theta-degree zero and extends by
 t(theta^k x) = k theta^(k+1) x + theta^k t(x); on coordinate vectors this is
 t(v) = theta^2 v' + B(theta) v for the pencil B computed once per lattice.
 
-Reduction feeds plain dicts of integer numerators to the division kernel
-of `jacobian` one theta power at a time, lowest first: the representatives
-land in the coordinates and the kernel's deta moves up one theta power.
-Every pending theta power shares one denominator, which moves to the one
-the kernel returns.  The pencil
-reduces f * u^m for every basis monomial m that way and fills the sparse
-rows of B_0, ..., B_k from the nonzero coordinates only, checking the
-theta-degree bound and the order bound on them as explicit tests.
+Reduction combines memoized normal forms.  Each lattice keeps, per
+monomial u^e it has met, the coordinates NF(u^e) of its class over
+Q[theta] as integer numerators over one denominator.  A basis monomial is
+its own coordinate; a pivot monomial reads its `jacobian.RewriteRule`,
+u^e = (reps + theta deta + lower) / lead, so NF(u^e) is reps plus theta
+NF(deta) plus NF(lower), over lead.  deta and lower lie strictly below the
+level of u^e, so the memo is filled in ascending level order, without
+recursion.  A form sum_k theta^k g_k reduces to the sum of theta^k times
+the normal forms of the monomials of g_k.  A representative outside the
+basis (above the top level on a degenerate algebra) gets a slot of its
+own, so a form raises exactly when the division of one of its theta
+powers would, after cancellation.  The pencil reduces f * u^m for every
+basis monomial m that way and fills the sparse rows of B_0, ..., B_k from
+the nonzero coordinates only, checking the theta-degree bound and the
+order bound on them as explicit tests.
 
 The spectrum polynomial SP(S) = prod (S + alpha_i) is computed over the
 integers, as prod (d S + r_i) over the scaled degrees r_i = d alpha_i, and
@@ -25,13 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add
 
 from .errors import DegeneracySuspectedError
-from .jacobian import JacobianAlgebra, _divide_terms
-from .laurent import LaurentPolynomial
+from .jacobian import JacobianAlgebra
+from .laurent import LaurentPolynomial, term_key
 from .linalg import (
-    _axpy,
     _numerators,
     dense_strings,
     pol_add,
@@ -116,12 +123,19 @@ class ConnectionPencil:
         }
 
 
+# the coordinate theta^k e_i of a normal form has the key k * _THETA + i
+_THETA = 1 << 32
+
+
 class BrieskornLattice:
     def __init__(self, algebra: JacobianAlgebra):
         self.algebra = algebra
         self.basis = algebra.basis()
-        self._index = {m: i for i, m in enumerate(self.basis.monomials)}
+        # representative -> slot: the basis index, then mu, mu + 1, ... for
+        # representatives outside the basis as they are met
+        self._slots = {m: i for i, m in enumerate(self.basis.monomials)}
         self._pencil = None
+        self._forms = {}        # exponent -> (numerators {key: int}, den)
 
     @property
     def mu(self):
@@ -137,44 +151,107 @@ class BrieskornLattice:
             k: {e: c.numerator * (den // c.denominator) for e, c in g.terms.items() if c}
             for k, g in forms.items()
         }
-        out = []
-        for slot in self._reduce_terms(numerators, den):
-            if slot:
-                top = max(slot)
-                out.append(tuple(slot.get(i, Fraction(0)) for i in range(top + 1)))
-            else:
-                out.append(())
-        return BrieskornElement(tuple(out))
+        self._fill([e for part in numerators.values() for e in part])
+        coords = [[] for _ in range(self.mu)]
+        for key, c in sorted(self._coordinates(numerators, den).items()):
+            k, i = divmod(key, _THETA)
+            coords[i] += [Fraction(0)] * (k - len(coords[i])) + [c]
+        return BrieskornElement(tuple(map(tuple, coords)))
 
-    def _reduce_terms(self, forms, den):
-        """{theta power: {exponent: int}} over the int den -> one
-        {theta power: Fraction} per slot.
+    def _coordinates(self, forms, den):
+        """{theta power: {exponent: int}} over the int den -> {key: Fraction},
+        the nonzero coordinates keyed as for `_THETA`.
 
-        Every pending form shares one denominator; the dicts of forms are
-        taken over and changed.
+        The sum of the monomials' normal forms, on integers over one
+        denominator.  A coordinate on a representative outside the basis
+        raises as the division of that theta power would, and so does a
+        coordinate above theta degree cap = (highest theta power of the
+        forms) + n + 2.
         """
-        pending = {k: t for k, t in forms.items() if t}
-        cap = (max(pending) if pending else 0) + self.algebra.n + 2
-        coords = [{} for _ in range(self.mu)]
-        while pending:
-            k = min(pending)
-            a, _, deta, new = _divide_terms(self.algebra, pending.pop(k), den, self._index)
-            for e, c in a.items():
-                coords[self._index[e]][k] = Fraction(c, new)
-            if new != den:
-                # the division's denominator is a multiple of den: the forms
-                # still pending move over to it
-                for terms in pending.values():
-                    for e in terms:
-                        terms[e] *= new // den
-                den = new
-            if deta:
-                if k + 1 > cap:
+        cap = max(forms, default=0) + self.algebra.n + 2
+        acc, common = _combine({}, [(c, self._normal_form(e), k * _THETA)
+                                    for k, part in forms.items() for e, c in part.items()])
+        # slots outside the basis exist on degenerate algebras only
+        mu = self.mu
+        if acc and (max(acc) >= cap * _THETA + mu or len(self._slots) > mu and any(
+                key % _THETA >= mu for key in acc)):
+            self._refuse(acc, cap)
+        den *= common
+        return {key: Fraction(v, den) for key, v in acc.items()}
+
+    def _refuse(self, coords, cap):
+        """Raise for the lowest theta power k with a coordinate outside the
+        basis or above the cap, as the division of theta power k would: the
+        cap first, then the highest level with a representative outside."""
+        mu = self.mu
+        k = min(key // _THETA for key in coords
+                if key % _THETA >= mu or key // _THETA > cap)
+        if k > cap:
+            raise DegeneracySuspectedError("reduction exceeded theta degree %d" % cap)
+        slots = {key % _THETA for key in coords if key // _THETA == k}
+        outside = [x for x, i in self._slots.items() if i >= mu and i in slots]
+        level = self.algebra.level
+        r, top_level = max(map(level, outside)), self.algebra.n * self.algebra.d
+        if r > top_level:
+            raise DegeneracySuspectedError(
+                "graded representative appears above the top level (scaled %d > %d)"
+                % (r, top_level))
+        e = min((x for x in outside if level(x) == r), key=term_key)
+        raise DegeneracySuspectedError(
+            "residual monomial %s at scaled level %d is not a basis representative"
+            % (e, r))
+
+    def _normal_form(self, e):
+        """The coordinates of u^e over Q[theta] as (numerators, den): a dict
+        key -> int over the positive int den, keys as for `_THETA`."""
+        nf = self._forms.get(e)
+        if nf is None:
+            self._fill((e,))
+            nf = self._forms[e]
+        return nf
+
+    def _fill(self, monomials):
+        """Put the normal forms of the monomials into the memo.
+
+        A pivot monomial with rule (lead, reps, deta, lower) has the normal
+        form (reps + theta NF(deta) + NF(lower)) / lead, where NF is linear.
+        Every monomial of deta and lower lies below the level of u^e, so the
+        memo is filled in ascending level order, without recursion, from the
+        monomials the rules reach that it does not hold yet.
+        """
+        memo = self._forms
+        slots = self._slots
+        rule = self.algebra.rule
+        rules = {}
+        todo = [e for e in monomials if e not in memo]
+        while todo:
+            x = todo.pop()
+            if x in rules:
+                continue
+            rules[x] = rx = None if x in slots else rule(x)
+            if rx is not None:
+                if not rx.lowered:
                     raise DegeneracySuspectedError(
-                        "reduction exceeded theta degree %d" % cap
+                        "division failed to lower the scaled level %d"
+                        % self.algebra.level(x)
                     )
-                _axpy(pending.setdefault(k + 1, {}), 1, deta)
-        return coords
+                todo += [y for y in rx.deta if y not in memo and y not in rules]
+                todo += [y for y in rx.lower if y not in memo and y not in rules]
+        for x in sorted(rules, key=self.algebra.level):
+            rx = rules[x]
+            if rx is None:
+                memo[x] = ({slots.setdefault(x, len(slots)): 1}, 1)
+                continue
+            parts = [(c, memo[y], _THETA) for y, c in rx.deta.items()]
+            parts += [(c, memo[y], 0) for y, c in rx.lower.items()]
+            acc, common = _combine({slots.setdefault(y, len(slots)): c
+                                    for y, c in rx.reps.items()}, parts)
+            den = rx.lead * common
+            g = gcd(den, *acc.values())
+            if g != 1:
+                acc = {key: v // g for key, v in acc.items()}
+                den //= g
+            memo[x] = (acc, den)
 
     def newton_order(self, elem: BrieskornElement):
         """max over components of (theta degree + basis degree); None for zero."""
@@ -192,28 +269,31 @@ class BrieskornLattice:
             mu = self.mu
             f, den = _numerators(self.algebra.f.terms)
             degrees = self.basis.degrees
-            columns = [
-                self._reduce_terms(
-                    {0: {tuple(x + y for x, y in zip(e, m)): c for e, c in f.items()}}, den
-                )
-                for m in self.basis.monomials
-            ]
-            top = max((k for col in columns for slot in col for k in slot), default=0)
+            forms = [{0: {tuple(map(add, e, m)): c for e, c in f.items()}}
+                     for m in self.basis.monomials]
+            self._fill([e for form in forms for e in form[0]])
+            columns = [self._coordinates(form, den) for form in forms]
+            top = max((key // _THETA for col in columns for key in col), default=0)
             if top > self.algebra.n:
                 raise DegeneracySuspectedError(
                     "connection pencil has theta-degree %d > %d" % (top, self.algebra.n)
                 )
+            # order bound: t raises the Newton order by at most one, that is
+            # orders[i] + k * od <= orders[j] + od on the integer orders
+            od, orders = integer_orders(degrees)
             rows = [[{} for _ in range(mu)] for _ in range(top + 1)]
             for j, col in enumerate(columns):
-                for i, slot in enumerate(col):
-                    for k, c in slot.items():
-                        # order bound: t raises the Newton order by at most one
-                        if degrees[i] + k > degrees[j] + 1:
-                            raise DegeneracySuspectedError(
-                                "entry (%d,%d) of B_%d violates the order bound"
-                                % (i, j, k)
-                            )
-                        rows[k][i][j] = c
+                bound = orders[j] + od
+                broken = [divmod(key, _THETA) for key in col
+                          if orders[key % _THETA] + key // _THETA * od > bound]
+                if broken:
+                    k, i = min(broken, key=lambda ki: (ki[1], ki[0]))
+                    raise DegeneracySuspectedError(
+                        "entry (%d,%d) of B_%d violates the order bound" % (i, j, k)
+                    )
+                for key, c in col.items():
+                    k, i = divmod(key, _THETA)
+                    rows[k][i][j] = c
             self._pencil = ConnectionPencil(rows, degrees)
         return self._pencil
 
@@ -231,6 +311,26 @@ class BrieskornLattice:
         lhs = self.reduce(g * self.facet_derivation(self.algebra.f, facet_index))
         rhs = self.reduce(self.facet_derivation(g, facet_index)).theta_shift(1)
         return lhs == rhs
+
+
+def _combine(base, parts):
+    """(acc, common): base + sum of c * x shifted, for parts (c, (x, d),
+    shift) with x a dict key -> int over the int d, as numerators acc over
+    the lcm common of the d; every key k of x counts as k + shift, and
+    entries that cancel are dropped.  base is over 1 and is taken over."""
+    common = lcm(*(nf[1] for _, nf, _ in parts))
+    acc = {k: v * common for k, v in base.items()}
+    for c, (x, d), shift in parts:
+        c *= common // d
+        for k, v in x.items():
+            k += shift
+            s = acc.get(k)
+            s = c * v if s is None else s + c * v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc, common
 
 
 # ---------------------------------------------------------------------------

@@ -19,25 +19,32 @@ The levels n*scale + 1 .. (n+1)*scale are the window that
 `nondegeneracy.is_nondegenerate` reads: all of them are empty exactly when f
 is nondegenerate.
 
-Division runs on plain dicts of integer numerators over one denominator
-(`_divide_terms`, shared by `divide` and the Brieskorn lattice).  The
+Division runs on monomial rewrite rules read off the level echelons.  The
 leading forms and the log derivatives enter scaled by L, the least common
 multiple of the denominators of the log-derivative coefficients, so for a
 rational f the level echelons and the products are still integral; the
-cofactor of xi_i(f) is L times that of L xi_i(f).  The terms are bucketed
-by level and the levels are taken top down: the level-r slice is reduced
-against the level-r echelon (`Echelon.integer_reduce`) into
-representatives + leading-form multiples over one denominator s, cut by
-its common factor with their numerators; every dict of the division is
-scaled by s so that they share the new denominator, and each full
-product u^m * L xi_i(f) is subtracted term by term into the buckets.
+cofactor of xi_i(f) is L times that of L xi_i(f).  A level-r monomial is
+either a representative or the pivot u^e of a stored row (num, prov,
+lead), and then (`JacobianAlgebra.rule`, a `RewriteRule`)
+
+    u^e = - sum_(c != e) num[c] / lead u^c
+          + sum_(i, m) prov[(i, m)] / lead (u^m L xi_i(f))
+          - sum_(i, m) prov[(i, m)] / lead (the terms of u^m L xi_i(f) below r).
+
 The gauge is subadditive and the non-leading terms of xi_i(f) lie below
-level scale, so a product never lands above level r and its level-r part is
-the echelon row; the slice, together with any product term at level r or
-above, is checked to cancel exactly, so the top level strictly drops.  For a nondegenerate input nothing survives above level
-n*scale; a violation raises DegeneracySuspectedError since it contradicts
-the dimension theory.  `LaurentPolynomial`s are built only for the
-`DivisionWitness` that `divide` returns.
+level scale, so a product never lands above level r and its level-r part
+is the leading form: each rule strictly lowers the level, and in the
+Brieskorn lattice its ideal part is theta times L m_i u^m, at level
+r - scale.  A rule is built on first use, from `log_derivs` as they stand
+when the algebra's first rule is built, and checked once: the part of its
+products at level r or above must be the stored row.  `divide` applies
+the rules top down over the monomials.  Every contribution to level r
+comes from above, so when the level comes up its coefficients are final:
+their representatives are checked (none above level n*scale, all in the
+basis), the rules applied are checked, and their lower terms and
+cofactors are added.  For a nondegenerate input nothing survives above
+level n*scale; a violation raises DegeneracySuspectedError since it
+contradicts the dimension theory.
 """
 
 from __future__ import annotations
@@ -45,10 +52,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
+from typing import NamedTuple
 
 from .errors import DegeneracySuspectedError, NotInIdealError
 from .laurent import LaurentPolynomial, term_key
-from .linalg import Echelon, _fractions, _numerators, _primitive
+from .linalg import Echelon
 from .polytope import NewtonPolytope, newton_polytope
 
 
@@ -68,6 +77,28 @@ class AdaptedBasis:
             "monomials": [list(m) for m in self.monomials],
             "degrees": [str(a) for a in self.degrees],
         }
+
+
+class RewriteRule(NamedTuple):
+    """u^e at level r, for a pivot u^e of the level-r echelon, rewritten as
+
+        (sum reps[x] u^x + sum_i (sum_m cofactors[(i, m)] u^m) xi_i(f)
+         + sum lower[x] u^x) / lead,
+
+    all values int numerators over the positive int lead: reps holds the
+    other representatives at level r, lower the terms below level r, and
+    deta = sum_i u_i d/du_i of the cofactor of xi_i(f), so that in the
+    Brieskorn lattice u^e = (reps + theta deta + lower) / lead.  lowered
+    tells whether the products' part at level r and above is the stored
+    echelon row, that is, whether the rule is an identity.
+    """
+
+    lead: int
+    reps: dict
+    cofactors: dict             # (i, m) -> numerator
+    deta: dict
+    lower: dict
+    lowered: bool
 
 
 class JacobianAlgebra:
@@ -100,6 +131,8 @@ class JacobianAlgebra:
         self._level_max = -1
         self._solvers = {}
         self._basis = None
+        self._rules = {}           # exponent -> RewriteRule, or None for a representative
+        self._derivs = None        # L xi_i(f) as [(exponent, int)], read by the first rule
 
     # -- level bookkeeping
 
@@ -149,6 +182,58 @@ class JacobianAlgebra:
                     ech.insert(vec, (i, m))
             self._solvers[r] = ech
         return self._solvers[r]
+
+    def rule(self, e):
+        """The `RewriteRule` of the pivot monomial u^e, or None when u^e is
+        a representative of its level; built on first use and kept.
+
+        The stored row num / lead of pivot p at level r is sum_(i, m)
+        prov[(i, m)] / lead times the leading form of u^m L xi_i(f).
+        """
+        rules = self._rules
+        if e in rules:
+            return rules[e]
+        r = self.level(e)
+        ech = self.solver(r)
+        p = self._index[r][e]
+        if p not in ech:
+            rules[e] = None
+            return None
+        num, prov, lead = ech.integer_row(p)
+        derivs = self._derivs
+        if derivs is None:
+            den = self.deriv_den
+            derivs = self._derivs = [[(k, b.numerator * (den // b.denominator))
+                                      for k, b in xi.terms.items()]
+                                     for xi in self.log_derivs]
+        products = {}
+        for (i, m), c in prov.items():
+            for k, b in derivs[i]:
+                x = tuple(map(add, m, k))
+                products[x] = products.get(x, 0) + c * b
+        lower = {}
+        upper = {}
+        for x, c in products.items():
+            if c:
+                if self.level(x) < r:
+                    lower[x] = -c
+                else:
+                    upper[x] = c
+        columns = self._levels[r]
+        cofactors = {label: c * self.deriv_den for label, c in prov.items()}
+        deta = {}
+        for (i, m), c in cofactors.items():
+            if m[i]:
+                deta[m] = deta.get(m, 0) + c * m[i]
+        rules[e] = rule = RewriteRule(
+            lead,
+            {columns[j]: -c for j, c in num.items() if j != p},
+            cofactors,
+            {m: c for m, c in deta.items() if c},
+            lower,
+            upper == {columns[j]: c for j, c in num.items()},
+        )
+        return rule
 
     # -- graded dimensions and the basis
 
@@ -225,86 +310,64 @@ class DivisionWitness:
         return deta == self.deta
 
 
-def _divide_terms(algebra: JacobianAlgebra, terms: dict, den: int, reps):
-    """Division of terms / den by the log-derivative ideal.
-
-    terms maps exponents to int numerators and den is a positive int; reps
-    holds the basis monomials (any container with `in`).  Returns
-    (a, cofactors, deta, den): a maps basis monomials to their
-    coefficients, the cofactors are one dict exponent -> coefficient per
-    variable, and deta is sum_i u_i d/du_i of cofactor i, all as int
-    numerators over the returned den, with zero coefficients dropped.
-    """
+def divide(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:
+    """Express g over the adapted representatives modulo the log-derivative ideal."""
+    if g.arity != algebra.n:
+        raise ValueError("arity mismatch")
+    reps = set(algebra.basis().monomials)
     top_level = algebra.n * algebra.d
     level = algebra.level
-    deriv_den = algebra.deriv_den
-    derivs = [[(k, b.numerator * (deriv_den // b.denominator)) for k, b in xi.terms.items()]
-              for xi in algebra.log_derivs]
-    buckets = {}                # scaled level -> {exponent: numerator}
-    for e, c in terms.items():
-        if c:
-            buckets.setdefault(level(e), {})[e] = c
+    pending = {}                # scaled level -> {exponent: Fraction}
+    for e, c in g.terms.items():
+        pending.setdefault(level(e), {})[e] = c
     a = {}
     cof = [{} for _ in range(algebra.n)]
-    start = max(buckets, default=0)
-    rounds = 0
-    while buckets:
-        r = max(buckets)
-        slice_ = buckets.pop(r)
-        if not slice_:
-            continue
-        ech = algebra.solver(r)
-        index = algebra._index[r]
-        rest, combo, s = _primitive(
-            *ech.integer_reduce({index[e]: c for e, c in slice_.items()}))
+    deta = {}
+    while pending:
+        r = max(pending)
+        rest = {}
+        applied = []
+        # every contribution to level r came from above, so these
+        # coefficients are final
+        for e, c in pending.pop(r).items():
+            rule = algebra.rule(e)
+            if rule is None:
+                _add_term(rest, e, c)
+                continue
+            q = c / rule.lead
+            applied.append((q, rule))
+            for x, v in rule.reps.items():
+                _add_term(rest, x, q * v)
         if rest and r > top_level:
             raise DegeneracySuspectedError(
                 "graded representative appears above the top level (scaled %d > %d)"
                 % (r, top_level)
             )
-        if s != 1:
-            # rest and combo are over den * s: bring everything there
-            den *= s
-            for part in (slice_, a, *cof, *buckets.values()):
-                for e in part:
-                    part[e] *= s
-        columns = algebra.level_monomials(r)
-        for j, c in rest.items():
-            e = columns[j]
+        for e in rest:
             if e not in reps:
                 raise DegeneracySuspectedError(
                     "residual monomial %s at scaled level %d is not a basis "
                     "representative" % (e, r)
                 )
-            a[e] = c
-            _add_term(slice_, e, -c)
-        # each level comes up once, so a representative or a label (i, m)
-        # gets its coefficient in one round only
-        for (i, m), c in combo.items():
-            cof[i][m] = c * deriv_den
-            for k, b in derivs[i]:
-                e = tuple(x + y for x, y in zip(m, k))
-                lv = level(e)
-                _add_term(slice_ if lv >= r else buckets.setdefault(lv, {}), e, -c * b)
-        # what is left at level r or above did not cancel
-        if slice_:
-            raise DegeneracySuspectedError(
-                "division failed to lower the scaled level %d" % r
-            )
-        rounds += 1
-        # the scaled level strictly drops each round, so the start level
-        # bounds the iteration count
-        if rounds > start + 1:
-            raise DegeneracySuspectedError(
-                "division took more than %d rounds from scaled level %d"
-                % (start + 1, start)
-            )
-    deta = {}
-    for i, gi in enumerate(cof):
-        for m, c in gi.items():
-            if m[i]:
-                _add_term(deta, m, c * m[i])
-    return a, cof, deta, den
+        a.update(rest)
+        for q, rule in applied:
+            if not rule.lowered:
+                raise DegeneracySuspectedError(
+                    "division failed to lower the scaled level %d" % r
+                )
+            for (i, m), v in rule.cofactors.items():
+                _add_term(cof[i], m, q * v)
+            for m, v in rule.deta.items():
+                _add_term(deta, m, q * v)
+            for x, v in rule.lower.items():
+                _add_term(pending.setdefault(level(x), {}), x, q * v)
+    n = algebra.n
+    return DivisionWitness(
+        g=g,
+        a=a,
+        cofactors=[LaurentPolynomial(n, gi) for gi in cof],
+        deta=LaurentPolynomial(n, deta),
+    )
 
 
 def _add_term(terms, e, c):
@@ -315,21 +378,6 @@ def _add_term(terms, e, c):
         terms[e] = s
     else:
         del terms[e]
-
-
-def divide(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:
-    """Express g over the adapted representatives modulo the log-derivative ideal."""
-    if g.arity != algebra.n:
-        raise ValueError("arity mismatch")
-    terms, den = _numerators(g.terms)
-    a, cof, deta, den = _divide_terms(algebra, terms, den, set(algebra.basis().monomials))
-    n = algebra.n
-    return DivisionWitness(
-        g=g,
-        a=_fractions(a, den),
-        cofactors=[LaurentPolynomial(n, _fractions(gi, den)) for gi in cof],
-        deta=LaurentPolynomial(n, _fractions(deta, den)),
-    )
 
 
 def divide_exact(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:

@@ -80,7 +80,8 @@ class Echelon:
     integer multipliers over the lcm of the denominators of the rows it
     meets.  A column index (column -> pivots of the stored rows nonzero
     there) names the rows a new pivot is back-substituted into.  Only
-    `reduce` and `row` build Fractions, for their callers.
+    `reduce` and `row` build Fractions, for their callers; `integer_row`
+    hands out a stored row as it is.
     """
 
     def __init__(self):
@@ -102,6 +103,12 @@ class Echelon:
         """The stored row with pivot p, as a dict column -> Fraction."""
         num, _, den = self._rows[p]
         return _fractions(num, den)
+
+    def integer_row(self, p):
+        """The stored row with pivot p as (numerators, provenance numerators,
+        den): dicts of ints over the positive int den, with num[p] == den.
+        The dicts are the stored ones and must not be changed."""
+        return self._rows[p]
 
     def _split(self, vec):
         """(w, d, hits, m): vec minus its pivot-row parts is w / d, w integral.
@@ -215,7 +222,10 @@ def _primitive(num, prov, den):
 
 def _numerators(values):
     """(numerators, den): the nonzero values of a dict as integer numerators
-    over den, the least common denominator of the values (ints or Fractions)."""
+    over den, the least common denominator of the values (ints or Fractions).
+    A dict of ints alone is its own numerators over 1."""
+    if all(type(x) is int for x in values.values()):
+        return {k: x for k, x in values.items() if x}, 1
     den = lcm(*(x.denominator for x in values.values()))
     return {k: x.numerator * (den // x.denominator) for k, x in values.items() if x}, den
 

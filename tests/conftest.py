@@ -28,7 +28,11 @@ of the package's certificate.  reference_divide and reference_reduce are the
 division and lattice reduction the package ran on `LaurentPolynomial`
 arithmetic before it moved both onto one dict kernel, kept as references
 for that kernel, and reference_spectrum_polynomial is the `pol_mul` product
-of SP(S) over Fractions that the integer product replaced.
+of SP(S) over Fractions that the integer product replaced.  The two
+references now check the rewrite rules and the lattice's memoized normal forms
+that replaced the dict kernel in turn.  reference_divide scales each
+cofactor by L = algebra.deriv_den, since the level echelons hold the
+leading forms of L xi_i(f), so it also holds for rational coefficients.
 
 dense_det is the Leibniz formula, a sum over permutations with no
 elimination at all; it checks the polytope's fraction-free determinant.
@@ -404,8 +408,10 @@ def reference_divide(algebra, g):
                 % (r, top_level)
             )
         delta = LaurentPolynomial.zero(algebra.n)
+        # the level echelons hold the leading forms of L xi_i(f), L =
+        # algebra.deriv_den, so label (i, m) stands for L u^m xi_i(f)
         for (i, m), c in sorted(combo.items()):
-            mono = LaurentPolynomial.monomial(m, c)
+            mono = LaurentPolynomial.monomial(m, c * algebra.deriv_den)
             cof[i] = cof[i] + mono
             delta = delta + mono * algebra.log_derivs[i]
         columns = algebra.level_monomials(r)

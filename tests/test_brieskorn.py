@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     CORPUS,
+    DEGENERATE,
     LADDER,
     dense,
     pipeline,
@@ -20,16 +21,55 @@ from conftest import (
     sparse,
 )
 from newton_spectra import (
+    AdaptedBasis,
     BrieskornElement,
+    BrieskornLattice,
     ConnectionPencil,
     DegeneracySuspectedError,
+    JacobianAlgebra,
     LaurentPolynomial,
+    NotConvenientError,
     Pipeline,
+    divide,
     parse_laurent,
 )
 from newton_spectra import brieskorn as brieskorn_mod
 from newton_spectra.brieskorn import _spectrum_polynomial
 from newton_spectra.cli import main
+
+
+# two inputs with non-integer coefficients: the log derivatives enter the
+# reduction scaled by the lcm of their denominators
+RATIONAL = ("1/2*u1^3 + u1 + 2/3*u1^-2", "1/2*u1^2 + u2 + 2/3*u1^-1*u2^-1")
+
+
+def _recipe_draws(count, max_mu=15):
+    """The first `count` accepted draws of ROADMAP item 1's recipe from
+    random.Random(11), as expressions: n from {1, 2, 2, 2}, 3-6 exponents
+    in [-3, 3]^n without the origin, coefficients from {-2, -1, 1, 2, 3};
+    a draw is accepted when it is convenient and nondegenerate with
+    mu <= max_mu."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < count:
+        n = rng.choice([1, 2, 2, 2])
+        size = rng.randint(3, 6)
+        exps = set()
+        while len(exps) < size:
+            e = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(e):
+                exps.add(e)
+        f = LaurentPolynomial(n, {e: rng.choice([-2, -1, 1, 2, 3]) for e in sorted(exps)})
+        data = Pipeline(f, ["u%d" % (i + 1) for i in range(n)])
+        try:
+            if data.mu <= max_mu and data.certificate.ok:
+                out.append(f.format())
+        except (NotConvenientError, DegeneracySuspectedError):
+            pass
+    return out
+
+
+DRAWS = _recipe_draws(40)
 
 
 def test_pencil_one_variable_hand_values():
@@ -128,7 +168,8 @@ def test_hand_built_pencils_carry_integer_orders():
     assert pen.matrices[1] == [{2: 3}, {1: F(1, 2)}, {}]
 
 
-@pytest.mark.parametrize("expr", [e for e, _, _ in CORPUS] + list(LADDER))
+@pytest.mark.parametrize("expr", [e for e, _, _ in CORPUS] + list(LADDER) + list(RATIONAL)
+                         + DRAWS)
 def test_pencil_matches_the_laurent_reference(expr):
     data = pipeline(expr)
     pen = data.pencil
@@ -142,17 +183,101 @@ def test_pencil_matches_the_laurent_reference(expr):
 
 def test_reduce_matches_the_laurent_reference():
     rng = random.Random(29)
-    for expr, n, _ in CORPUS:
+    exprs = [e for e, _, _ in CORPUS] + list(RATIONAL) + DRAWS
+    for expr in exprs:
         data = pipeline(expr)
+        n = data.f.arity
         pts = data.polytope.enumerate_sublevel(n + 1)
         for _ in range(15):
             forms = {}
-            for k in rng.sample(range(3), rng.randrange(1, 3)):
+            for k in rng.sample(range(4), rng.randrange(1, 5)):
                 terms = {pts[rng.randrange(len(pts))]: F(rng.randrange(-4, 5))
                          for _ in range(rng.randrange(1, 5))}
                 forms[k] = LaurentPolynomial(n, terms)
             assert data.lattice.reduce(forms) == reference_reduce(data.lattice, forms), \
                 (expr, forms)
+
+
+def _same_reduction(lattice, forms):
+    """reduce and reference_reduce agree: the same element, or the same error."""
+    try:
+        want = reference_reduce(lattice, forms)
+    except DegeneracySuspectedError as exc:
+        with pytest.raises(DegeneracySuspectedError) as got:
+            lattice.reduce(forms)
+        assert str(got.value) == str(exc), forms
+        return False
+    assert lattice.reduce(forms) == want, forms
+    return True
+
+
+def test_reduce_on_a_degenerate_algebra_agrees_or_raises_with_the_reference():
+    # representatives survive above the top level; the lattice memo keeps
+    # them in slots of their own, so a form raises exactly when the
+    # reference division of one of its theta powers does
+    f, _ = parse_laurent(DEGENERATE)
+    lattice = BrieskornLattice(JacobianAlgebra(f))
+    rng = random.Random(31)
+    pts = lattice.algebra.polytope.enumerate_sublevel(4)
+    outcomes = []
+    for _ in range(60):
+        forms = {}
+        for k in rng.sample(range(3), rng.randrange(1, 3)):
+            terms = {pts[rng.randrange(len(pts))]: F(rng.randrange(-3, 4), rng.randrange(1, 3))
+                     for _ in range(rng.randrange(1, 4))}
+            forms[k] = LaurentPolynomial(2, terms)
+        outcomes.append(_same_reduction(lattice, forms))
+    assert outcomes.count(False) >= 10 and outcomes.count(True) >= 10
+    # u2^5 and u1*u2^4 each meet the representative u1^5 above the top
+    # level, with the same coefficient: their difference reduces
+    g = LaurentPolynomial(2, {(0, 5): 1, (1, 4): -1})
+    assert _same_reduction(lattice, {0: g})
+    assert not _same_reduction(lattice, {0: LaurentPolynomial.monomial((0, 5))})
+    # a representative left out of a truncated basis
+    f, _ = parse_laurent("u1 + u2 + u1^-1*u2^-1")
+    algebra = JacobianAlgebra(f)
+    full = algebra.basis()
+    algebra._basis = AdaptedBasis(full.monomials[:2], full.degrees[:2],
+                                  full.scaled_degrees[:2])
+    lattice = BrieskornLattice(algebra)
+    outcomes = [_same_reduction(lattice, {0: g}) for g in (
+        LaurentPolynomial.monomial((1, 0)), LaurentPolynomial.monomial((2, 0)),
+        LaurentPolynomial.monomial((0, 2)), LaurentPolynomial(2, {(1, 1): 1, (0, 0): 2}))]
+    assert outcomes.count(False) >= 2 and outcomes.count(True) >= 1
+
+
+def test_reduce_sees_a_log_derivative_swap_like_divide():
+    # the rules read the log derivatives when the first one is built, so a
+    # swap before the first division makes every rule fail its check
+    f, _ = parse_laurent("u1 + u2 + u1^-1*u2^-1")
+    for first in ("reduce", "divide"):
+        algebra = JacobianAlgebra(f)
+        lattice = BrieskornLattice(algebra)
+        algebra.log_derivs = [xi * 2 for xi in algebra.log_derivs]
+        for e in ((0, 1), (1, 1), (-1, -1)):
+            g = LaurentPolynomial.monomial(e)
+            calls = [lambda: lattice.reduce(g), lambda: divide(algebra, g)]
+            messages = []
+            for call in calls if first == "reduce" else calls[::-1]:
+                with pytest.raises(DegeneracySuspectedError, match="failed to lower") as exc:
+                    call()
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1], (first, e)
+
+
+def test_pipelines_on_one_input_share_no_memo():
+    expr = "u1^2 + u2 + u1^-1*u2^-1"
+    a, b = _fresh(expr), _fresh(expr)
+    a.pencil
+    # b's rules see b's own log derivatives, so nothing a built is reused
+    b.algebra.log_derivs = [xi * 2 for xi in b.algebra.log_derivs]
+    with pytest.raises(DegeneracySuspectedError, match="failed to lower"):
+        b.pencil
+    assert a.lattice._forms and a.algebra._rules
+    assert not set(map(id, a.lattice._forms.values())) & set(map(id, b.lattice._forms.values()))
+    c = _fresh(expr)
+    assert c.pencil.matrices == a.pencil.matrices
+    assert c.lattice._forms is not a.lattice._forms and c.algebra._rules is not a.algebra._rules
 
 
 def _fresh(expr):
@@ -162,22 +287,24 @@ def _fresh(expr):
 def test_pencil_bounds_are_explicit_checks(monkeypatch, capsys):
     # explicit raises, not asserts, so they hold under python -O; `analyze`
     # reports them at the `pencil` stage with exit 2, `check` exits 2
-    kernel = brieskorn_mod._divide_terms
+    normal_form = brieskorn_mod.BrieskornLattice._normal_form
+    theta = brieskorn_mod._THETA
     expr = "u1 + u2 + u1^-1*u2^-1"          # degrees 0, 1, 2
 
-    def off_bound(algebra, terms, den, reps):
-        # u1^2 (degree 2) in every column: entry (2, 0) of B_0 breaks the bound
-        a, cof, deta, den = kernel(algebra, terms, den, reps)
-        a[(2, 0)] = a.get((2, 0), 0) + den
-        return a, cof, deta, den
+    def off_bound(lattice, e):
+        # u1^2 (degree 2, slot 2) in every column: entry (2, 0) of B_0
+        # breaks the bound
+        num, den = normal_form(lattice, e)
+        return {**num, 2: num.get(2, 0) + den}, den
 
-    def endless(algebra, terms, den, reps):
-        a, cof, _, den = kernel(algebra, terms, den, reps)
-        return a, cof, {(0, 0): den}, den
+    def endless(lattice, e):
+        # a coordinate at theta^5, past the cap 0 + n + 2 = 4
+        num, den = normal_form(lattice, e)
+        return {**num, 5 * theta: den}, den
 
     for fake, message in ((off_bound, "entry (2,0) of B_0 violates the order bound"),
                           (endless, "reduction exceeded theta degree 4")):
-        monkeypatch.setattr(brieskorn_mod, "_divide_terms", fake)
+        monkeypatch.setattr(brieskorn_mod.BrieskornLattice, "_normal_form", fake)
         with pytest.raises(DegeneracySuspectedError) as exc:
             _fresh(expr).pencil
         assert str(exc.value) == message

@@ -7,7 +7,7 @@ function or class of the package is named somewhere in it, and every public
 one is named in it, exported in `__all__` or wrapped by a `TARGETS` entry of
 the benchmark's tracer (`perfbench/tracer.py`).  The storage of
 `linalg.Echelon` rows is known to `linalg` alone: other modules read rows
-through `pivots`, `row(p)`, `len` and `in`.
+through `pivots`, `row(p)`, `integer_row(p)`, `len` and `in`.
 """
 
 import ast
