@@ -11,6 +11,7 @@ from .birkhoff import (
     BirkhoffSolution,
     gauge_residual,
     graded_model,
+    opposite_filtration,
     pencil_in_gauge,
     solve_birkhoff,
     verify_v_plus,
@@ -85,6 +86,7 @@ __all__ = [
     "is_nondegenerate",
     "milnor_number",
     "newton_polytope",
+    "opposite_filtration",
     "parse_laurent",
     "pencil_in_gauge",
     "solve_birkhoff",

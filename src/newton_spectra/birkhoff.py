@@ -40,8 +40,8 @@ decide a verdict run on integers as well, scaled by a common denominator D:
    exactly when the unscaled product does (semisimplicity of A_inf);
  * (D N)^k = D^k N^k, so D N is nilpotent iff N is;
  * scaling a row by a nonzero number changes neither the span of an
-   `Echelon` nor its pivots, so the (B) test may reduce D N v for v scaled
-   to integers;
+   `Echelon` nor its pivots, so the filtration echelons take integer
+   numerators;
  * the level count of `verify_v_solution` at alpha = r / scale is
    floor(alpha - alpha_i) + 1 = (r * den - o_i * scale) // (scale * den) + 1
    for each alpha_i <= alpha, that is, o_i * scale <= r * den.
@@ -542,8 +542,8 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     while r * den <= orders[-1] * scale:
         level = r * den
         while taken < len(pivots) and -(pivots[taken] // mu) * scale <= level:
-            row = span.row(pivots[taken])
-            low.insert({p: x for p, x in row.items() if p in constant})
+            num = span.integer_row(pivots[taken])[0]
+            low.insert({p: x for p, x in num.items() if p in constant})
             taken += 1
         gaps = [level - o * scale for o in orders if o * scale <= level]
         shifted = sum(g // step for g in gaps)
@@ -605,23 +605,31 @@ def _eigenvalues(ainf, structural, candidates):
     return _split_over(charpoly(ainf), candidates)
 
 
-def _times(x, d):
-    """d * x as an int, for an int or Fraction x whose denominator divides d."""
-    return x.numerator * (d // x.denominator)
+def _product_vanishes(m, shifts):
+    """Whether the product of the factors m - s I over the int shifts is zero.
 
-
-def _product_vanishes(factors, dim):
-    """Whether the product of the dim x dim integer matrices factors is zero.
-
-    A factor is a list of sparse rows {column: int}; the product is formed
-    left to right on sparse rows and stops once it is zero.
+    m is a square matrix of sparse int rows.  The factors commute, so each
+    row e_i of the product takes them in its own order, v (m - s I) =
+    v m - s v, no factor built: first the least diagonal entry of m on v's
+    support, if unused.  On a structural m that clears v's lowest degree
+    block, so a diagonal m takes one factor per row.
     """
-    prod = identity(dim)
-    for f in factors:
-        if not any(prod):
-            break
-        prod = sparse_mul(prod, f)
-    return not any(prod)
+    diag = [row.get(i, 0) for i, row in enumerate(m)]
+    for i in range(len(m)):
+        v = {i: 1}
+        left = list(shifts)
+        while v:
+            if not left:
+                return False
+            s = min(diag[t] for t in v)
+            if s not in left:
+                s = left[0]
+            left.remove(s)
+            w = sparse_mul([v], m)[0]
+            if s:
+                _axpy(w, -s, v)
+            v = w
+    return True
 
 
 def verify_v_plus(ainf, degrees, spectrum_pairs):
@@ -638,12 +646,9 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
     semisimple False.
 
     The eigenvalues found are re-checked on every input: semisimplicity is
-    the vanishing of the product of (A - r I) over the distinct roots.  Both
-    that product and the structural test touch only the nonzero entries of
-    A_inf.  The structural test compares integer orders (`integer_orders`),
-    and the product is formed over the integers as the product of
-    D A - D r I = D (A - r I), D a common denominator of A and the roots,
-    which vanishes exactly when the product of the A - r I does.
+    the vanishing of the product of D A - D r I over the distinct roots
+    (module docstring); it and the structural test, on integer orders,
+    touch only the nonzero entries of A_inf.
     """
     mu = len(degrees)
     detail = {}
@@ -669,29 +674,15 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
         )
         return False, detail
     detail["eigenvalues"] = [(str(r), m) for r, m in roots]
-    # semisimple iff the product of (A - r I) over distinct roots vanishes
-    d = lcm(*(x.denominator for arow in ainf for x in arow.values()),
-            *(rt.denominator for rt, _ in roots))
-    scaled = [{j: _times(x, d) for j, x in arow.items()} for arow in ainf]
-    factors = []
-    for rt, _ in roots:
-        shifted = [dict(row) for row in scaled]
-        dr = _times(rt, d)
-        for i, row in enumerate(shifted):
-            x = row.get(i, 0) - dr
-            if x:
-                row[i] = x
-            else:
-                row.pop(i, None)
-        factors.append(shifted)
-    semisimple = _product_vanishes(factors, mu)
+    # semisimple iff the product of D A - D r I over the roots vanishes
+    _, (scaled, droots) = _scaled([ainf, [{0: rt} for rt, _ in roots]])
+    semisimple = _product_vanishes(scaled, [row[0] for row in droots])
     detail["semisimple"] = semisimple
-    want = {}
-    for a, m in spectrum_pairs:
-        want[abs(a)] = want.get(abs(a), 0) + m
-    got = {}
-    for rt, m in roots:
-        got[abs(rt)] = got.get(abs(rt), 0) + m
+    want, got = {}, {}
+    for pairs, out in ((spectrum_pairs, want), (roots, got)):
+        for x, m in pairs:
+            q = abs(x.numerator), x.denominator
+            out[q] = out.get(q, 0) + m
     match = want == got
     detail["spectral_match"] = match
     return structural and semisimple and match, detail
@@ -701,18 +692,43 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
 # graded model: Hodge-type filtration, its candidate opposite, and N
 
 
-def _residue_classes(pencil):
-    """(rho, res, indices) per residue class rho = alpha mod 1 = res / den.
+def _class_table(pencil):
+    """(res, indices, kmax) per residue class rho = alpha mod 1 = res / den.
 
-    res = o mod den is the class's integer residue, and the indices are
-    listed by (alpha_i, i).
+    res = o mod den is its integer residue, its indices are listed by
+    (alpha_i, i), and kmax = floor(alpha_max - rho) + 1.
     """
     den, orders = pencil.den, pencil.orders
     groups = {}
     for i, o in enumerate(orders):
         groups.setdefault(o % den, []).append(i)
-    return [(Fraction(res, den), res, sorted(groups[res], key=lambda i: (orders[i], i)))
-            for res in sorted(groups)]
+    return [(res, sorted(idx, key=lambda i: (orders[i], i)), (orders[-1] - res) // den + 1)
+            for res, idx in sorted(groups.items())]
+
+
+def _fprime_rows(pencil, gauge, table):
+    """`opposite_filtration` on integers: [c][k] lists the basis of F'^k of
+    class c as stored rows (`Echelon.integer_row`) at the class's slots,
+    (position -> numerator, den)."""
+    mu, den, orders = pencil.mu, pencil.den, pencil.orders
+    key = _order_keys(pencil)
+    columns = _columns(_trim(gauge) or [identity(mu)], mu)
+    # orders times den: top and the cutoff are floors of quotients by den
+    top = max(den * s + orders[i] for col in columns for i, s, _ in col)
+    cutoff = (top - table[0][0]) // den
+    # each class's order-rho slot keys and positions, by key
+    symbols = [sorted((key(i, (res - orders[i]) // den), t) for t, i in enumerate(idx))
+               for res, idx, _ in table]
+    out = [[[] for _ in range(kmax + 2)] for _, _, kmax in table]
+    ech = Echelon()
+    for k in range(cutoff, -1, -1):
+        for col in columns:
+            ech.insert({key(i, s - k): c for i, s, c in col})
+        for slots, fpr in zip(symbols, out):
+            if k < len(fpr):
+                fpr[k] = [({t: num[q] for q, t in slots if q in num}, d)
+                          for num, _, d in (ech.integer_row(p) for p, _ in slots if p in ech)]
+    return out
 
 
 def opposite_filtration(pencil: ConnectionPencil, gauge):
@@ -721,7 +737,7 @@ def opposite_filtration(pencil: ConnectionPencil, gauge):
     The slot theta^s e_i has Newton order s + alpha_i.  For the class rho,
     F'^k collects the order-rho parts of the elements of order <= rho in the
     span of theta^-m P_j over the gauge columns P_j and m >= k; a basis
-    vector lists them at the class's indices (see `_residue_classes`), and
+    vector lists them at the class's indices (see `_class_table`), and
     kmax_rho = floor(alpha_max - rho) + 1.
 
     The span is cut off exactly, not truncated.  Let top be the largest
@@ -737,41 +753,25 @@ def opposite_filtration(pencil: ConnectionPencil, gauge):
     adapted or not, with P_0 singular or not.
 
     Those spans grow as k falls, so one reduced echelon serves every k and
-    every class: the layers m = M, M-1, ..., 0 are inserted once each,
-    pivoting on their highest-order slot, and F'^k is read after layer k.
-    The echelon's rows whose pivot has order <= rho span exactly (span cap
-    V_rho), and those of order < rho have nothing of order rho, so the rows
-    whose pivot has order rho give F'^k of that class.  They are zero in
-    each other's pivots, so their order-rho parts are a basis of F'^k,
-    listed by pivot.
+    every class (`_fprime_rows`): the layers m = M, M-1, ..., 0 are inserted
+    once each, pivoting on their highest-order slot, and F'^k is read after
+    layer k.  The echelon's rows whose pivot has order <= rho span exactly
+    (span cap V_rho), and those of order < rho have nothing of order rho, so
+    the rows whose pivot has order rho give F'^k of that class.  They are
+    zero in each other's pivots, so their order-rho parts are a basis of
+    F'^k, listed by pivot.
     """
-    mu, den, orders = pencil.mu, pencil.den, pencil.orders
-    classes = _residue_classes(pencil)
-    key = _order_keys(pencil)
-    columns = _columns(_trim(gauge) or [identity(mu)], mu)
-    # orders times den: top, cutoff and kmax are floors of quotients by den
-    top = max(den * s + orders[i] for col in columns for i, s, _ in col)
-    cutoff = (top - classes[0][1]) // den
-    kmax = {rho: (orders[-1] - res) // den + 1 for rho, res, _ in classes}
-    # keys of each class's order-rho slots, in the class's order
-    symbols = [(rho, [key(i, (res - orders[i]) // den) for i in idx])
-               for rho, res, idx in classes]
-    out = {rho: [[] for _ in range(kmax[rho] + 2)] for rho, _, _ in classes}
-    ech = Echelon()
-    for k in range(cutoff, -1, -1):
-        for col in columns:
-            ech.insert({key(i, s - k): c for i, s, c in col})
-        for rho, slots in symbols:
-            if k <= kmax[rho] + 1:
-                rows = [ech.row(p) for p in sorted(slots) if p in ech]
-                out[rho][k] = [[row.get(q, Fraction(0)) for q in slots] for row in rows]
-    return out
+    table = _class_table(pencil)
+    return {Fraction(res, pencil.den):
+            [[[Fraction(v.get(t, 0), d) for t in range(len(idx))] for v, d in rows]
+             for rows in fpr]
+            for (res, idx, _), fpr in zip(table, _fprime_rows(pencil, gauge, table))}
 
 
 def graded_model(pencil: ConnectionPencil, gauge):
     """Per residue class: N, the two filtrations, oppositeness and (B).
 
-    F'^k comes from `opposite_filtration`, so the gauge need not have the
+    F'^k comes from `_fprime_rows`, so the gauge need not have the
     triangular pattern.  Raises GradedModelError when N is not nilpotent on
     a class; that check holds under `python -O`.
 
@@ -784,20 +784,18 @@ def graded_model(pencil: ConnectionPencil, gauge):
     for every basis vector v of F'^k against the echelon before F'^k goes
     in, when it still spans F'^{k+1}.
 
-    The verdicts run on integers.  Within a class the orders differ by
-    multiples of den, so the theta power alpha_i - alpha_j + 1 of an entry
-    of N is (o_i - o_j) // den + 1, and hodge[k] counts o_i <= res + k * den.
-    N is nilpotent iff D N is, D a common denominator of N, so (D N)^dim is
-    formed over the integers, and the rank of N is that of D N, the size of
-    one echelon of its rows; (B) reduces D N v for every F'^k vector v
-    scaled to integers, and the echelon takes those scaled vectors: scaling
-    a row changes neither the span of an `Echelon` nor its pivots.
+    The verdicts run on integers (module docstring).  Within a class the
+    orders differ by multiples of den, so the theta power
+    alpha_i - alpha_j + 1 of an entry of N is (o_i - o_j) // den + 1, and
+    hodge[k] counts o_i <= res + k * den.  (D N)^dim and the rank of N, one
+    echelon of the rows of D N, are formed on integers, and (B) reduces D N v
+    for the numerators v of every F'^k vector.
     """
     degrees = pencil.degrees
     den, orders = pencil.den, pencil.orders
-    classes = _residue_classes(pencil)
-    nmats = {}
-    for rho, _, idx in classes:
+    table = _class_table(pencil)
+    nmats = []
+    for res, idx, _ in table:
         dim = len(idx)
         pos = {i: t for t, i in enumerate(idx)}
         # N on the class: N e_i = alpha_i e_i - sum_j (B_{alpha_i - alpha_j + 1})_{ji} e_j,
@@ -810,23 +808,20 @@ def graded_model(pencil: ConnectionPencil, gauge):
                     if ti is not None and (orders[i] - orders[j]) // den + 1 == k:
                         acc[tj][ti] = acc[tj].get(ti, 0) - x
         nmat = [{c: x for c, x in row.items() if x} for row in acc]
-        d = lcm(*(x.denominator for row in nmat for x in row.values()))
-        scaled = [{c: _times(x, d) for c, x in row.items()} for row in nmat]
-        if not _product_vanishes([scaled] * dim, dim):
+        scaled = _scaled([nmat])[1][0]
+        if not _product_vanishes(scaled, [0] * dim):
+            rho = Fraction(res, den)
             raise GradedModelError("N is not nilpotent on residue class %s" % rho, rho)
         span = Echelon()
         for row in scaled:
             span.insert(row)
-        nmats[rho] = nmat, scaled, len(span)
-    fprime = opposite_filtration(pencil, gauge)
+        nmats.append((nmat, scaled, len(span)))
     all_ok_opposite = True
     all_ok_b = True
     out = []
-    for rho, res, idx in classes:
+    for (res, idx, kmax), (nmat, scaled, n_rank), fpr in zip(
+            table, nmats, _fprime_rows(pencil, gauge, table)):
         dim = len(idx)
-        nmat, scaled, n_rank = nmats[rho]
-        fpr = fprime[rho]
-        kmax = len(fpr) - 2
         hodge = {k: sum(1 for i in idx if orders[i] <= res + k * den)
                  for k in range(-1, kmax + 2)}
         ncols = [[] for _ in range(dim)]
@@ -837,19 +832,15 @@ def graded_model(pencil: ConnectionPencil, gauge):
         opp = True
         bgood = True
         for k in range(kmax + 1, -1, -1):
-            basis = []
-            for v in fpr[k]:
-                d = lcm(*(x.denominator for x in v))
-                basis.append({c: _times(x, d) for c, x in enumerate(v) if x})
             if k <= kmax:
-                for v in basis:
+                for v, _ in fpr[k]:
                     img = {}
                     for c, x in v.items():
                         for r, y in ncols[c]:
                             img[-r] = img.get(-r, 0) + y * x
-                    if ech.reduce(img)[0]:
+                    if img and ech.integer_reduce(img)[0]:
                         bgood = False
-            for v in basis:
+            for v, _ in fpr[k]:
                 ech.insert({-c: x for c, x in v.items()})
             # oppositeness: F_{k-1} cap F'^k = 0 and F_k = (F_k cap F'^k) + F_{k-1}
             low = sum(1 for p in ech.pivots if -p < hodge[k - 1])
@@ -858,7 +849,7 @@ def graded_model(pencil: ConnectionPencil, gauge):
                 opp = False
         out.append(
             {
-                "residue": str(rho),
+                "residue": str(Fraction(res, den)),
                 "indices": idx,
                 "n_matrix": dense_strings(nmat, dim),
                 "n_rank": n_rank,

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .birkhoff import BirkhoffObstruction
 from .brieskorn import BrieskornElement
@@ -88,7 +88,51 @@ class SystemExit2(Exception):
 
 
 def _emit_json(obj):
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    """Write json.dumps(obj, indent=2) and a newline, byte for byte, for obj
+    of str, int, bool, None, list, tuple and dicts with str keys (else
+    TypeError).  A list of strings alone (a matrix row) or of ints alone is
+    one join, over the C string encoder."""
+    out = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
+
+
+def _encode(obj, pad, out):
+    """Append the text of obj to out; pad opens obj's own line."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind not in (list, tuple, dict):
+        raise TypeError("%s is not JSON serializable" % kind.__name__)
+    elif not obj:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError("keys must be str")
+            out.append(sep + _quote(key) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif (kinds := set(map(type, obj))) == {str} or kinds == {int}:
+        inner = pad + "  "
+        text = map(_quote if str in kinds else int.__repr__, obj)
+        out.append("[" + inner + ("," + inner).join(text) + pad + "]")
+    else:
+        inner = pad + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
 
 
 def _lin_form(coeffs):

@@ -7,7 +7,8 @@ inside the tests (Ehrhart point counts, brute-force quotients).
 
 pipeline(expr) is the package's own `Pipeline` for one expression, kept
 for the whole session: a test reads the stages it needs as attributes
-(`pipeline(expr).pencil`), and only those stages are built.
+(`pipeline(expr).pencil`), and only those stages are built.  recipe_draws
+gives the seeded random inputs of ROADMAP item 1's recipe.
 
 The package keeps a matrix as sparse rows, row i a dict column -> nonzero
 entry; sparse and dense convert a dense list of lists to that format and
@@ -44,6 +45,7 @@ the per-subset nullspace hull (here on dense_rref) that the pruned
 enumeration and the integer minors replaced.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, floor, gcd, lcm
@@ -53,6 +55,7 @@ from newton_spectra import (
     BrieskornElement,
     DegeneracySuspectedError,
     LaurentPolynomial,
+    NotConvenientError,
     Pipeline,
     parse_laurent,
 )
@@ -97,6 +100,32 @@ def pipeline(expr):
     if expr not in _CACHE:
         _CACHE[expr] = Pipeline(*parse_laurent(expr))
     return _CACHE[expr]
+
+
+def recipe_draws(count, max_mu=15):
+    """The first `count` accepted draws of ROADMAP item 1's recipe from
+    random.Random(11), as expressions: n from {1, 2, 2, 2}, 3-6 exponents
+    in [-3, 3]^n without the origin, coefficients from {-2, -1, 1, 2, 3};
+    a draw is accepted when it is convenient and nondegenerate with
+    mu <= max_mu."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < count:
+        n = rng.choice([1, 2, 2, 2])
+        size = rng.randint(3, 6)
+        exps = set()
+        while len(exps) < size:
+            e = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(e):
+                exps.add(e)
+        f = LaurentPolynomial(n, {e: rng.choice([-2, -1, 1, 2, 3]) for e in sorted(exps)})
+        data = Pipeline(f, ["u%d" % (i + 1) for i in range(n)])
+        try:
+            if data.mu <= max_mu and data.certificate.ok:
+                out.append(f.format())
+        except (NotConvenientError, DegeneracySuspectedError):
+            pass
+    return out
 
 
 def dense_rref(a):

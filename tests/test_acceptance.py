@@ -8,7 +8,9 @@ report, and byte-determinism of the JSON report.  Everything is exact
 rational arithmetic; there are no tolerances anywhere.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -17,7 +19,18 @@ import sys
 import warnings
 from fractions import Fraction as F
 
-from conftest import CORPUS, LADDER, dense, pipeline, sparse
+import pytest
+
+from conftest import (
+    CORPUS,
+    DEGENERATE,
+    LADDER,
+    NOT_CONVENIENT,
+    dense,
+    pipeline,
+    recipe_draws,
+    sparse,
+)
 from test_jacobian import _bruteforce_quotient_dim
 
 from newton_spectra import (
@@ -25,6 +38,7 @@ from newton_spectra import (
     BrieskornElement,
     JacobianAlgebra,
     LaurentPolynomial,
+    analyze_text,
     divide,
     euler_field,
     gauge_residual,
@@ -37,7 +51,7 @@ from newton_spectra import (
     verify_v_plus,
     verify_v_solution,
 )
-from newton_spectra.cli import main
+from newton_spectra.cli import _emit_json, main
 from newton_spectra.frobenius import _column_orders
 from newton_spectra.linalg import charpoly, identity
 
@@ -566,3 +580,151 @@ def test_matrix_rows_store_no_zeros():
         mats = [*data.pencil.matrices, *sol.gauge, sol.a0, sol.ainf]
         assert all(len(m) == data.pencil.mu for m in mats), expr
         assert all(x != 0 for m in mats for row in m for x in row.values()), expr
+
+
+# 19. the --json writer: `cli._emit_json` writes json.dumps(obj, indent=2)
+#     and a newline byte for byte, on random JSON values of the kinds the
+#     report is made of and on the report of every pinned input, and it
+#     refuses anything else (the report holds no floats)
+
+REJECTS = (*NOT_CONVENIENT, DEGENERATE, "u1^^2")
+
+
+def _written(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(obj)
+    return out.getvalue()
+
+
+def test_json_writer_matches_json_dumps_on_random_values():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # every code point, lone surrogates included, and the escaped ones
+    chars = st.characters(exclude_categories=()) | st.sampled_from(
+        '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600')
+    strings = st.text(chars, max_size=6)
+    ints = st.integers() | st.integers(min_value=-(10 ** 60), max_value=10 ** 60)
+    scalars = st.none() | st.booleans() | ints | strings
+    values = st.recursive(
+        scalars | st.lists(strings) | st.lists(ints),
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(strings, inner, max_size=4)),
+        max_leaves=24)
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(values)
+    def check(value):
+        assert _written(value) == json.dumps(value, indent=2) + "\n"
+
+    check()
+
+
+def test_json_writer_matches_json_dumps_on_every_pinned_report():
+    parsed = [e for e, _, _ in CORPUS] + list(LADDER) + [NEGATIVE, *SWEEP2_BIRKHOFF_SHA256]
+    reports = [pipeline(expr).report() for expr in parsed]
+    reports += [analyze_text(expr) for expr in (*REJECTS, *recipe_draws(100))]
+    assert {status for _, status in reports} == {"ok", "invalid", "obstruction"}
+    for report, _ in reports:
+        assert _written(report) == json.dumps(report, indent=2) + "\n"
+
+
+def test_json_writer_refuses_what_the_report_never_holds():
+    for value in (F(1, 2), 0.5, {"a": [1, F(1, 2)]}, ["0", 0.5], {1: "x"},
+                  {"a": {None: 1}}, {"a": {"b"}}):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(TypeError):
+            _emit_json(value)
+        assert out.getvalue() == "", value
+
+
+# 20. the CLI's own bytes: sha256 and exit code of the complete stdout of
+#     `analyze --json --seed 0` and of `birkhoff --json`, taken from the
+#     implementation that wrote every report with json.dumps(obj, indent=2);
+#     the tests above hash the report dicts through json.dumps, so they
+#     cannot see a byte drift of the writer
+
+SWEEP2 = tuple(SWEEP2_BIRKHOFF_SHA256)
+CLI_JSON_SHA256 = {
+    "u1 + u1^-1": (
+        ("480a2facd95a1db76953b293826bbcf3a0617732e87d1cb76f1cd9f4643b472e", 0),
+        ("4b0663011ddbffeea54969af38ff69433ee19cc34ca0278f1a0061ec9b7aef98", 0)),
+    "u1 + u1^-2": (
+        ("548574621e36af0fbf796fc295cb671c0c38ef7a2e291439bf358d734bcd067f", 0),
+        ("2fdecf7b4480572e0476cc0a920dc447733fe91d16ec81b4ef9e5402ebf3e692", 0)),
+    "u1^3 + u1 + u1^-2": (
+        ("1fed68c39d7aa7d0bc578085399658c3e3ea9b78c1ffa29125c97c5a85784dc1", 0),
+        ("1d711794f8e7bc0869515b050236ac2ec8b048ad8a71c0eed8450f3f45d0b771", 0)),
+    "u1 + u2 + u1^-1*u2^-1": (
+        ("6c6665d900d694df0c2ae7708dfbc64eab1e89bfd99c6b012989252874f38205", 0),
+        ("194e3f3ebde034f7e7b011462dd93c9ad0070cd09eeab874c71c186a73b2be98", 0)),
+    "u1^2 + u2 + u1^-1*u2^-1": (
+        ("8449452b1e8b2cd76f5ade7a3770a50677e13b004e82ff8f44fea6c6fd124436", 0),
+        ("5ffcfbf108f212f356a6a37100f04b6d83afd67d9f3390588726ff944d5eaa58", 0)),
+    "u1^2 + u2^2 + u1^-1*u2^-1": (
+        ("4d39b583496e872a5ae605f6c20073c19a6b6d2d4484fe128cec4e467456cdf1", 0),
+        ("a79db5e5f0fe031cdf2b71d5c9b0405b6df8862db9832c8c1d5811f940a795db", 0)),
+    "u1^3 + u2^3 + u1^-1*u2^-1": (
+        ("7fa5c5d50fd89f919a567d9a5f32a69a9c725696e84546f363c99bed2e4ac236", 0),
+        ("82b243bd2ded9dee0963782f8e7a2a5814dbed070ff8e21915064e6c8798ff39", 0)),
+    "u1*u2*u3 + u1^-1 + u2^-1 + u3^-1": (
+        ("61c0e2b3b3d69a87619e3b79e6a1a87a1fc96a1d7d2a39878b69f6cf9e583eaa", 0),
+        ("8b007cb1050d0aa216bf1d9a0295f362cb22c976503056c251dc94b44d68729e", 0)),
+    "u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1": (
+        ("838d3751390e075cbe93b8710b5c27339d941085f0a1d4e3e17d96b275e87451", 0),
+        ("57e67db6bc0c5d80319f2d337fa1647da9f9f3cce33357e3e9ea5e049feb369f", 0)),
+    "u1 + u2": (
+        ("0c63089cf43dfe177e0c62a349e90bd01cf352016db247edbeadc7228d682450", 2),
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2)),
+    "u1 + u1^2": (
+        ("a11808bc9581d426cadbacdec856b41cfa860db4ce6941250247011f94c8bfac", 2),
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2)),
+    "u1 + u2 + u1*u2": (
+        ("f19018c93e123a381b1f243977b980ee9aba2a08edf451d93ed784c76316053e", 2),
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2)),
+    "u1^2 - 2*u1*u2 + u2^2 + u1^-1*u2^-1": (
+        ("600e7ec8e4b378e35a83fbfa6f7690c21c6ddcf67a3d6475704995c355e47686", 2),
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2)),
+    "u1^^2": (
+        ("51cf1fdc2a6a9287514a0fe35a01babe19c0df27d83c94c5ccac15808d8bf59b", 2),
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2)),
+    "u1^4 + u1^-4": (
+        ("01da7ccc8408c47148d44bf5d7d3f8baf10e9c6055bd90765751a874d6904996", 0),
+        ("de9f150920380e94566b76fcde88e2c11fba4b9674c6b00c847ca23696d1ab6d", 0)),
+    "u1^5 + u1^-5": (
+        ("29a3e8e15ba33c94e064bec4c720e05bb7e24a096a9edf428cbf2f4c9c862714", 0),
+        ("957fe9c17c02f57e5cd28771662cc4d87a9a97c3b6ec9b19c6900ad3c1577cb2", 0)),
+    "u1^6 + u1^-6": (
+        ("1ff94d94910fea053a274090123b1a627a47bc552fbb15eb311140434e99d7b2", 0),
+        ("6dcf32bcd30006820834abb859dd65f2a650750158ed6745d5582df51a9c0db4", 0)),
+    "u1^7 + u1^-7": (
+        ("602b98d1cee915d4bb68e8522f3c36e7da819111cc3510f5b6a13bdc25b6e2f3", 0),
+        ("5ad6c077b45f512dd9bb007c0436213cc644a15ae499371ec650c9dbc8b4f9ff", 0)),
+    "u1^8 + u1^-8": (
+        ("affb9226711cb3fe06232bc7329350a98d29b7b847288948d059cacd70139f54", 0),
+        ("2bf545fb296d322cebf133d464d23547b37f6393ef88ac4061383e332cf35e8c", 0)),
+    NEGATIVE: (
+        ("0a165dc636bc768e5ba4f126e9fafcead04aa7ade21e3601b8d715f14be172ca", 0),
+        ("f832a0054df272c4aa60c319842311dd2a0efc59ee7122c59cea722d322f4043", 0)),
+    SWEEP2[0]: (
+        ("454e9b227ccae484bfc42753102c215d8c76310af1239260ab61c2eb39d63141", 0),
+        ("7f2780571565f8d56ad8b037b17a0232c10b3073426d1063d8567fece360a0b1", 0)),
+    SWEEP2[1]: (
+        ("7ad67263a9717991e6d8fb44d91346a955b733b2b26eb63b0f1295df74466cd6", 0),
+        ("0de99b231f0dff054dc812495675192a2e54f3e9a02841841c33b68a6a61204d", 0)),
+    "1/2*u1^3 + u1 + 2/3*u1^-2": (
+        ("414f5def1f22ae269c8061cb62ff54e99938c765b36f5674d56ad66b4f2f40e6", 0),
+        ("8aa7a8e46b09aa2ebb1742dc93b26f47c6c8a77066254bdd9dd5f56ecdaa86f6", 0)),
+}
+
+
+def test_cli_json_stdout_unchanged(capsys):
+    spectral = ["u1^%d + u1^-%d" % (k, k) for k in range(4, 9)]
+    assert list(CLI_JSON_SHA256) == ([e for e, _, _ in CORPUS] + list(REJECTS) + spectral
+                                     + [NEGATIVE, *SWEEP2, list(RATIONAL_SHA256)[1]])
+    for expr, pins in CLI_JSON_SHA256.items():
+        for argv, pin in zip((["analyze", "--json", "--seed", "0", expr],
+                              ["birkhoff", "--json", expr]), pins):
+            rc = main(argv)
+            out = capsys.readouterr().out
+            assert (hashlib.sha256(out.encode()).hexdigest(), rc) == pin, argv

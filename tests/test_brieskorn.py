@@ -16,6 +16,7 @@ from conftest import (
     LADDER,
     dense,
     pipeline,
+    recipe_draws,
     reference_reduce,
     reference_spectrum_polynomial,
     sparse,
@@ -28,7 +29,6 @@ from newton_spectra import (
     DegeneracySuspectedError,
     JacobianAlgebra,
     LaurentPolynomial,
-    NotConvenientError,
     Pipeline,
     divide,
     parse_laurent,
@@ -43,33 +43,7 @@ from newton_spectra.cli import main
 RATIONAL = ("1/2*u1^3 + u1 + 2/3*u1^-2", "1/2*u1^2 + u2 + 2/3*u1^-1*u2^-1")
 
 
-def _recipe_draws(count, max_mu=15):
-    """The first `count` accepted draws of ROADMAP item 1's recipe from
-    random.Random(11), as expressions: n from {1, 2, 2, 2}, 3-6 exponents
-    in [-3, 3]^n without the origin, coefficients from {-2, -1, 1, 2, 3};
-    a draw is accepted when it is convenient and nondegenerate with
-    mu <= max_mu."""
-    rng = random.Random(11)
-    out = []
-    while len(out) < count:
-        n = rng.choice([1, 2, 2, 2])
-        size = rng.randint(3, 6)
-        exps = set()
-        while len(exps) < size:
-            e = tuple(rng.randint(-3, 3) for _ in range(n))
-            if any(e):
-                exps.add(e)
-        f = LaurentPolynomial(n, {e: rng.choice([-2, -1, 1, 2, 3]) for e in sorted(exps)})
-        data = Pipeline(f, ["u%d" % (i + 1) for i in range(n)])
-        try:
-            if data.mu <= max_mu and data.certificate.ok:
-                out.append(f.format())
-        except (NotConvenientError, DegeneracySuspectedError):
-            pass
-    return out
-
-
-DRAWS = _recipe_draws(40)
+DRAWS = recipe_draws(40)
 
 
 def test_pencil_one_variable_hand_values():
