@@ -279,13 +279,13 @@ class BrieskornLattice:
                     "connection pencil has theta-degree %d > %d" % (top, self.algebra.n)
                 )
             # order bound: t raises the Newton order by at most one, that is
-            # orders[i] + k * od <= orders[j] + od on the integer orders
-            od, orders = integer_orders(degrees)
+            # s_i + k * d <= s_j + d on the scaled degrees s
+            d, s = self.algebra.d, self.basis.scaled_degrees
             rows = [[{} for _ in range(mu)] for _ in range(top + 1)]
             for j, col in enumerate(columns):
-                bound = orders[j] + od
+                bound = s[j] + d
                 broken = [divmod(key, _THETA) for key in col
-                          if orders[key % _THETA] + key // _THETA * od > bound]
+                          if s[key % _THETA] + key // _THETA * d > bound]
                 if broken:
                     k, i = min(broken, key=lambda ki: (ki[1], ki[0]))
                     raise DegeneracySuspectedError(

@@ -62,7 +62,7 @@ def _build_parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument(
             "--max-level", type=int, default=2,
-            help="phi cutoff for the property suites (check command)",
+            help="phi cutoff, at least 1, for the property suites (check command)",
         )
     return parser
 
@@ -326,6 +326,8 @@ def _random_element(rng, mu):
 
 
 def _run_check(args):
+    if args.max_level < 1:
+        raise SystemExit2("--max-level must be at least 1")
     text = _read_input(args)
     names = tuple(args.vars.split(",")) if args.vars else None
     try:

@@ -296,8 +296,7 @@ class Pipeline:
             report["mu"] = self.mu
             stage = "basis"
             basis = self.basis.to_json_obj()
-            basis["graded_dims"] = [self.algebra.graded_dimension(r)
-                                    for r in range(n * self.polytope.scale + 1)]
+            basis["graded_dims"] = self.algebra.graded_dims(0, n * self.polytope.scale)
             report["basis"] = basis
             stage = "spectrum"
             report["spectrum"] = self.spectrum.to_json_obj()

@@ -2,7 +2,8 @@
 
 Everything is organized by the scaled Newton degree r = scale * phi, an
 integer.  One enumeration of the lattice points fills a level table,
-exponent -> scaled level, and the sorted monomial list of every level; an
+exponent -> scaled level, and the graded-lex monomial list of each occupied
+level; an empty level has graded dimension 0 and is never visited.  An
 exponent outside the table has its level computed from the facet forms.
 For each level r the multiples u^m * lead(xi_i(f)) of the leading forms of
 the n logarithmic derivatives, with m at level r - scale, span a subspace
@@ -11,13 +12,11 @@ span: columns are the positions of the level's monomials in graded-lex
 order, rows go in in (i, m) order and carry the label (i, m) as provenance.
 The rows are the leading forms scaled to integers (see below), which moves
 neither the span nor the pivots, so a level echelon is built on integers
-alone.  Non-pivot
-monomials are the canonical graded representatives; collecting them for
-r = 0 .. n*scale gives the adapted basis, and reducing against the echelon
-gives division with certified cofactors read off the provenance.
-The levels n*scale + 1 .. (n+1)*scale are the window that
-`nondegeneracy.is_nondegenerate` reads: all of them are empty exactly when f
-is nondegenerate.
+alone.  Non-pivot monomials are the canonical graded representatives;
+collecting them for r = 0 .. n*scale gives the adapted basis.
+The levels n*scale + 1 .. (n+1)*scale are the window whose `graded_dims`
+`nondegeneracy.is_nondegenerate` reads: all of them are 0 exactly when f is
+nondegenerate.
 
 Division runs on monomial rewrite rules read off the level echelons.  The
 leading forms and the log derivatives enter scaled by L, the least common
@@ -56,7 +55,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import DegeneracySuspectedError, NotInIdealError
-from .laurent import LaurentPolynomial, term_key
+from .laurent import LaurentPolynomial
 from .linalg import Echelon
 from .polytope import NewtonPolytope, newton_polytope
 
@@ -125,8 +124,8 @@ class JacobianAlgebra:
              for e, c in xi.terms.items() if p.scaled_phi_exp(e) == self.d}
             for xi in self.log_derivs
         ]
-        self._levels = {}          # scaled level -> sorted monomial list
-        self._index = {}           # scaled level -> monomial -> echelon column
+        self._levels = {}          # occupied scaled level -> graded-lex monomial list
+        self._index = {}           # occupied scaled level -> monomial -> echelon column
         self._level_of = {}        # enumerated monomial -> scaled level
         self._level_max = -1
         self._solvers = {}
@@ -142,17 +141,12 @@ class JacobianAlgebra:
         # one enumeration serves the basis and the nondegeneracy window
         # n*d + 1 .. n*d + d; only a division above it enumerates again
         r = max(r, (self.n + 1) * self.d)
-        pts = self.polytope.enumerate_sublevel(Fraction(r, self.d))
-        levels = {}
+        levels = self._levels = {}
         level_of = self._level_of
-        for e in pts:
+        for e in self.polytope.enumerate_sublevel(Fraction(r, self.d)):
             level_of[e] = k = self.polytope.scaled_phi_exp(e)
             levels.setdefault(k, []).append(e)
-        for k in range(r + 1):
-            lst = levels.get(k, [])
-            lst.sort(key=term_key)
-            self._levels[k] = lst
-            self._index[k] = {e: j for j, e in enumerate(lst)}
+        self._index = {k: {e: j for j, e in enumerate(lst)} for k, lst in levels.items()}
         self._level_max = r
 
     def level(self, exp) -> int:
@@ -161,15 +155,13 @@ class JacobianAlgebra:
         return self.polytope.scaled_phi_exp(exp) if k is None else k
 
     def level_monomials(self, r: int):
-        if r < 0:
-            return []
         self._ensure_levels(r)
         return self._levels.get(r, [])
 
     def solver(self, r: int) -> Echelon:
         if r not in self._solvers:
             self._ensure_levels(r)
-            index = self._index[r]
+            index = self._index.get(r, {})
             ech = Echelon()
             for i in range(self.n):
                 lead = self.leading[i]
@@ -245,12 +237,22 @@ class JacobianAlgebra:
     def graded_dimension(self, r: int) -> int:
         return len(self.representatives(r))
 
+    def graded_dims(self, lo: int, hi: int) -> list:
+        """Graded dimensions of the levels lo..hi, 0 on a level with no monomial."""
+        self._ensure_levels(hi)
+        dims = [0] * (hi - lo + 1)
+        for r in self._levels:
+            if lo <= r <= hi:
+                dims[r - lo] = self.graded_dimension(r)
+        return dims
+
     def basis(self) -> AdaptedBasis:
         if self._basis is None:
             monomials = []
             scaled = []
             top = self.n * self.d
-            for r in range(top + 1):
+            self._ensure_levels(top)
+            for r in sorted(k for k in self._levels if k <= top):
                 for e in self.representatives(r):
                     monomials.append(e)
                     scaled.append(r)

@@ -333,6 +333,9 @@ def parse_laurent(text: str, var_names=None):
 
     if var_names is not None:
         names = list(var_names)
+        for i, s in enumerate(names):
+            if s in names[:i]:
+                raise LaurentParseError("variable %r named twice in %s" % (s, names), 0)
         unknown = [s for s in seen if s not in names]
         if unknown:
             raise LaurentParseError("variable %r not among %s" % (unknown[0], names), 0)

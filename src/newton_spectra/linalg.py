@@ -24,12 +24,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def identity(n: int):
     """The n x n identity as sparse rows."""
     return [{i: 1} for i in range(n)]
@@ -376,7 +370,7 @@ def pol_deriv(p):
 
 
 def pol_eval(p, x):
-    x = frac(x)
+    x = Fraction(x)
     acc = Fraction(0)
     for c in reversed(pol_trim(p)):
         acc = acc * x + c

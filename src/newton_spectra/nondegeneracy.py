@@ -96,10 +96,12 @@ def is_nondegenerate(algebra) -> NondegeneracyCertificate:
     p = algebra.polytope
     lo = algebra.n * algebra.d + 1
     hi = algebra.n * algebra.d + algebra.d
-    dims = tuple(algebra.graded_dimension(r) for r in range(lo, hi + 1))
-    bad = next((r for r, k in zip(range(lo, hi + 1), dims) if k), None)
+    dims = algebra.graded_dims(lo, hi)
+    # scanned in C, as d can exceed 10^7: the first entry equal to the first
+    # nonzero dimension is the first nonzero one
+    bad = lo + dims.index(next(filter(None, dims))) if any(dims) else None
     faces = tuple(
         (_face_dim(p, ids), tuple(p.vertices[i] for i in ids))
         for ids in p.faces
     )
-    return NondegeneracyCertificate(bad is None, (lo, hi), dims, faces, bad)
+    return NondegeneracyCertificate(bad is None, (lo, hi), tuple(dims), faces, bad)

@@ -179,6 +179,24 @@ def test_analyze_json_on_invalid_input_carries_error(capsys):
     assert report["mu"] is None
 
 
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_check_refuses_a_max_level_below_one(capsys, level):
+    # no monomial lies at phi <= 0 but the origin, so no random form could
+    # be drawn; the value is refused before the pipeline runs
+    rc, out, err = run_cli(capsys, ["check", "--max-level", level, "u1 + u1^-1"])
+    assert (rc, out, err) == (2, "", "error: --max-level must be at least 1\n")
+
+
+def test_repeated_variable_name_exits_2_at_parse(capsys):
+    rc, out, _ = run_cli(capsys, ["analyze", "--json", "--vars", "x,x", "x + x^-1"])
+    assert rc == 2
+    error = json.loads(out)["error"]
+    assert error["stage"] == "parse" and error["type"] == "LaurentParseError"
+    assert "variable 'x' named twice" in error["message"]
+    rc, _, err = run_cli(capsys, ["check", "--vars", "x,x", "x + x^-1"])
+    assert rc == 2 and "variable 'x' named twice" in err
+
+
 def test_analyze_certifies_the_four_variable_mirror(capsys):
     # n = 4 has three-dimensional faces; the window certificate covers them
     # without --assume-nondegenerate, which changes nothing

@@ -293,6 +293,21 @@ def test_singular_constant_terms_match_the_dense_oracles():
             _check_against_oracles(pen, gauge, data.polytope.scale)
 
 
+def test_dependent_constant_parts_are_ranked_by_value():
+    # P_0 has columns (1,1,0,0), (0,1,1,0), (1,0,-1,0) and e_3: the first
+    # three have independent supports on the theta^0 slots but rank 2, so a
+    # direct-sum test that ranked their supports alone would miss the gap
+    degrees = (F(0), F(0), F(0), F(2))
+    zero = [[F(0)] * 4 for _ in range(4)]
+    pen = ConnectionPencil([sparse(zero), sparse(zero)], degrees)
+    p0 = [[F(x) for x in row]
+          for row in ((1, 0, 1, 0), (1, 1, 0, 0), (0, 1, -1, 0), (0, 0, 0, 1))]
+    p1 = [[F(int(i == j < 3)) for j in range(4)] for i in range(4)]
+    want = oracle_v_solution(degrees, [p0, p1], 2)
+    assert verify_v_solution(pen, [sparse(p0), sparse(p1)], 2)[1] == want
+    assert not all(level["ok"] for level in want)
+
+
 def _cutoff(degrees, gauge):
     """M = floor(top - rho_min), top the highest order of a nonzero gauge entry."""
     top = max(s + degrees[i] for s, g in enumerate(gauge)

@@ -87,6 +87,26 @@ def test_graded_dimensions_sum_to_mu():
         algebra.check_milnor(mu)
 
 
+def test_level_table_holds_occupied_levels_only():
+    # scale 140: 421 scaled levels up to 3 * 140, 361 of them occupied; the
+    # certificate and the basis visit only those, and graded_dims reads 0 on
+    # the others
+    f, _ = parse_laurent("u1^20 + u2^20 + u1^-3*u2^-7")
+    algebra = JacobianAlgebra(f)
+    assert is_nondegenerate(algebra).ok and len(algebra.basis()) == 600
+    p = algebra.polytope
+    occupied = {p.scaled_phi_exp(e) for e in p.enumerate_sublevel(3)}
+    assert p.scale == 140 and len(occupied) == 361
+    assert set(algebra._levels) == set(algebra._index) == occupied
+    assert set(algebra._solvers) <= occupied
+    cases = [(algebra, 0, 280), (algebra, 281, 420), (algebra, 17, 35)]
+    for expr, _, _ in CORPUS:
+        a = pipeline(expr).algebra
+        cases += [(a, 0, a.n * a.d), (a, a.n * a.d + 1, (a.n + 1) * a.d)]
+    for a, lo, hi in cases:
+        assert a.graded_dims(lo, hi) == [a.graded_dimension(r) for r in range(lo, hi + 1)]
+
+
 def test_adapted_basis_known_examples():
     b = pipeline("u1 + u1^-1").algebra.basis()
     assert b.monomials == ((0,), (1,)) and b.degrees == (0, 1)

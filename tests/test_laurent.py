@@ -51,6 +51,12 @@ def test_explicit_names():
         parse_laurent("z + x", ["x", "y"])
 
 
+def test_repeated_explicit_name_is_refused():
+    # both copies would map to one index and lose a dimension
+    with pytest.raises(LaurentParseError, match="variable 'x' named twice"):
+        parse_laurent("x + x^-1", ["x", "x"])
+
+
 @pytest.mark.parametrize(
     "bad",
     ["", "u1 +", "+ - u1", "u1^", "u1^x", "2*", "(u1 + u2)", "u1 u2", "3/0*u1", "$"],
