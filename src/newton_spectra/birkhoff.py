@@ -34,23 +34,23 @@ Order arithmetic runs on integers.  The pencil carries den, the least
 common denominator of the basis degrees, and the orders o_i = den * alpha_i
 as ints (`ConnectionPencil`), so the Newton order s + alpha_i of the slot
 theta^s e_i is (den * s + o_i) / den, and every comparison, floor and class
-residue of orders is one on integers.  The products and echelons that only
-decide a verdict run on integers as well, scaled by a common denominator D:
+residue of orders is one on integers: the normal-pencil test, the level
+counts, the structural test and the eigenvalue count of the spectral test,
+and the classes, N and Hodge dimensions of the graded model.  The products
+and echelons that only decide a verdict run on integers as well, scaled by
+a common denominator D:
  * D A - D r I = D (A - r I), so a product of such factors vanishes
    exactly when the unscaled product does (semisimplicity of A_inf);
  * (D N)^k = D^k N^k, so D N is nilpotent iff N is;
- * scaling a row by a nonzero number changes neither the span of an
-   `Echelon` nor its pivots, so the filtration echelons take integer
-   numerators;
- * the level count of `verify_v_solution` at alpha = r / scale is
-   floor(alpha - alpha_i) + 1 = (r * den - o_i * scale) // (scale * den) + 1
-   for each alpha_i <= alpha, that is, o_i * scale <= r * den.
+ * scaling a vector by a nonzero number changes neither the span of an
+   `Echelon`, nor its pivots, nor whether the vector lies in a span, so the
+   filtration echelons and the (B) test take integer numerators.
 Reported values stay Fractions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -88,11 +88,9 @@ def _trim(mats):
 def _scaled(mats):
     """(D, the matrices times D as int sparse rows), D the least common
     denominator of their entries (ints or Fractions)."""
-    mats = [[{j: x.as_integer_ratio() for j, x in row.items()} for row in m]
-            for m in mats]
-    d = lcm(*(q for m in mats for row in m for _, q in row.values()))
-    return d, [[{j: x * (d // q) for j, (x, q) in row.items()} for row in m]
-               for m in mats]
+    d = lcm(*{x.denominator for m in mats for row in m for x in row.values()})
+    return d, [[{j: x.numerator * (d // x.denominator) for j, x in row.items()}
+                for row in m] for m in mats]
 
 
 def gauge_residual(pencil: ConnectionPencil, gauge, a0, ainf):
@@ -393,12 +391,14 @@ def solve_birkhoff(pencil: ConnectionPencil):
     Raises VerificationError when a solved gauge fails the exact residual
     check; that check is explicit, so it also runs under `python -O`.
     """
-    mu = pencil.mu
-    d_mat = [{i: Fraction(a)} if a else {} for i, a in enumerate(pencil.degrees)]
+    mu, den, orders = pencil.mu, pencil.den, pencil.orders
+    d_mat = [{i: a} if a else {} for i, a in enumerate(pencil.degrees)]
     b0 = pencil.matrices[0]
     b1 = pencil.matrices[1] if pencil.degree else _empty(mu)
 
-    if pencil.degree <= 1 and b1 == d_mat:
+    if pencil.degree <= 1 and all(
+            row.keys() <= {i} and (x := row.get(i, 0)).numerator * den == orders[i] * x.denominator
+            for i, row in enumerate(b1)):
         # B = B_0 + theta diag(degrees) is normal already: every right-hand
         # side of the ansatz system is zero, so its solution with the free
         # unknowns zero is 0, and the gauge is I
@@ -483,14 +483,20 @@ def _order_keys(pencil):
     """Integer column keys for the slots theta^s e_i.
 
     The slot theta^s e_i has Newton order s + alpha_i = o / den with
-    o = den * s + orders[i] an integer, and key(i, s) = -o * mu + i.  Keys
-    are smaller for higher order, ties broken by i, so an `Echelon` over them
-    pivots every row on its highest-order entry; -(key // mu) gives back o.
+    o = den * s + orders[i] an integer, and key(i, s) = -o * mu + mu - 1 - r
+    with r the rank of i in (alpha_i, i) order, i itself when the degrees
+    ascend.  Keys are smaller for higher order, ties broken by the larger
+    rank, so an `Echelon` over them pivots every row on its highest-order
+    entry, and among those on the one that comes last in its residue class
+    (`_class_table`); -(key // mu) gives back o.
     """
     mu, den, orders = pencil.mu, pencil.den, pencil.orders
+    tie = [0] * mu
+    for r, i in enumerate(sorted(range(mu), key=orders.__getitem__)):
+        tie[i] = mu - 1 - r
 
     def key(i, s):
-        return -(den * s + orders[i]) * mu + i
+        return -(den * s + orders[i]) * mu + tie[i]
 
     return key
 
@@ -520,10 +526,10 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     the theta^0 parts of the counted rows; the rows only accumulate as alpha
     grows, so one more echelon takes those theta^0 parts incrementally.
 
-    The level test is on integers: alpha_i <= alpha reads
-    o_i * scale <= r * den, and the ambient count of slots theta^s e_i with
-    s + alpha_i <= alpha is then floor(alpha - alpha_i) + 1
-    = (r * den - o_i * scale) // (scale * den) + 1.
+    The levels run on integers in units of 1 / (scale * den): alpha is
+    r * den and the slot theta^s e_i has order (den * s + o_i) * scale.  The
+    ambient count is the number of slots of order <= alpha, the shifted one
+    drops s = 0; both bisect sorted slot orders.
     """
     mu, den, orders = pencil.mu, pencil.den, pencil.orders
     key = _order_keys(pencil)
@@ -534,20 +540,20 @@ def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
     constant = {key(i, 0) for i in range(mu)}
     low = Echelon()
     taken = 0
-    step = scale * den
+    top = orders[-1]
+    slots = sorted((den * s + o) * scale for o in orders for s in range((top - o) // den + 1))
+    bases = sorted(o * scale for o in orders)
     details = []
     ok = True
     r = 0
-    # level alpha = r / scale, compared as r * den against o * scale
-    while r * den <= orders[-1] * scale:
+    while r * den <= top * scale:
         level = r * den
         while taken < len(pivots) and -(pivots[taken] // mu) * scale <= level:
             num = span.integer_row(pivots[taken])[0]
             low.insert({p: x for p, x in num.items() if p in constant})
             taken += 1
-        gaps = [level - o * scale for o in orders if o * scale <= level]
-        shifted = sum(g // step for g in gaps)
-        ambient = shifted + len(gaps)
+        ambient = bisect_right(slots, level)
+        shifted = ambient - bisect_right(bases, level)
         good = taken + shifted == ambient and shifted + len(low) == ambient
         details.append(
             {"level": str(Fraction(r, scale)), "ambient": ambient, "lattice": taken,
@@ -582,29 +588,6 @@ def _split_over(cp, candidates):
     return sorted(roots.items()), cp
 
 
-def _eigenvalues(ainf, structural, candidates):
-    """Eigenvalues of A_inf as (sorted (root, mult) pairs, cofactor).
-
-    A structural A_inf has its eigenvalues on its diagonal, so they are read
-    off there, with cofactor [1].  Proof: order the indices by degree.  The
-    entries with deg(row) > deg(col) vanish, so A_inf is block upper
-    triangular with one diagonal block per degree value alpha, and that
-    block is alpha*I.  Hence det(S*I - A_inf) is the product of the
-    determinants of the diagonal blocks of S*I - A_inf, which is
-    prod_i (S - a_ii).
-
-    Any other A_inf has its characteristic polynomial split over the
-    candidates by `_split_over`.
-    """
-    if structural:
-        mult = {}
-        for i, row in enumerate(ainf):
-            x = row.get(i, Fraction(0))
-            mult[x] = mult.get(x, 0) + 1
-        return sorted(mult.items()), [Fraction(1)]
-    return _split_over(charpoly(ainf), candidates)
-
-
 def _product_vanishes(m, shifts):
     """Whether the product of the factors m - s I over the int shifts is zero.
 
@@ -612,10 +595,14 @@ def _product_vanishes(m, shifts):
     row e_i of the product takes them in its own order, v (m - s I) =
     v m - s v, no factor built: first the least diagonal entry of m on v's
     support, if unused.  On a structural m that clears v's lowest degree
-    block, so a diagonal m takes one factor per row.
+    block, so a diagonal m takes one factor per row, and a row that holds
+    at most its diagonal entry, a shift, vanishes without a product.
     """
     diag = [row.get(i, 0) for i, row in enumerate(m)]
+    given = set(shifts)
     for i in range(len(m)):
+        if diag[i] in given and m[i].keys() <= {i}:
+            continue
         v = {i: 1}
         left = list(shifts)
         while v:
@@ -636,54 +623,67 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
     """Spectral test: structure, semisimplicity, eigenvalue moduli = spectrum.
 
     The eigenvalues are not searched for.  When the structural test passes
-    they are the diagonal entries of A_inf (see `_eigenvalues`).  Otherwise
-    the characteristic polynomial is divided by (S - r) for every candidate
-    r: the diagonal entries of A_inf and +-alpha for every spectral value
-    alpha.  Whenever a cofactor of degree >= 2 is left, every +-alpha has
-    already been divided out, so the multiset of eigenvalue moduli cannot
-    equal the spectrum and spectral_match is False whatever the remaining
-    roots are.  Such an A_inf is reported with eigenvalues None and
-    semisimple False.
+    they are the diagonal entries of A_inf.  Proof: order the indices by
+    degree.  The entries with deg(row) > deg(col) vanish, so A_inf is block
+    upper triangular with one diagonal block per degree value alpha, and
+    that block is alpha*I.  Hence det(S*I - A_inf) is the product of the
+    determinants of the diagonal blocks of S*I - A_inf, which is
+    prod_i (S - alpha_i).  Otherwise the characteristic polynomial is
+    divided by (S - r) for every candidate r (`_split_over`): the diagonal
+    entries of A_inf and +-alpha for every spectral value alpha.  Whenever
+    a cofactor of degree >= 2 is left, every +-alpha has already been
+    divided out, so the eigenvalue moduli cannot match the spectrum: such
+    an A_inf is reported with eigenvalues None and semisimple False.
 
-    The eigenvalues found are re-checked on every input: semisimplicity is
-    the vanishing of the product of D A - D r I over the distinct roots
-    (module docstring); it and the structural test, on integer orders,
-    touch only the nonzero entries of A_inf.
+    Semisimplicity is checked on every input, as the vanishing of the
+    product of D A - D r I over the distinct roots (module docstring).  The
+    roots are counted and matched on numerators over one denominator.
     """
-    mu = len(degrees)
     detail = {}
-    _, orders = integer_orders(degrees)
-    diagonal = [ainf[i].get(i, Fraction(0)) for i in range(mu)]
+    den, orders = integer_orders(degrees)
     # structural: alpha_i on the diagonal, and every other nonzero entry
     # (i, j) has deg(i) < deg(j), so each degree block is alpha * I
-    structural = diagonal == list(degrees) and all(
-        j == i or orders[i] < orders[j] for i, arow in enumerate(ainf) for j in arow
-    )
+    structural = all(
+        (x := arow.get(i, 0)).numerator * den == orders[i] * x.denominator
+        and all(orders[i] < orders[j] for j in arow if j != i) for i, arow in enumerate(ainf))
     detail["structure"] = structural
-    candidates = list(diagonal)
-    for a, _ in spectrum_pairs:
-        candidates += [a, -a]
-    roots, cofactor = _eigenvalues(ainf, structural, candidates)
-    if len(cofactor) > 1:
-        detail["eigenvalues"] = None
-        detail["semisimple"] = False
-        detail["spectral_match"] = False
-        detail["note"] = (
-            "characteristic polynomial does not split over the candidate "
-            "eigenvalues (diagonal of A_inf and +-spectrum)"
-        )
-        return False, detail
-    detail["eigenvalues"] = [(str(r), m) for r, m in roots]
+    if structural:
+        rden, counts = den, {}
+        for o in orders:
+            counts[o] = counts.get(o, 0) + 1
+        roots = sorted(counts.items())
+    else:
+        candidates = [row.get(i, Fraction(0)) for i, row in enumerate(ainf)]
+        for a, _ in spectrum_pairs:
+            candidates += [a, -a]
+        split, cofactor = _split_over(charpoly(ainf), candidates)
+        if len(cofactor) > 1:
+            detail["eigenvalues"] = None
+            detail["semisimple"] = False
+            detail["spectral_match"] = False
+            detail["note"] = (
+                "characteristic polynomial does not split over the candidate "
+                "eigenvalues (diagonal of A_inf and +-spectrum)"
+            )
+            return False, detail
+        rden, nums = integer_orders([r for r, _ in split])
+        roots = [(r, m) for r, (_, m) in zip(nums, split)]
+    detail["eigenvalues"] = [(str(Fraction(r, rden)), m) for r, m in roots]
     # semisimple iff the product of D A - D r I over the roots vanishes
-    _, (scaled, droots) = _scaled([ainf, [{0: rt} for rt, _ in roots]])
-    semisimple = _product_vanishes(scaled, [row[0] for row in droots])
+    d = lcm(rden, *(x.denominator for row in ainf for x in row.values()))
+    scaled = [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
+              for row in ainf]
+    semisimple = _product_vanishes(scaled, [r * (d // rden) for r, _ in roots])
     detail["semisimple"] = semisimple
-    want, got = {}, {}
-    for pairs, out in ((spectrum_pairs, want), (roots, got)):
-        for x, m in pairs:
-            q = abs(x.numerator), x.denominator
-            out[q] = out.get(q, 0) + m
-    match = want == got
+    # moduli over rden; a spectral value off that grid matches none
+    got, want, on_grid = {}, {}, True
+    for r, m in roots:
+        got[abs(r)] = got.get(abs(r), 0) + m
+    for a, m in spectrum_pairs:
+        q, rem = divmod(abs(a.numerator) * rden, a.denominator)
+        on_grid = on_grid and not rem
+        want[q] = want.get(q, 0) + m
+    match = on_grid and want == got
     detail["spectral_match"] = match
     return structural and semisimple and match, detail
 
@@ -707,27 +707,30 @@ def _class_table(pencil):
 
 
 def _fprime_rows(pencil, gauge, table):
-    """`opposite_filtration` on integers: [c][k] lists the basis of F'^k of
-    class c as stored rows (`Echelon.integer_row`) at the class's slots,
-    (position -> numerator, den)."""
+    """`opposite_filtration` on integers: [c][k] maps the pivot (last
+    position) of each basis vector of F'^k of class c, ascending, to the
+    vector as (position -> numerator, den), den at the pivot."""
     mu, den, orders = pencil.mu, pencil.den, pencil.orders
     key = _order_keys(pencil)
     columns = _columns(_trim(gauge) or [identity(mu)], mu)
     # orders times den: top and the cutoff are floors of quotients by den
     top = max(den * s + orders[i] for col in columns for i, s, _ in col)
     cutoff = (top - table[0][0]) // den
-    # each class's order-rho slot keys and positions, by key
-    symbols = [sorted((key(i, (res - orders[i]) // den), t) for t, i in enumerate(idx))
+    # each class's order-rho slot keys and positions, by position
+    symbols = [[(key(i, (res - orders[i]) // den), t) for t, i in enumerate(idx)]
                for res, idx, _ in table]
-    out = [[[] for _ in range(kmax + 2)] for _, _, kmax in table]
+    out = [[{} for _ in range(kmax + 2)] for _, _, kmax in table]
     ech = Echelon()
     for k in range(cutoff, -1, -1):
         for col in columns:
             ech.insert({key(i, s - k): c for i, s, c in col})
         for slots, fpr in zip(symbols, out):
             if k < len(fpr):
-                fpr[k] = [({t: num[q] for q, t in slots if q in num}, d)
-                          for num, _, d in (ech.integer_row(p) for p, _ in slots if p in ech)]
+                rows = fpr[k]
+                for p, t in slots:
+                    if p in ech:
+                        num, _, d = ech.integer_row(p)
+                        rows[t] = ({u: num[q] for q, u in slots if q in num}, d)
     return out
 
 
@@ -753,19 +756,31 @@ def opposite_filtration(pencil: ConnectionPencil, gauge):
     adapted or not, with P_0 singular or not.
 
     Those spans grow as k falls, so one reduced echelon serves every k and
-    every class (`_fprime_rows`): the layers m = M, M-1, ..., 0 are inserted
-    once each, pivoting on their highest-order slot, and F'^k is read after
-    layer k.  The echelon's rows whose pivot has order <= rho span exactly
-    (span cap V_rho), and those of order < rho have nothing of order rho, so
-    the rows whose pivot has order rho give F'^k of that class.  They are
-    zero in each other's pivots, so their order-rho parts are a basis of
-    F'^k, listed by pivot.
+    every class (`_fprime_rows`): the layers m = M, ..., 0 go in once each,
+    pivoting on their highest-order slot, and F'^k is read after layer k.
+    The rows whose pivot has order <= rho span (span cap V_rho), and those
+    of order < rho have nothing of order rho, so the rows whose pivot has
+    order rho give F'^k.  Ties in order go to the later position in the
+    class (`_order_keys`), so their order-rho parts are a reduced echelon
+    basis of F'^k with each pivot on its vector's last position, listed by
+    pivot.
     """
     table = _class_table(pencil)
     return {Fraction(res, pencil.den):
-            [[[Fraction(v.get(t, 0), d) for t in range(len(idx))] for v, d in rows]
+            [[[Fraction(v.get(t, 0), d) for t in range(len(idx))] for v, d in rows.values()]
              for rows in fpr]
             for (res, idx, _), fpr in zip(table, _fprime_rows(pencil, gauge, table))}
+
+
+def _in_span(vec, rows):
+    """Whether the int vector lies in the span of rows {pivot: (num, den)},
+    each den at its pivot and 0 at the others."""
+    m = lcm(*(d for p, (_, d) in rows.items() if vec.get(p)))
+    w = {q: x * m for q, x in vec.items() if x}
+    for p, (num, d) in rows.items():
+        if vec.get(p):
+            _axpy(w, -vec[p] * (m // d), num)
+    return not w
 
 
 def graded_model(pencil: ConnectionPencil, gauge):
@@ -775,84 +790,56 @@ def graded_model(pencil: ConnectionPencil, gauge):
     triangular pattern.  Raises GradedModelError when N is not nilpotent on
     a class; that check holds under `python -O`.
 
-    Per class, one echelon keyed by minus the position in the class takes
-    the bases of F'^k for k descending, so every row pivots on its last
-    coordinate and, once F'^k is in, the echelon spans F'^k (the F'^k are
-    nested).  The Hodge-type F_k is spanned by the first hodge[k]
-    coordinates, so dim(F_k cap F'^k) is the number of rows whose pivot
-    position is below hodge[k].  (B), N F'^k inside F'^{k+1}, reduces N v
-    for every basis vector v of F'^k against the echelon before F'^k goes
-    in, when it still spans F'^{k+1}.
-
-    The verdicts run on integers (module docstring).  Within a class the
-    orders differ by multiples of den, so the theta power
-    alpha_i - alpha_j + 1 of an entry of N is (o_i - o_j) // den + 1, and
-    hodge[k] counts o_i <= res + k * den.  (D N)^dim and the rank of N, one
-    echelon of the rows of D N, are formed on integers, and (B) reduces D N v
-    for the numerators v of every F'^k vector.
+    Each F'^k comes as a reduced echelon basis, every pivot on its vector's
+    last position, so dim(F_k cap F'^k), F_k spanned by the first hodge[k]
+    coordinates, is the number of pivots below hodge[k].  (B), N F'^k inside
+    F'^{k+1}, reduces N v for each basis vector v of F'^k against F'^{k+1}.
+    N comes from one pass over the pencil, as D N on integers (module
+    docstring), with one echelon for the rank of every class.
     """
-    degrees = pencil.degrees
     den, orders = pencil.den, pencil.orders
     table = _class_table(pencil)
-    nmats = []
-    for res, idx, _ in table:
-        dim = len(idx)
-        pos = {i: t for t, i in enumerate(idx)}
-        # N on the class: N e_i = alpha_i e_i - sum_j (B_{alpha_i - alpha_j + 1})_{ji} e_j,
-        # from the nonzero entries (j, i) of the B_k with i and j in the class
-        acc = [{t: degrees[i]} for t, i in enumerate(idx)]
-        for tj, j in enumerate(idx):
-            for k, bmat in enumerate(pencil.matrices):
-                for i, x in bmat[j].items():
-                    ti = pos.get(i)
-                    if ti is not None and (orders[i] - orders[j]) // den + 1 == k:
-                        acc[tj][ti] = acc[tj].get(ti, 0) - x
-        nmat = [{c: x for c, x in row.items() if x} for row in acc]
-        scaled = _scaled([nmat])[1][0]
-        if not _product_vanishes(scaled, [0] * dim):
-            rho = Fraction(res, den)
-            raise GradedModelError("N is not nilpotent on residue class %s" % rho, rho)
-        span = Echelon()
-        for row in scaled:
-            span.insert(row)
-        nmats.append((nmat, scaled, len(span)))
+    where = {i: (c, t) for c, (_, idx, _) in enumerate(table) for t, i in enumerate(idx)}
+    # D N, N e_i = alpha_i e_i - sum_j (B_{alpha_i - alpha_j + 1})_{ji} e_j
+    hits = [(j, i, x) for k, bmat in enumerate(pencil.matrices) for j, brow in enumerate(bmat)
+            for i, x in brow.items() if orders[i] - orders[j] == (k - 1) * den]
+    d = lcm(den, *(x.denominator for _, _, x in hits))
+    accs = [[{t: orders[i] * (d // den)} for t, i in enumerate(idx)] for _, idx, _ in table]
+    for j, i, x in hits:
+        row = accs[where[j][0]][where[j][1]]
+        ti = where[i][1]
+        row[ti] = row.get(ti, 0) - x.numerator * (d // x.denominator)
+    span = Echelon()
     all_ok_opposite = True
     all_ok_b = True
     out = []
-    for (res, idx, kmax), (nmat, scaled, n_rank), fpr in zip(
-            table, nmats, _fprime_rows(pencil, gauge, table)):
+    for (res, idx, kmax), acc, fpr in zip(table, accs, _fprime_rows(pencil, gauge, table)):
         dim = len(idx)
-        hodge = {k: sum(1 for i in idx if orders[i] <= res + k * den)
-                 for k in range(-1, kmax + 2)}
-        ncols = [[] for _ in range(dim)]
-        for r, row in enumerate(scaled):
-            for c, y in row.items():
-                ncols[c].append((r, y))
-        ech = Echelon()
-        opp = True
-        bgood = True
-        for k in range(kmax + 1, -1, -1):
-            if k <= kmax:
-                for v, _ in fpr[k]:
-                    img = {}
-                    for c, x in v.items():
-                        for r, y in ncols[c]:
-                            img[-r] = img.get(-r, 0) + y * x
-                    if img and ech.integer_reduce(img)[0]:
-                        bgood = False
-            for v, _ in fpr[k]:
-                ech.insert({-c: x for c, x in v.items()})
-            # oppositeness: F_{k-1} cap F'^k = 0 and F_k = (F_k cap F'^k) + F_{k-1}
-            low = sum(1 for p in ech.pivots if -p < hodge[k - 1])
-            meet = sum(1 for p in ech.pivots if -p < hodge[k])
-            if low or meet != hodge[k] - hodge[k - 1]:
-                opp = False
+        scaled = [{c: y for c, y in row.items() if y} for row in acc]
+        if any(scaled) and not _product_vanishes(scaled, [0] * dim):
+            rho = Fraction(res, den)
+            raise GradedModelError("N is not nilpotent on residue class %s" % rho, rho)
+        n_rank = len(span)
+        for row in filter(None, scaled):
+            span.insert({idx[c]: y for c, y in row.items()})
+        levels = [orders[i] for i in idx]
+        hodge = {k: bisect_right(levels, res + k * den) for k in range(-1, kmax + 2)}
+        bgood = not any(scaled) or all(
+            _in_span({r: sum(y * v.get(c, 0) for c, y in row.items())
+                      for r, row in enumerate(scaled) if row}, fpr[k + 1])
+            for k in range(kmax + 1) for v, _ in fpr[k].values())
+        # F_{k-1} cap F'^k = 0 and F_k = (F_k cap F'^k) + F_{k-1}: no pivot
+        # below hodge[k - 1], and one at each position from there to hodge[k]
+        opp = all(min(fpr[k], default=dim) >= hodge[k - 1]
+                  and all(t in fpr[k] for t in range(hodge[k - 1], hodge[k]))
+                  for k in range(kmax + 2))
         out.append(
             {
                 "residue": str(Fraction(res, den)),
                 "indices": idx,
-                "n_matrix": dense_strings(nmat, dim),
-                "n_rank": n_rank,
+                "n_matrix": dense_strings(
+                    [{c: Fraction(y, d) for c, y in row.items()} for row in scaled], dim),
+                "n_rank": len(span) - n_rank,
                 "hodge_dims": [hodge[k] for k in range(0, kmax + 1)],
                 "opposite_dims": [len(fpr[k]) for k in range(0, kmax + 1)],
                 "opposite": opp,

@@ -23,9 +23,9 @@ basis monomial m that way and fills the sparse rows of B_0, ..., B_k from
 the nonzero coordinates only, checking the theta-degree bound and the
 order bound on them as explicit tests.
 
-The spectrum polynomial SP(S) = prod (S + alpha_i) is computed over the
-integers, as prod (d S + r_i) over the scaled degrees r_i = d alpha_i, and
-divided once by d^mu.
+The spectrum runs on the scaled degrees r_i = d alpha_i, ints: its checks
+(n - alpha is n d - r), the variance ((alpha - n/2)^2 = (2 r - n d)^2 / 4 d^2)
+and SP(S) = prod (S + alpha_i), as prod (d S + r_i) divided once by d^mu.
 """
 
 from __future__ import annotations
@@ -382,32 +382,28 @@ def _spectrum_polynomial(scaled_degrees, d):
 def spectrum(algebra: JacobianAlgebra) -> SpectrumData:
     """Spectrum multiset from the adapted basis degrees, with sanity checks."""
     basis = algebra.basis()
-    n = algebra.n
+    n, d = algebra.n, algebra.d
+    top = n * d
     counts = {}
-    for a in basis.degrees:
-        counts[a] = counts.get(a, 0) + 1
-    pairs = tuple(sorted(counts.items()))
-    mu = len(basis)
-    if counts.get(Fraction(0), 0) != 1:
+    for r in basis.scaled_degrees:
+        counts[r] = counts.get(r, 0) + 1
+    scaled = sorted(counts.items())
+    if counts.get(0, 0) != 1:
         raise DegeneracySuspectedError("spectral multiplicity at 0 is not 1")
-    for a, m in pairs:
-        if a < 0 or a > n:
-            raise DegeneracySuspectedError("spectral value %s outside [0, %d]" % (a, n))
-        if counts.get(n - a, 0) != m:
+    for r, m in scaled:
+        if r < 0 or r > top:
+            raise DegeneracySuspectedError(
+                "spectral value %s outside [0, %d]" % (Fraction(r, d), n))
+        if counts.get(top - r, 0) != m:
             raise DegeneracySuspectedError(
                 "spectrum is not symmetric: nu(%s) = %d but nu(%s) = %d"
-                % (a, m, n - a, counts.get(n - a, 0))
+                % (Fraction(r, d), m, Fraction(top - r, d), counts.get(top - r, 0))
             )
-    poly = _spectrum_polynomial(basis.scaled_degrees, algebra.d)
-    factors = []
-    for a, m in pairs:
-        if a == 0:
-            base = "S"
-        else:
-            base = "(S+%s)" % a
-        factors.append(base if m == 1 else "%s^%d" % (base, m))
-    half = Fraction(n, 2)
-    lhs = sum(((a - half) ** 2 * m for a, m in pairs), Fraction(0)) / mu
+    pairs = tuple((Fraction(r, d), m) for r, m in scaled)
+    poly = _spectrum_polynomial(basis.scaled_degrees, d)
+    bases = ["S" if a == 0 else "(S+%s)" % a for a, _ in pairs]
+    factors = [b if m == 1 else "%s^%d" % (b, m) for b, (_, m) in zip(bases, pairs)]
+    lhs = Fraction(sum((2 * r - top) ** 2 * m for r, m in scaled), 4 * d * d * len(basis))
     return SpectrumData(
         pairs=pairs,
         poly=poly,

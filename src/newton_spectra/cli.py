@@ -90,8 +90,8 @@ class SystemExit2(Exception):
 def _emit_json(obj):
     """Write json.dumps(obj, indent=2) and a newline, byte for byte, for obj
     of str, int, bool, None, list, tuple and dicts with str keys (else
-    TypeError).  A list of strings alone (a matrix row) or of ints alone is
-    one join, over the C string encoder."""
+    TypeError).  A list of strings or ints alone is one join, and so is a
+    matrix of strings none of which needs escaping (`_plain`)."""
     out = []
     _encode(obj, "\n", out)
     out.append("\n")
@@ -123,8 +123,18 @@ def _encode(obj, pad, out):
         out.append(pad + "}")
     elif (kinds := set(map(type, obj))) == {str} or kinds == {int}:
         inner = pad + "  "
-        text = map(_quote if str in kinds else int.__repr__, obj)
-        out.append("[" + inner + ("," + inner).join(text) + pad + "]")
+        if str in kinds and _plain("".join(obj)):
+            body = '"' + ('",' + inner + '"').join(obj) + '"'
+        else:
+            body = ("," + inner).join(map(_quote if str in kinds else int.__repr__, obj))
+        out.append("[" + inner + body + pad + "]")
+    elif kinds <= {list, tuple} and all(obj) and _plain_rows(obj):
+        inner = pad + "  "
+        cell = inner + "  "
+        rows = map(('",' + cell + '"').join, obj)
+        out.append("[" + inner + "[" + cell + '"'
+                   + ('"' + inner + "]," + inner + "[" + cell + '"').join(rows)
+                   + '"' + inner + "]" + pad + "]")
     else:
         inner = pad + "  "
         sep = "[" + inner
@@ -133,6 +143,20 @@ def _encode(obj, pad, out):
             _encode(value, inner, out)
             sep = "," + inner
         out.append(pad + "]")
+
+
+def _plain(text):
+    """Whether `_quote` keeps text as it is: printable ASCII, no DEL, quote
+    or backslash."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _plain_rows(rows):
+    """Whether the rows hold plain strings alone."""
+    try:
+        return _plain("".join(map("".join, rows)))
+    except TypeError:  # a cell that is not a string
+        return False
 
 
 def _lin_form(coeffs):

@@ -115,24 +115,22 @@ def _euler_term_text(k, lin, const):
 def euler_field(algebra, pencil, solution, spectrum_data):
     """Assemble Frobenius initial data; solution may be None (not normalized)."""
     primitive_index, alpha_min = canonical_primitive(algebra, spectrum_data)
-    degrees = pencil.degrees
     n = algebra.f.arity
     a0 = pencil.matrices[0]
     if solution is not None:
         # the gauge cannot move the primitive element (no lower degree
         # exists to mix in), so c_k is read in the good basis
-        if not all(
-            m[i].get(0, 0) == (1 if (i, k) == (0, 0) else 0)
-            for k, m in enumerate(solution.gauge)
-            for i in range(len(degrees))
-        ):
+        if [(k, i, row[0]) for k, m in enumerate(solution.gauge)
+                for i, row in enumerate(m) if 0 in row] != [(0, 0, 1)]:
             raise VerificationError("gauge moved the primitive element")
         a0 = solution.a0
     c = tuple(row.get(0, Fraction(0)) for row in a0)
     charge = 2 * alpha_min + 2 - n
-    terms = tuple((1 + alpha_min - a, ck) for a, ck in zip(degrees, c))
+    # 1 + alpha_min - alpha(k), alpha_min = 0
+    den = pencil.den
     parts = []
-    for k, (lin, const) in enumerate(terms):
+    for k, (o, const) in enumerate(zip(pencil.orders, c)):
+        lin = Fraction(den - o, den)
         if lin == 0 and const == 0:
             continue
         sign, body = _euler_term_text(k, lin, const)
@@ -144,7 +142,7 @@ def euler_field(algebra, pencil, solution, spectrum_data):
     return FrobeniusInitialData(
         primitive_index=primitive_index,
         alpha_min=alpha_min,
-        exponents=tuple(degrees),
+        exponents=tuple(pencil.degrees),
         c=c,
         charge=Fraction(charge),
         euler_text=text,

@@ -73,7 +73,9 @@ class Echelon:
     (int or Fraction values) is scaled to integers once and reduced with
     integer multipliers over the lcm of the denominators of the rows it
     meets.  A column index (column -> pivots of the stored rows nonzero
-    there) names the rows a new pivot is back-substituted into.  Only
+    there) names the rows a new pivot is back-substituted into, so a row
+    that meets no stored pivot, at a pivot no stored row holds, is stored
+    as it is, with nothing reduced or back-substituted.  Only
     `reduce` and `row` build Fractions, for their callers; `integer_row`
     hands out a stored row as it is.
     """
@@ -166,7 +168,7 @@ class Echelon:
         # w and label - combination share the denominator w[p]
         p = min(w)
         sign = 1 if w[p] > 0 else -1
-        prov = {k: -sign * v for k, v in self._combination(hits, m).items()}
+        prov = {k: -sign * v for k, v in self._combination(hits, m).items()} if hits else {}
         if label is not None:
             prov[label] = prov.get(label, 0) + sign * den
         if sign < 0:
@@ -214,13 +216,17 @@ def _primitive(num, prov, den):
             {k: v // g for k, v in prov.items()}, den // g)
 
 
+_INT = {int}
+
+
 def _numerators(values):
     """(numerators, den): the nonzero values of a dict as integer numerators
     over den, the least common denominator of the values (ints or Fractions).
     A dict of ints alone is its own numerators over 1."""
-    if all(type(x) is int for x in values.values()):
-        return {k: x for k, x in values.items() if x}, 1
-    den = lcm(*(x.denominator for x in values.values()))
+    vals = values.values()
+    if _INT.issuperset(map(type, vals)):
+        return {k: x for k, x in values.items() if x} if 0 in vals else dict(values), 1
+    den = lcm(*(x.denominator for x in vals))
     return {k: x.numerator * (den // x.denominator) for k, x in values.items() if x}, den
 
 

@@ -40,6 +40,16 @@ elimination at all; it checks the polytope's fraction-free determinant.
 
 ReferenceEchelon is the `Fraction` row echelon the package ran before its
 kernel moved to integer rows, kept as the reference for that kernel.
+reference_spectrum, reference_euler_field and reference_verify_v_plus are
+the spectrum, the Euler field and the spectral test as they ran on
+`Fraction` degrees before those moved onto the integer orders and scaled
+degrees; reference_verify_v_plus with structural_rule=False sends every
+A_inf through the characteristic polynomial instead of reading a
+structural one's eigenvalues off its diagonal.  reference_graded_model is
+the graded model as it ran before it read F'^k off the one echelon of
+`_fprime_rows`: N rebuilt per class from every B_k, and one echelon per
+class that takes the F'^k bases (from `opposite_filtration`) for k
+descending, so its verdicts do not rest on how those bases are listed.
 reference_enumerate_sublevel is the box scan and reference_hull_halfspaces
 the per-subset nullspace hull (here on dense_rref) that the pruned
 enumeration and the integer minors replaced.
@@ -59,8 +69,18 @@ from newton_spectra import (
     Pipeline,
     parse_laurent,
 )
+from newton_spectra.birkhoff import (
+    _class_table,
+    _product_vanishes,
+    _scaled,
+    _split_over,
+    opposite_filtration,
+)
+from newton_spectra.brieskorn import SpectrumData, _spectrum_polynomial, integer_orders
+from newton_spectra.errors import GradedModelError, VerificationError
+from newton_spectra.frobenius import FrobeniusInitialData, _euler_term_text, canonical_primitive
 from newton_spectra.jacobian import DivisionWitness
-from newton_spectra.linalg import pol_mul
+from newton_spectra.linalg import Echelon, charpoly, dense_strings, pol_mul
 
 # (expression, arity, milnor number)
 CORPUS = [
@@ -611,3 +631,171 @@ def reference_hull_halfspaces(pts, n):
             continue
         found[(a, b)] = True
     return sorted(found)
+
+
+def reference_spectrum(algebra):
+    """`brieskorn.spectrum` on Fraction degrees."""
+    basis = algebra.basis()
+    n = algebra.n
+    counts = {}
+    for a in basis.degrees:
+        counts[a] = counts.get(a, 0) + 1
+    pairs = tuple(sorted(counts.items()))
+    mu = len(basis)
+    if counts.get(Fraction(0), 0) != 1:
+        raise DegeneracySuspectedError("spectral multiplicity at 0 is not 1")
+    for a, m in pairs:
+        if a < 0 or a > n:
+            raise DegeneracySuspectedError("spectral value %s outside [0, %d]" % (a, n))
+        if counts.get(n - a, 0) != m:
+            raise DegeneracySuspectedError(
+                "spectrum is not symmetric: nu(%s) = %d but nu(%s) = %d"
+                % (a, m, n - a, counts.get(n - a, 0))
+            )
+    poly = _spectrum_polynomial(basis.scaled_degrees, algebra.d)
+    factors = []
+    for a, m in pairs:
+        base = "S" if a == 0 else "(S+%s)" % a
+        factors.append(base if m == 1 else "%s^%d" % (base, m))
+    half = Fraction(n, 2)
+    lhs = sum(((a - half) ** 2 * m for a, m in pairs), Fraction(0)) / mu
+    return SpectrumData(pairs=pairs, poly=poly, factored="*".join(factors),
+                        variance_lhs=lhs, variance_rhs=Fraction(n, 12))
+
+
+def reference_euler_field(algebra, pencil, solution, spectrum_data):
+    """`frobenius.euler_field` on Fraction degrees."""
+    primitive_index, alpha_min = canonical_primitive(algebra, spectrum_data)
+    degrees = pencil.degrees
+    n = algebra.f.arity
+    a0 = pencil.matrices[0]
+    if solution is not None:
+        if not all(
+            m[i].get(0, 0) == (1 if (i, k) == (0, 0) else 0)
+            for k, m in enumerate(solution.gauge)
+            for i in range(len(degrees))
+        ):
+            raise VerificationError("gauge moved the primitive element")
+        a0 = solution.a0
+    c = tuple(row.get(0, Fraction(0)) for row in a0)
+    parts = []
+    for k, (lin, const) in enumerate((1 + alpha_min - a, ck) for a, ck in zip(degrees, c)):
+        if lin == 0 and const == 0:
+            continue
+        sign, body = _euler_term_text(k, lin, const)
+        if not parts:
+            parts.append(body if sign > 0 else "-" + body)
+        else:
+            parts.append((" + " if sign > 0 else " - ") + body)
+    return FrobeniusInitialData(
+        primitive_index=primitive_index, alpha_min=alpha_min, exponents=tuple(degrees),
+        c=c, charge=Fraction(2 * alpha_min + 2 - n), euler_text="".join(parts) if parts else "0",
+        normalized=solution is not None,
+    )
+
+
+def reference_verify_v_plus(ainf, degrees, spectrum_pairs, structural_rule=True):
+    """`birkhoff.verify_v_plus` on Fraction degrees and eigenvalues."""
+    mu = len(degrees)
+    detail = {}
+    _, orders = integer_orders(degrees)
+    diagonal = [ainf[i].get(i, Fraction(0)) for i in range(mu)]
+    structural = diagonal == list(degrees) and all(
+        j == i or orders[i] < orders[j] for i, arow in enumerate(ainf) for j in arow
+    )
+    detail["structure"] = structural
+    candidates = list(diagonal)
+    for a, _ in spectrum_pairs:
+        candidates += [a, -a]
+    if structural and structural_rule:
+        mult = {}
+        for x in diagonal:
+            mult[x] = mult.get(x, 0) + 1
+        roots, cofactor = sorted(mult.items()), [Fraction(1)]
+    else:
+        roots, cofactor = _split_over(charpoly(ainf), candidates)
+    if len(cofactor) > 1:
+        detail["eigenvalues"] = None
+        detail["semisimple"] = False
+        detail["spectral_match"] = False
+        detail["note"] = (
+            "characteristic polynomial does not split over the candidate "
+            "eigenvalues (diagonal of A_inf and +-spectrum)"
+        )
+        return False, detail
+    detail["eigenvalues"] = [(str(r), m) for r, m in roots]
+    _, (scaled, droots) = _scaled([ainf, [{0: rt} for rt, _ in roots]])
+    semisimple = _product_vanishes(scaled, [row[0] for row in droots])
+    detail["semisimple"] = semisimple
+    want, got = {}, {}
+    for pairs, out in ((spectrum_pairs, want), (roots, got)):
+        for x, m in pairs:
+            q = abs(x.numerator), x.denominator
+            out[q] = out.get(q, 0) + m
+    match = want == got
+    detail["spectral_match"] = match
+    return structural and semisimple and match, detail
+
+
+def reference_graded_model(pencil, gauge):
+    """`birkhoff.graded_model` with N rebuilt per class and one echelon per class."""
+    degrees = pencil.degrees
+    den, orders = pencil.den, pencil.orders
+    table = _class_table(pencil)
+    fprime = opposite_filtration(pencil, gauge)
+    nmats = []
+    for res, idx, _ in table:
+        dim = len(idx)
+        pos = {i: t for t, i in enumerate(idx)}
+        acc = [{t: degrees[i]} for t, i in enumerate(idx)]
+        for tj, j in enumerate(idx):
+            for k, bmat in enumerate(pencil.matrices):
+                for i, x in bmat[j].items():
+                    ti = pos.get(i)
+                    if ti is not None and (orders[i] - orders[j]) // den + 1 == k:
+                        acc[tj][ti] = acc[tj].get(ti, 0) - x
+        nmat = [{c: x for c, x in row.items() if x} for row in acc]
+        scaled = _scaled([nmat])[1][0]
+        if not _product_vanishes(scaled, [0] * dim):
+            rho = Fraction(res, den)
+            raise GradedModelError("N is not nilpotent on residue class %s" % rho, rho)
+        span = Echelon()
+        for row in scaled:
+            span.insert(row)
+        nmats.append((nmat, len(span)))
+    all_ok_opposite = all_ok_b = True
+    out = []
+    for (res, idx, kmax), (nmat, n_rank) in zip(table, nmats):
+        dim = len(idx)
+        fpr = fprime[Fraction(res, den)]
+        hodge = {k: sum(1 for i in idx if orders[i] <= res + k * den)
+                 for k in range(-1, kmax + 2)}
+        ech = Echelon()
+        opp = bgood = True
+        for k in range(kmax + 1, -1, -1):
+            if k <= kmax:
+                for v in fpr[k]:
+                    img = {-r: x for r in range(dim)
+                           if (x := sum((nmat[r].get(c, 0) * v[c] for c in range(dim)),
+                                        Fraction(0)))}
+                    if img and ech.reduce(img)[0]:
+                        bgood = False
+            for v in fpr[k]:
+                ech.insert({-c: x for c, x in enumerate(v) if x})
+            low = sum(1 for p in ech.pivots if -p < hodge[k - 1])
+            meet = sum(1 for p in ech.pivots if -p < hodge[k])
+            if low or meet != hodge[k] - hodge[k - 1]:
+                opp = False
+        out.append({
+            "residue": str(Fraction(res, den)),
+            "indices": idx,
+            "n_matrix": dense_strings(nmat, dim),
+            "n_rank": n_rank,
+            "hodge_dims": [hodge[k] for k in range(0, kmax + 1)],
+            "opposite_dims": [len(fpr[k]) for k in range(0, kmax + 1)],
+            "opposite": opp,
+            "b_opposed": bgood,
+        })
+        all_ok_opposite = all_ok_opposite and opp
+        all_ok_b = all_ok_b and bgood
+    return {"opposite": all_ok_opposite, "b_opposed": all_ok_b, "classes": out}

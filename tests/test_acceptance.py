@@ -620,6 +620,19 @@ def test_json_writer_matches_json_dumps_on_random_values():
     check()
 
 
+def test_json_writer_escaping_boundaries():
+    # a row of strings, and a matrix of such rows, is one join of the
+    # strings themselves only when none needs escaping: the edges of
+    # printable ASCII (0x1f, space, "~", DEL), quote and backslash,
+    # non-ASCII, a lone surrogate, and the empty string, which the random
+    # values above seldom draw exactly
+    for case in ("\x1f", " ", '"', "\\", "~", "\x7f", "é", "\ud800", ""):
+        for row in ([case], ["0", case], [case, "1/2", "-3"], ["a" + case + "b"]):
+            for value in (row, tuple(row), [row], [["0", "1"], row], {"m": [row, row]},
+                          [row, []]):
+                assert _written(value) == json.dumps(value, indent=2) + "\n", (case, value)
+
+
 def test_json_writer_matches_json_dumps_on_every_pinned_report():
     parsed = [e for e, _, _ in CORPUS] + list(LADDER) + [NEGATIVE, *SWEEP2_BIRKHOFF_SHA256]
     reports = [pipeline(expr).report() for expr in parsed]

@@ -21,6 +21,7 @@ from conftest import (
     dense_mat_mul,
     dense_semisimple,
     pipeline,
+    reference_verify_v_plus,
     sparse,
 )
 from newton_spectra import birkhoff as birkhoff_mod
@@ -501,14 +502,11 @@ def _structural(rng, degrees):
     return ainf
 
 
-def test_structural_rule_agrees_with_the_characteristic_polynomial(monkeypatch):
-    # oracle: the same test with every A_inf sent through charpoly and the
-    # candidate division, as for a non-structural one
+def test_structural_rule_agrees_with_the_characteristic_polynomial():
+    # oracle: the Fraction spectral test with every A_inf sent through
+    # charpoly and the candidate division, as for a non-structural one
     def by_charpoly(ainf, degrees, pairs):
-        with monkeypatch.context() as m:
-            m.setattr(birkhoff_mod, "_eigenvalues",
-                      lambda a, structural, cands: birkhoff_mod._split_over(charpoly(a), cands))
-            return verify_v_plus(ainf, degrees, pairs)
+        return reference_verify_v_plus(ainf, degrees, pairs, structural_rule=False)
 
     rng = random.Random(20260618)
     pool = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
