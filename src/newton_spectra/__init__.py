@@ -29,7 +29,6 @@ from .errors import (
     DegeneracySuspectedError,
     GradedModelError,
     NotConvenientError,
-    NotInIdealError,
     VerificationError,
 )
 from .frobenius import (
@@ -45,7 +44,6 @@ from .jacobian import (
     DivisionWitness,
     JacobianAlgebra,
     divide,
-    divide_exact,
 )
 from .laurent import LaurentParseError, LaurentPolynomial, parse_laurent
 from .nondegeneracy import NondegeneracyCertificate, is_nondegenerate
@@ -71,7 +69,6 @@ __all__ = [
     "NewtonPolytope",
     "NondegeneracyCertificate",
     "NotConvenientError",
-    "NotInIdealError",
     "Pipeline",
     "SpectrumData",
     "VerificationError",
@@ -79,7 +76,6 @@ __all__ = [
     "analyze_text",
     "canonical_primitive",
     "divide",
-    "divide_exact",
     "euler_field",
     "gauge_residual",
     "graded_model",

@@ -197,8 +197,8 @@ def _pattern_slots(orders, den):
     """(k, i, j) triples where (P_k)_{ij} may be nonzero, k >= 1.
 
     deg(i) + k <= deg(j) reads orders[i] + k * den <= orders[j] on the
-    integer orders of the pencil.  They ascend (the basis is listed by
-    level), so those j form a suffix, found by bisection.
+    integer orders of the pencil.  They ascend (`ConnectionPencil` checks
+    it), so those j form a suffix, found by bisection.
     """
     mu = len(orders)
     kmax = (orders[-1] - orders[0]) // den
@@ -483,20 +483,16 @@ def _order_keys(pencil):
     """Integer column keys for the slots theta^s e_i.
 
     The slot theta^s e_i has Newton order s + alpha_i = o / den with
-    o = den * s + orders[i] an integer, and key(i, s) = -o * mu + mu - 1 - r
-    with r the rank of i in (alpha_i, i) order, i itself when the degrees
-    ascend.  Keys are smaller for higher order, ties broken by the larger
-    rank, so an `Echelon` over them pivots every row on its highest-order
-    entry, and among those on the one that comes last in its residue class
-    (`_class_table`); -(key // mu) gives back o.
+    o = den * s + orders[i] an integer, and key(i, s) = -o * mu + mu - 1 - i.
+    Keys are smaller for higher order, ties broken by the larger index, so
+    an `Echelon` over them pivots every row on its highest-order entry, and
+    among those on the one that comes last in its residue class
+    (`_class_table`; the orders ascend); -(key // mu) gives back o.
     """
     mu, den, orders = pencil.mu, pencil.den, pencil.orders
-    tie = [0] * mu
-    for r, i in enumerate(sorted(range(mu), key=orders.__getitem__)):
-        tie[i] = mu - 1 - r
 
     def key(i, s):
-        return -(den * s + orders[i]) * mu + tie[i]
+        return -(den * s + orders[i]) * mu + mu - 1 - i
 
     return key
 
@@ -695,15 +691,14 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
 def _class_table(pencil):
     """(res, indices, kmax) per residue class rho = alpha mod 1 = res / den.
 
-    res = o mod den is its integer residue, its indices are listed by
-    (alpha_i, i), and kmax = floor(alpha_max - rho) + 1.
+    res = o mod den is its integer residue, its indices ascend (and so do
+    their degrees), and kmax = floor(alpha_max - rho) + 1.
     """
     den, orders = pencil.den, pencil.orders
     groups = {}
     for i, o in enumerate(orders):
         groups.setdefault(o % den, []).append(i)
-    return [(res, sorted(idx, key=lambda i: (orders[i], i)), (orders[-1] - res) // den + 1)
-            for res, idx in sorted(groups.items())]
+    return [(res, idx, (orders[-1] - res) // den + 1) for res, idx in sorted(groups.items())]
 
 
 def _fprime_rows(pencil, gauge, table):

@@ -2,10 +2,13 @@
 
 Elements are classes of forms sum_k theta^k g_k(u) du/u modulo the reduction
 rule [sum_i h_i xi_i(f) du/u] = theta [sum_i xi_i(h_i) du/u]; every class has
-canonical coordinates over Q[theta] on the adapted monomial basis.  The
-operator t acts as multiplication by f on theta-degree zero and extends by
-t(theta^k x) = k theta^(k+1) x + theta^k t(x); on coordinate vectors this is
-t(v) = theta^2 v' + B(theta) v for the pencil B computed once per lattice.
+canonical coordinates over Q[theta] on the adapted monomial basis, kept
+sparse like the pencil's rows: a dict (k, i) -> the nonzero coefficient of
+theta^k e_i.  The operator t acts as multiplication by f on theta-degree
+zero and extends by t(theta^k x) = k theta^(k+1) x + theta^k t(x); on
+coordinates this is t(v) = theta^2 v' + B(theta) v for the pencil B
+computed once per lattice, and `ConnectionPencil.apply_t` forms it from the
+nonzero entries of v and of the B_k.
 
 Reduction combines memoized normal forms.  Each lattice keeps, per
 monomial u^e it has met, the coordinates NF(u^e) of its class over
@@ -38,42 +41,32 @@ from operator import add
 from .errors import DegeneracySuspectedError
 from .jacobian import JacobianAlgebra
 from .laurent import LaurentPolynomial, term_key
-from .linalg import (
-    _numerators,
-    dense_strings,
-    pol_add,
-    pol_deriv,
-    pol_mul,
-    pol_shift,
-    pol_sub,
-    pol_trim,
-)
+from .linalg import _axpy, _numerators, dense_strings
 
 
 @dataclass(frozen=True)
 class BrieskornElement:
-    """Coordinates over Q[theta]: one ascending coefficient list per basis slot."""
+    """Coordinates over Q[theta]: coords maps (k, i) to the coefficient of
+    theta^k e_i, a nonzero Fraction; a zero is never stored."""
 
-    coords: tuple
+    coords: dict
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
+        return not self.coords
 
     def __add__(self, other):
-        return BrieskornElement(
-            tuple(tuple(pol_add(a, b)) for a, b in zip(self.coords, other.coords))
-        )
+        return self._plus(1, other)
 
     def __sub__(self, other):
-        return BrieskornElement(
-            tuple(tuple(pol_sub(a, b)) for a, b in zip(self.coords, other.coords))
-        )
+        return self._plus(-1, other)
+
+    def _plus(self, c, other):
+        out = dict(self.coords)
+        _axpy(out, c, other.coords)
+        return BrieskornElement(out)
 
     def theta_shift(self, k: int = 1):
-        return BrieskornElement(tuple(tuple(pol_shift(list(a), k)) for a in self.coords))
-
-    def to_json_obj(self):
-        return [[str(c) for c in comp] for comp in self.coords]
+        return BrieskornElement({(j + k, i): c for (j, i), c in self.coords.items()})
 
 
 def integer_orders(degrees):
@@ -90,6 +83,8 @@ class ConnectionPencil:
     the column j of every nonzero entry of row i to that entry.  Besides
     the degrees the pencil carries their integer form, built once here for
     the stages after the pencil: `den` and `orders` (see `integer_orders`).
+    The degrees must ascend, as the basis lists them by level: the checks
+    after the pencil read the top degree last and bisect the orders.
     """
 
     def __init__(self, matrices, degrees):
@@ -97,24 +92,28 @@ class ConnectionPencil:
         self.degrees = degrees          # basis Newton degrees (Fractions)
         self.mu = len(matrices[0])
         self.den, self.orders = integer_orders(degrees)
+        if any(a > b for a, b in zip(self.orders, self.orders[1:])):
+            raise ValueError("pencil degrees do not ascend: %s"
+                             % ", ".join(map(str, degrees)))
 
     @property
     def degree(self):
         return len(self.matrices) - 1
 
-    def entry(self, i, j):
-        """theta-polynomial at position (i, j), ascending coefficients."""
-        return pol_trim([m[i].get(j, Fraction(0)) for m in self.matrices])
-
     def apply_t(self, elem: BrieskornElement) -> BrieskornElement:
-        out = []
-        for i in range(self.mu):
-            acc = pol_shift(pol_deriv(list(elem.coords[i])), 2)
-            for j in sorted({j for m in self.matrices for j in m[i]}):
-                if elem.coords[j]:
-                    acc = pol_add(acc, pol_mul(self.entry(i, j), list(elem.coords[j])))
-            out.append(tuple(acc))
-        return BrieskornElement(tuple(out))
+        """t(v) = theta^2 v' + B(theta) v on the nonzero coordinates of v."""
+        acc = {}
+        by_slot = {}            # j -> [(k, coefficient of theta^k e_j)]
+        for (k, j), c in elem.coords.items():
+            if k:
+                acc[k + 1, j] = k * c
+            by_slot.setdefault(j, []).append((k, c))
+        for m, rows in enumerate(self.matrices):
+            for i, row in enumerate(rows):
+                for j, x in row.items():
+                    for k, c in by_slot.get(j, ()):
+                        acc[k + m, i] = acc.get((k + m, i), 0) + x * c
+        return BrieskornElement({key: c for key, c in acc.items() if c})
 
     def to_json_obj(self):
         return {
@@ -152,11 +151,8 @@ class BrieskornLattice:
             for k, g in forms.items()
         }
         self._fill([e for part in numerators.values() for e in part])
-        coords = [[] for _ in range(self.mu)]
-        for key, c in sorted(self._coordinates(numerators, den).items()):
-            k, i = divmod(key, _THETA)
-            coords[i] += [Fraction(0)] * (k - len(coords[i])) + [c]
-        return BrieskornElement(tuple(map(tuple, coords)))
+        return BrieskornElement({divmod(key, _THETA): c
+                                 for key, c in self._coordinates(numerators, den).items()})
 
     def _coordinates(self, forms, den):
         """{theta power: {exponent: int}} over the int den -> {key: Fraction},
@@ -254,15 +250,12 @@ class BrieskornLattice:
             memo[x] = (acc, den)
 
     def newton_order(self, elem: BrieskornElement):
-        """max over components of (theta degree + basis degree); None for zero."""
-        best = None
-        for i, comp in enumerate(elem.coords):
-            comp = pol_trim(list(comp))
-            if comp:
-                val = len(comp) - 1 + self.basis.degrees[i]
-                if best is None or val > best:
-                    best = val
-        return best
+        """max of k + alpha_i over the nonzero coordinates theta^k e_i, as
+        (k d + r_i) / d on the scaled degrees r; None for zero."""
+        if not elem.coords:
+            return None
+        d, r = self.algebra.d, self.basis.scaled_degrees
+        return Fraction(max(k * d + r[i] for k, i in elem.coords), d)
 
     def pencil(self) -> ConnectionPencil:
         if self._pencil is None:

@@ -342,11 +342,13 @@ def _random_form(rng, monos, arity):
 
 
 def _random_element(rng, mu):
-    coords = []
-    for _ in range(mu):
-        ks = [Fraction(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))]
-        coords.append(tuple(ks))
-    return BrieskornElement(tuple(coords))
+    coords = {}
+    for i in range(mu):
+        for k in range(rng.randint(0, 3)):
+            c = rng.randint(-2, 2)
+            if c:
+                coords[k, i] = Fraction(c)
+    return BrieskornElement(coords)
 
 
 def _run_check(args):

@@ -35,17 +35,6 @@ class VerificationError(ValueError):
     """An independent re-check of a computed result failed."""
 
 
-class NotInIdealError(ValueError):
-    """Division remainder is nonzero; carries the residue class.
-
-    residue maps basis monomials (exponent tuples) to rational coefficients.
-    """
-
-    def __init__(self, residue: dict):
-        super().__init__("element does not lie in the Jacobian-type ideal")
-        self.residue = residue
-
-
 class GradedModelError(ValueError):
     """A structural check of the graded model failed on one residue class.
 

@@ -54,7 +54,7 @@ from math import lcm
 from operator import add
 from typing import NamedTuple
 
-from .errors import DegeneracySuspectedError, NotInIdealError
+from .errors import DegeneracySuspectedError
 from .laurent import LaurentPolynomial
 from .linalg import Echelon
 from .polytope import NewtonPolytope, newton_polytope
@@ -380,11 +380,3 @@ def _add_term(terms, e, c):
         terms[e] = s
     else:
         del terms[e]
-
-
-def divide_exact(algebra: JacobianAlgebra, g: LaurentPolynomial) -> DivisionWitness:
-    """Division that must succeed with zero remainder; raises NotInIdealError."""
-    w = divide(algebra, g)
-    if w.a:
-        raise NotInIdealError(dict(w.a))
-    return w

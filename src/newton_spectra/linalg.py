@@ -1,5 +1,5 @@
-"""Exact linear algebra over Q, plus small univariate polynomial helpers used
-across the package.
+"""Exact linear algebra over Q, plus the univariate polynomial helpers of the
+rational root search.
 
 A matrix is a list of sparse rows, row i a dict column -> nonzero value
 (int or Fraction); a row never stores a zero, so its entries are the
@@ -16,6 +16,11 @@ entries through.  Of these the package calls only `rank`; the others are
 kept for the tests and the benchmark tracer.
 Everything is deterministic: the reduced row echelon form is unique, and
 free variables are always set to zero.
+
+`pol_trim`, `pol_eval` and `pol_divmod` act on dense ascending coefficient
+lists; only the rational root searches (`rational_roots` and
+`birkhoff._split_over`) use them.  Lattice elements, polynomials in theta,
+are sparse like the matrices (see `brieskorn`).
 """
 
 from __future__ import annotations
@@ -334,45 +339,6 @@ def pol_trim(p):
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def pol_add(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return pol_trim(out)
-
-
-def pol_sub(p, q):
-    return pol_add(p, [-c for c in q])
-
-
-def pol_mul(p, q):
-    p, q = pol_trim(p), pol_trim(q)
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return pol_trim(out)
-
-
-def pol_shift(p, k: int):
-    """Multiply by S^k (k >= 0)."""
-    p = pol_trim(p)
-    if not p:
-        return []
-    return [Fraction(0)] * k + list(p)
-
-
-def pol_deriv(p):
-    return pol_trim([i * c for i, c in enumerate(p)][1:])
 
 
 def pol_eval(p, x):

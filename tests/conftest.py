@@ -28,8 +28,9 @@ in two variables from its own convex hull and polynomial gcd, independently
 of the package's certificate.  reference_divide and reference_reduce are the
 division and lattice reduction the package ran on `LaurentPolynomial`
 arithmetic before it moved both onto one dict kernel, kept as references
-for that kernel, and reference_spectrum_polynomial is the `pol_mul` product
-of SP(S) over Fractions that the integer product replaced.  The two
+for that kernel, and reference_spectrum_polynomial is the product of SP(S)
+over Fractions, one dense pol_mul per factor, that the integer product
+replaced.  The two
 references now check the rewrite rules and the lattice's memoized normal forms
 that replaced the dict kernel in turn.  reference_divide scales each
 cofactor by L = algebra.deriv_den, since the level echelons hold the
@@ -80,7 +81,7 @@ from newton_spectra.brieskorn import SpectrumData, _spectrum_polynomial, integer
 from newton_spectra.errors import GradedModelError, VerificationError
 from newton_spectra.frobenius import FrobeniusInitialData, _euler_term_text, canonical_primitive
 from newton_spectra.jacobian import DivisionWitness
-from newton_spectra.linalg import Echelon, charpoly, dense_strings, pol_mul
+from newton_spectra.linalg import Echelon, charpoly, dense_strings
 
 # (expression, arity, milnor number)
 CORPUS = [
@@ -503,7 +504,7 @@ def reference_reduce(lattice, forms):
         if not g.is_zero():
             pending[k] = pending.get(k, LaurentPolynomial.zero(n)) + g
     cap = (max(pending) if pending else 0) + n + 2
-    coords = [{} for _ in range(lattice.mu)]
+    coords = {}
     while pending:
         k = min(pending)
         g = pending.pop(k)
@@ -511,20 +512,21 @@ def reference_reduce(lattice, forms):
             continue
         w = reference_divide(lattice.algebra, g)
         for e, c in w.a.items():
-            slot = coords[index[e]]
-            slot[k] = slot.get(k, Fraction(0)) + c
+            coords[k, index[e]] = coords.get((k, index[e]), Fraction(0)) + c
         if not w.deta.is_zero():
             if k + 1 > cap:
                 raise DegeneracySuspectedError("theta degree cap exceeded")
             pending[k + 1] = pending.get(k + 1, LaurentPolynomial.zero(n)) + w.deta
-    out = []
-    for slot in coords:
-        if slot:
-            top = max(slot)
-            out.append(tuple(slot.get(i, Fraction(0)) for i in range(top + 1)))
-        else:
-            out.append(())
-    return BrieskornElement(tuple(out))
+    return BrieskornElement({key: c for key, c in coords.items() if c})
+
+
+def pol_mul(p, q):
+    """The product of two ascending Fraction coefficient lists, both nonzero."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def reference_spectrum_polynomial(degrees):

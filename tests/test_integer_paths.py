@@ -18,6 +18,8 @@ integer paths also on the three rational-coefficient inputs.
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import (
     CORPUS,
     LADDER,
@@ -35,6 +37,7 @@ from newton_spectra import (
     DegeneracySuspectedError,
     graded_model,
     verify_v_plus,
+    verify_v_solution,
 )
 from newton_spectra.birkhoff import _class_table, _fprime_rows
 from newton_spectra.brieskorn import spectrum
@@ -102,25 +105,16 @@ def test_b_check_fails_on_exactly_one_class():
         assert gm == reference_graded_model(pen, gauge)
 
 
-def test_graded_model_on_degrees_listed_out_of_order():
-    # a hand-built pencil need not list its degrees ascending: ties in order
-    # go to the later position in the class, which is then not the larger
-    # index
-    rng = random.Random(5)
-    unsorted = 0
-    for _ in range(300):
-        mu = rng.randint(2, 4)
-        degrees = tuple(F(rng.randint(0, 4), 2) for _ in range(mu))
-        zero = [[F(0)] * mu for _ in range(mu)]
-        b1 = [[degrees[i] if i == j else F(0) for j in range(mu)] for i in range(mu)]
-        pen = ConnectionPencil([sparse(zero), sparse(b1)], degrees)
-        gauge = [identity(mu), [{} for _ in range(mu)]]
-        for k in (0, 1, 1):
-            i, j = rng.sample(range(mu), 2)
-            gauge[k][i][j] = rng.choice((-1, 1, 2))
-        assert graded_model(pen, gauge) == reference_graded_model(pen, gauge), (degrees, gauge)
-        unsorted += list(degrees) != sorted(degrees)
-    assert unsorted >= 150
+def test_pencil_refuses_degrees_out_of_order():
+    # the checks after the pencil read the top degree last and bisect the
+    # orders, so degrees (1, 0) are refused; listed as (0, 1), the same
+    # pencil is checked at levels 0 and 1
+    b0 = [[F(0), F(0)], [F(0), F(0)]]
+    b1 = [[F(1), F(0)], [F(0), F(0)]]
+    with pytest.raises(ValueError, match=r"pencil degrees do not ascend: 1, 0"):
+        ConnectionPencil([sparse(b0), sparse(b1)], (F(1), F(0)))
+    pen = ConnectionPencil([sparse(b0), sparse([[F(0), F(0)], [F(0), F(1)]])], (F(0), F(1)))
+    assert [level["level"] for level in verify_v_solution(pen, [identity(2)], 1)[1]] == ["0", "1"]
 
 
 def _outcome(fn, *args):

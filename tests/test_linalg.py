@@ -10,6 +10,7 @@ from conftest import (
     dense_mat_mul,
     dense_rank,
     dense_rref,
+    pol_mul,
     sparse,
 )
 from newton_spectra.linalg import (
@@ -18,7 +19,6 @@ from newton_spectra.linalg import (
     identity,
     nullspace,
     pol_divmod,
-    pol_mul,
     rank,
     rational_roots,
     rref,
