@@ -9,10 +9,11 @@ suites on the same polytope, algebra, lattice and pencil.
 Exit codes: 0 success; 1 when `check` finds a failed property; 2 invalid
 input (parse error, not convenient, degenerate), a failed check of the
 spectrum or bound of the connection pencil, a failed structural check of
-the graded model, or a failed re-check of the Milnor number, the Birkhoff
-or the Frobenius data; 3 Birkhoff obstruction (birkhoff/frobenius
-commands only).  The argument parser is built on the first call of `main`
-and reused by later calls in the same process.
+the graded model, a failed re-check of the Milnor number, the Birkhoff or
+the Frobenius data, or a pipeline stage that ran out of memory; 3 Birkhoff
+obstruction (birkhoff/frobenius commands only).  The argument parser is
+built on the first call of `main` and reused by later calls in the same
+process.
 Identical inputs and flags produce byte-identical output.
 """
 
@@ -365,7 +366,8 @@ def _run_check(args):
     report, _ = pipe.report()
     error = report["error"] or {"stage": None}
     stage = error["stage"]
-    if stage in ("polytope", "nondegeneracy", "mu", "basis", "spectrum", "pencil"):
+    if (stage in ("polytope", "nondegeneracy", "mu", "basis", "spectrum", "pencil")
+            or error.get("type") == "MemoryError"):
         print("error: %s" % error["message"], file=sys.stderr)
         return 2
 

@@ -312,6 +312,10 @@ class Pipeline:
                 raise
             report["error"] = _error_obj(stage, exc)
             return report, "invalid"
+        except MemoryError:  # ends the report as a failed gate does
+            report["error"] = {"stage": stage, "type": "MemoryError",
+                               "message": "the %s stage ran out of memory" % stage}
+            return report, "invalid"
         if isinstance(outcome, BirkhoffObstruction):
             return report, "obstruction"
         return report, "ok"
@@ -323,8 +327,9 @@ def analyze(f, var_names, *, seed=0):
     status is "ok", "invalid" (gate failure: not convenient / degenerate, a
     failed check of the spectrum or bound of the connection pencil, a
     failed structural check of the graded model, or a failed re-check of
-    the Milnor number, the Birkhoff or the Frobenius data), or
-    "obstruction" (pencil could not be normalized; partial report).
+    the Milnor number, the Birkhoff or the Frobenius data, or a stage that
+    ran out of memory), or "obstruction" (pencil could not be normalized;
+    partial report).
     Sections after a failed gate are null.
     The seed is only recorded in the input section.
     """

@@ -12,8 +12,8 @@ pivot, fully reduced, with optional provenance.  It stores every row as
 integer numerators over one denominator, so an integer system is eliminated
 on integers.  `rref`, `rank`, `solve_linear` and `nullspace` are thin
 wrappers around it for small dense (list of lists) systems, and pass int
-entries through.  Of these the package calls only `rank`; the others are
-kept for the tests and the benchmark tracer.
+entries through.  Of these the package calls none; they are kept for the
+tests and the benchmark tracer.
 Everything is deterministic: the reduced row echelon form is unique, and
 free variables are always set to zero.
 

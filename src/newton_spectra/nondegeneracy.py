@@ -37,8 +37,9 @@ has graded dimension 0:
 
 So the certificate is exact for every n, with no sampling.  The proper faces
 are listed in the report for reference, read off the polytope's own face
-lattice (`NewtonPolytope.faces`, the one the volume is triangulated over);
-no face is tested separately.
+lattice (`NewtonPolytope.covers`, the one the volume is triangulated over),
+each with its dimension read off the same lattice: 0 for a vertex, else one
+more than any of its own facets.  No face is tested separately.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DegenerateError
-from .linalg import rank
-from .polytope import NewtonPolytope
 
 
 @dataclass
@@ -84,13 +83,6 @@ class NondegeneracyCertificate:
         }
 
 
-def _face_dim(p: NewtonPolytope, vertex_ids) -> int:
-    vs = [p.vertices[i] for i in vertex_ids]
-    base = vs[0]
-    diffs = [[v[c] - base[c] for c in range(p.arity)] for v in vs[1:]]
-    return rank(diffs) if diffs else 0
-
-
 def is_nondegenerate(algebra) -> NondegeneracyCertificate:
     """Certify nondegeneracy from the window levels of the graded quotient."""
     p = algebra.polytope
@@ -100,8 +92,8 @@ def is_nondegenerate(algebra) -> NondegeneracyCertificate:
     # scanned in C, as d can exceed 10^7: the first entry equal to the first
     # nonzero dimension is the first nonzero one
     bad = lo + dims.index(next(filter(None, dims))) if any(dims) else None
-    faces = tuple(
-        (_face_dim(p, ids), tuple(p.vertices[i] for i in ids))
-        for ids in p.faces
-    )
+    face_dim = {}  # the lattice is graded: one more than any own facet
+    for ids in sorted(p.covers, key=len):
+        face_dim[ids] = face_dim[p.covers[ids][0]] + 1 if p.covers[ids] else 0
+    faces = tuple((face_dim[ids], tuple(p.vertices[i] for i in ids)) for ids in p.faces)
     return NondegeneracyCertificate(bad is None, (lo, hi), tuple(dims), faces, bad)

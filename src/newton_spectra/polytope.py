@@ -14,12 +14,13 @@ so repeated runs agree.
 Only convenient polytopes are built: `newton_polytope` refuses any other
 support with `NotConvenientError`, a hull of dimension below n by the rank
 of the echelon of its differences p - p_0 and a facet with offset b <= 0
-before any vertex is computed.  The hull is computed once; the face lattice
-(`NewtonPolytope.faces`) is read off its facets once, and both the volume
-(a pulling triangulation over that lattice) and the nondegeneracy
-certificate's face list read it.  The affine span and the vertex tests run
-on `linalg.Echelon`; the simplex |det| of the volume and the minors of the
-hull normals come from one integer determinant (`_det`).
+before any vertex is computed.  A support point is a vertex when the point
+sets of the facets through it meet in that point alone.  The face lattice is
+read off the facets once, as its cover relation (`NewtonPolytope.covers`),
+and the volume (a pulling triangulation) and the nondegeneracy certificate's
+faces and face dimensions read it.  The affine span runs on
+`linalg.Echelon`; the simplex |det| of the volume and the minors of the hull
+normals come from one integer determinant (`_det`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import mul
 
 from .errors import NotConvenientError, VerificationError
 from .laurent import LaurentPolynomial, term_key
-from .linalg import Echelon, rank
+from .linalg import Echelon
 
 
 def _dot(a, b):
@@ -73,19 +74,26 @@ class NewtonPolytope:
         )
 
     @cached_property
-    def faces(self):
-        """Every proper face as a sorted tuple of vertex ids, facets included.
-
-        The faces are the nonempty intersections of facets, closed here
-        under intersection with one more facet at a time.
-        """
+    def covers(self):
+        """Each proper face, a sorted tuple of vertex ids, to its own facets:
+        the maximal sets among its nonempty intersections with the polytope's
+        facets, other than itself.  A vertex has none."""
         facet_sets = {frozenset(f.vertex_ids) for f in self.facets}
-        faces = set(facet_sets)
+        covers = {}
         frontier = facet_sets
         while frontier:
-            frontier = {a & b for a in frontier for b in facet_sets} - faces - {frozenset()}
-            faces |= frontier
-        return tuple(sorted(tuple(sorted(f)) for f in faces))
+            for face in frontier:
+                inner = {face & b for b in facet_sets} - {face, frozenset()}
+                covers[face] = [g for g in inner if not any(g < h for h in inner)]
+            # the lattice is graded, so every face is a facet of a face above it
+            frontier = {g for face in frontier for g in covers[face]} - covers.keys()
+        return {tuple(sorted(face)): tuple(sorted(tuple(sorted(g)) for g in below))
+                for face, below in covers.items()}
+
+    @cached_property
+    def faces(self):
+        """Every proper face as a sorted tuple of vertex ids, facets included."""
+        return tuple(sorted(self.covers))
 
     # -- the gauge
 
@@ -248,19 +256,12 @@ def newton_polytope(f: LaurentPolynomial) -> NewtonPolytope:
         if b <= 0:
             raise NotConvenientError(
                 "origin is not strictly interior (facet %s . x <= %d)" % (list(a), b))
-    verts = tuple(sorted((pts[i] for i in _vertex_ids(pts, halfspaces)), key=term_key))
-    return NewtonPolytope(n, verts, tuple(halfspaces))
-
-
-def _vertex_ids(pts, halfspaces):
-    """Indices of the points whose active facet normals span everything."""
-    dim = len(pts[0])
-    out = []
-    for i, p in enumerate(pts):
-        active = [a for a, b in halfspaces if _dot(a, p) == b]
-        if len(active) >= dim and rank(active) == dim:
-            out.append(i)
-    return out
+    # a vertex is the one support point common to every facet through it
+    on = [{i for i, q in enumerate(pts) if _dot(a, q) == b} for a, b in halfspaces]
+    every = set(range(len(pts)))
+    verts = sorted((q for i, q in enumerate(pts)
+                    if every.intersection(*(s for s in on if i in s)) == {i}), key=term_key)
+    return NewtonPolytope(n, tuple(verts), tuple(halfspaces))
 
 
 def milnor_number(p: NewtonPolytope) -> int:
@@ -275,23 +276,19 @@ def milnor_number(p: NewtonPolytope) -> int:
     Raises VerificationError when the summed volume is not an integer; that
     check is explicit, so it also runs under `python -O`.
     """
-    faces = [frozenset(ids) for ids in p.faces]
     simplices = {}
 
     def pull(face):
         if face not in simplices:
-            apex = min(face)
-            inner = [g for g in faces if g < face]
+            apex = face[0]
             simplices[face] = [(apex,)] if len(face) == 1 else [
-                (apex,) + s
-                for g in inner if apex not in g and not any(g < h for h in inner)
-                for s in pull(g)
+                (apex,) + s for g in p.covers[face] if apex not in g for s in pull(g)
             ]
         return simplices[face]
 
     total = Fraction(0)
     for facet in p.facets:
-        for simplex in pull(frozenset(facet.vertex_ids)):
+        for simplex in pull(facet.vertex_ids):
             total += abs(_det([p.vertices[i] for i in simplex]))
     if total.denominator != 1:
         raise VerificationError("the normalized volume %s is not an integer" % total)

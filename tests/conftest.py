@@ -53,7 +53,11 @@ class that takes the F'^k bases (from `opposite_filtration`) for k
 descending, so its verdicts do not rest on how those bases are listed.
 reference_enumerate_sublevel is the box scan and reference_hull_halfspaces
 the per-subset nullspace hull (here on dense_rref) that the pruned
-enumeration and the integer minors replaced.
+enumeration and the integer minors replaced.  reference_vertex_ids and
+reference_face_dim are the rank tests (here on dense_rank) that the set
+intersections and the graded face lattice replaced: a point is a vertex when
+the normals of the facets through it span everything, and a face has the
+rank of its vertices' differences as its dimension.
 """
 
 import random
@@ -633,6 +637,23 @@ def reference_hull_halfspaces(pts, n):
             continue
         found[(a, b)] = True
     return sorted(found)
+
+
+def reference_vertex_ids(pts, halfspaces):
+    """Indices of the points whose active facet normals have rank n."""
+    n = len(pts[0])
+    out = []
+    for i, q in enumerate(pts):
+        active = [a for a, b in halfspaces if sum(map(mul, a, q)) == b]
+        if len(active) >= n and dense_rank(active) == n:
+            out.append(i)
+    return out
+
+
+def reference_face_dim(p, vertex_ids):
+    """Rank of the differences of a face's vertices to its first one."""
+    vs = [p.vertices[i] for i in vertex_ids]
+    return dense_rank([[x - y for x, y in zip(v, vs[0])] for v in vs[1:]]) if vs[1:] else 0
 
 
 def reference_spectrum(algebra):

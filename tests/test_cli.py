@@ -8,6 +8,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 
 from conftest import CORPUS, DEGENERATE
@@ -18,6 +23,7 @@ from newton_spectra import (
 )
 from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import frobenius as frobenius_mod
+from newton_spectra import jacobian as jacobian_mod
 from newton_spectra import polytope as polytope_mod
 from newton_spectra.cli import _build_parser, main
 
@@ -370,6 +376,53 @@ def test_failed_solver_residual_exits_2_and_fails_check(capsys, monkeypatch,
     lines = out.splitlines()
     assert "FAIL birkhoff-normal-form (%s)" % message in lines
     assert lines[-1] == "7 passed, 1 failed"
+
+
+# d = 657,563,400: the certificate's dense window list alone asks for
+# about 5 GB, so it runs out of memory under a 2.5 GiB address-space cap
+HUGE_SCALE = ("-2*u1^2*u3^2*u4^-1 - 2*u2^2*u4 + 2*u1 + u1^2*u2^-2*u3^-1*u4"
+              " - 2*u1^2*u2^-1*u3^-2*u4^-2 - 2*u1^-2*u4^-2"
+              " + 2*u1^-2*u2^-1*u3*u4^-2 - 2*u1^-2*u2^-2*u3^-2*u4")
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
+def test_out_of_memory_exits_2_without_a_traceback():
+    cap = 5 * 2 ** 29
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    for argv in (["check", HUGE_SCALE], ["analyze", "--json", HUGE_SCALE]):
+        proc = subprocess.run([sys.executable, "-m", "newton_spectra.cli"] + argv,
+                              capture_output=True, text=True, preexec_fn=limit)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: the nondegeneracy stage ran out of memory\n"
+    error = json.loads(proc.stdout)["error"]
+    assert error == {"stage": "nondegeneracy", "type": "MemoryError",
+                     "message": "the nondegeneracy stage ran out of memory"}
+
+
+def test_out_of_memory_in_any_stage_is_a_structured_error(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(jacobian_mod.JacobianAlgebra, "graded_dims", exhausted)
+    rc, out, err = run_cli(capsys, ["analyze", "--json", "u1 + u1^-1"])
+    assert rc == 2 and err == "error: the nondegeneracy stage ran out of memory\n"
+    report = json.loads(out)
+    assert report["error"] == {"stage": "nondegeneracy", "type": "MemoryError",
+                               "message": "the nondegeneracy stage ran out of memory"}
+    assert report["polytope"] is not None and report["nondegeneracy"] is None
+    for command in ("mu", "check"):
+        assert run_cli(capsys, [command, "u1 + u1^-1"]) == (2, "", err), command
+    # a stage after the pencil, which `check` otherwise reports as a failed
+    # property, exits 2 as well
+    monkeypatch.undo()
+    monkeypatch.setattr(frobenius_mod, "graded_model", exhausted)
+    err = "error: the graded_model stage ran out of memory\n"
+    for command in ("analyze", "check"):
+        assert run_cli(capsys, [command, "u1 + u1^-1"])[::2] == (2, err), command
 
 
 def test_section_json_wrapper(capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from conftest import (
     CORPUS,
@@ -11,6 +12,8 @@ from conftest import (
     pipeline,
     planar_hull,
     planar_nondegenerate,
+    reference_face_dim,
+    reference_vertex_ids,
 )
 from newton_spectra import (
     DegenerateError,
@@ -22,6 +25,7 @@ from newton_spectra import (
     newton_polytope,
     parse_laurent,
 )
+from newton_spectra.laurent import term_key
 
 MIRROR4 = "u1 + u2 + u3 + u4 + u1^-1*u2^-1*u3^-1*u4^-1"
 DEGENERATE_EDGE_3 = "u1^2*u3 - 2*u1*u2*u3 + u2^2*u3 + u3 + u1^-1*u2^-1*u3^-1 + u1*u2"
@@ -60,6 +64,55 @@ def test_proper_face_counts():
     # octahedron: 6 vertices + 12 edges + 8 facets
     p = pipeline("u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1").polytope
     assert len(p.faces) == 26
+
+
+def _face_oracle_agrees(f, p, cert=None):
+    """Vertices and certificate faces of f against the rank references.
+
+    Without a certificate, one is built on a quotient with an empty window:
+    the face list reads the polytope alone, and a random four-variable
+    quotient can take tens of seconds.  Returns the number of support
+    points on the boundary that are not vertices.
+    """
+    pts = [e for e in f.support() if any(e)]
+    expected = sorted((pts[i] for i in reference_vertex_ids(pts, p.halfspaces)), key=term_key)
+    assert list(p.vertices) == expected, pts
+    if cert is None:
+        empty_window = SimpleNamespace(polytope=p, n=f.arity, d=p.scale,
+                                       graded_dims=lambda lo, hi: [0] * (hi - lo + 1))
+        cert = is_nondegenerate(empty_window)
+    assert list(cert.faces) == [
+        (reference_face_dim(p, ids), tuple(p.vertices[i] for i in ids)) for ids in p.faces
+    ], pts
+    boundary = {q for q in pts for a, b in p.halfspaces if sum(x * y for x, y in zip(a, q)) == b}
+    return len(boundary - set(p.vertices))
+
+
+def test_vertices_and_face_dimensions_match_the_rank_references():
+    # (1, 1) lies inside the edge from (2, 0) to (0, 2) and is no vertex
+    f, _ = parse_laurent("u1^2 + u1*u2 + u2^2 + u1^-1*u2^-1")
+    p = newton_polytope(f)
+    assert p.vertices == ((-1, -1), (0, 2), (2, 0))
+    assert _face_oracle_agrees(f, p) == 1
+    for expr in [expr for expr, _, _ in CORPUS] + [MIRROR4, SQUARE_FACET]:
+        data = pipeline(expr)
+        _face_oracle_agrees(data.f, data.polytope, data.certificate)
+    rng = random.Random(20261024)
+    radius = {1: 4, 2: 3, 3: 2, 4: 1}
+    inside_faces = 0
+    for i in range(240):
+        n = 1 + i % 4
+        while True:
+            pts = {tuple(rng.randint(-radius[n], radius[n]) for _ in range(n))
+                   for _ in range(rng.randint(n + 1, 3 * n + 3))} - {(0,) * n}
+            f = LaurentPolynomial(n, dict.fromkeys(pts, 1))
+            try:
+                p = newton_polytope(f)
+                break
+            except ValueError:  # not convenient, or no point left
+                continue
+        inside_faces += _face_oracle_agrees(f, p)
+    assert inside_faces > 100
 
 
 def test_degenerate_square_term_detected_exactly():

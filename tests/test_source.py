@@ -7,7 +7,10 @@ function or class of the package is named somewhere in it, and every public
 one is named in it, exported in `__all__` or wrapped by a `TARGETS` entry of
 the benchmark's tracer (`perfbench/tracer.py`).  The storage of
 `linalg.Echelon` rows is known to `linalg` alone: other modules read rows
-through `pivots`, `row(p)`, `integer_row(p)`, `len` and `in`.
+through `pivots`, `row(p)`, `integer_row(p)`, `len` and `in`.  The dense
+wrappers `rref`, `rank`, `solve_linear`, `nullspace` and `rational_roots`
+are defined in `linalg` for the tests and the tracer, and the package calls
+none of them.
 """
 
 import ast
@@ -84,3 +87,21 @@ def test_only_linalg_reads_echelon_rows():
         if isinstance(node, ast.Attribute) and node.attr in ("rows", "_rows")
     ]
     assert (PACKAGE / "linalg.py").exists() and found == []
+
+
+def test_package_calls_no_dense_wrapper():
+    # a wrapper is neither called nor imported anywhere in the package
+    wrappers = {"rref", "rank", "solve_linear", "nullspace", "rational_roots"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in wrappers:
+                found.append("%s:%d" % (path.name, node.lineno))
+    _, defined = _named_and_defined()
+    assert wrappers <= defined and found == []
