@@ -1,15 +1,18 @@
 """Graded Jacobian-type quotient of a convenient nondegenerate polynomial.
 
 Everything is organized by the scaled Newton degree r = scale * phi, an
-integer.  One enumeration of the lattice points fills a level table,
-exponent -> scaled level, and the graded-lex monomial list of each occupied
-level; an empty level has graded dimension 0 and is never visited.  An
-exponent outside the table has its level computed from the facet forms.
+integer.  One enumeration of the lattice points, which gives each point's
+level along with it, fills a level table, exponent -> scaled level, and the
+graded-lex monomial list of each occupied level; an empty level has graded
+dimension 0 and is never visited.  An exponent outside the table has its
+level computed from the facet forms.
 For each level r the multiples u^m * lead(xi_i(f)) of the leading forms of
 the n logarithmic derivatives, with m at level r - scale, span a subspace
 of the level-r monomials.  Each level caches one `linalg.Echelon` of that
 span: columns are the positions of the level's monomials in graded-lex
-order, rows go in in (i, m) order and carry the label (i, m) as provenance.
+order, rows go in in (i, m) order until every column is a pivot (a further
+row would reduce to zero and be dropped) and carry the label (i, m) as
+provenance.
 The rows are the leading forms scaled to integers (see below), which moves
 neither the span nor the pivots, so a level echelon is built on integers
 alone.  Non-pivot monomials are the canonical graded representatives;
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import add
 from typing import NamedTuple
@@ -142,9 +146,9 @@ class JacobianAlgebra:
         # n*d + 1 .. n*d + d; only a division above it enumerates again
         r = max(r, (self.n + 1) * self.d)
         levels = self._levels = {}
-        level_of = self._level_of
-        for e in self.polytope.enumerate_sublevel(Fraction(r, self.d)):
-            level_of[e] = k = self.polytope.scaled_phi_exp(e)
+        points = self.polytope.enumerate_sublevel(Fraction(r, self.d))
+        self._level_of.update(points)
+        for e, k in points.items():
             levels.setdefault(k, []).append(e)
         self._index = {k: {e: j for j, e in enumerate(lst)} for k, lst in levels.items()}
         self._level_max = r
@@ -162,16 +166,18 @@ class JacobianAlgebra:
         if r not in self._solvers:
             self._ensure_levels(r)
             index = self._index.get(r, {})
+            below = self.level_monomials(r - self.d)
             ech = Echelon()
-            for i in range(self.n):
-                lead = self.leading[i]
-                for m in self.level_monomials(r - self.d):
-                    vec = {}
-                    for k, b in lead.items():
-                        j = index.get(tuple(a + t for a, t in zip(m, k)))
-                        if j is not None:
-                            vec[j] = vec.get(j, 0) + b
-                    ech.insert(vec, (i, m))
+            for i, m in product(range(self.n), below):
+                # every further row would reduce to zero and be dropped
+                if len(ech) == len(index):
+                    break
+                vec = {}
+                for k, b in self.leading[i].items():
+                    j = index.get(tuple(map(add, m, k)))
+                    if j is not None:
+                        vec[j] = vec.get(j, 0) + b
+                ech.insert(vec, (i, m))
             self._solvers[r] = ech
         return self._solvers[r]
 

@@ -5,11 +5,13 @@ The polytope of f is the convex hull of the nonzero exponents in its support.
 every facet hyperplane can be normalized to a linear form L with L == 1 on the
 facet, and phi(x) = max over facets of L(x) is the polytope gauge.  The hull
 is computed on integers: facet halfspaces a.x <= b with a primitive integer
-normal (`_hull_halfspaces`, from signed maximal minors), and the scaled
-forms scale * L are integer vectors, so the gauge, the vertex tests and the
-lattice-point walk (`enumerate_sublevel`) are integer sums; only the facet
-coefficients L and the degrees phi are Fractions.  Facet data is canonical,
-so repeated runs agree.
+normal (`_hull_halfspaces`, from signed maximal minors).  With a primitive,
+every coefficient a_i / b of L has denominator b, so scale is the lcm of
+the facet offsets b and the scaled form scale * L is the integer vector
+a * (scale // b).  The gauge, the vertex tests and the lattice-point walk
+(`enumerate_sublevel`, which hands out each point with its scaled level)
+are integer sums; only the facet coefficients L and the degrees phi are
+Fractions.  Facet data is canonical, so repeated runs agree.
 
 Only convenient polytopes are built: `newton_polytope` refuses any other
 support with `NotConvenientError`, a hull of dimension below n by the rank
@@ -57,20 +59,17 @@ class NewtonPolytope:
         self.arity = arity
         self.vertices = vertices          # tuple of exponent tuples, graded-lex order
         self.halfspaces = halfspaces      # tuple of (primitive int normal, int offset), a.x <= b
-        facets = []
-        for a, b in halfspaces:
-            coeffs = tuple(Fraction(ai, b) for ai in a)
-            on = tuple(i for i, v in enumerate(vertices) if _dot(a, v) == b)
-            facets.append(FacetForm(coeffs, on))
-        facets.sort(key=lambda f: f.coeffs)
-        self.facets = tuple(facets)
-        self.scale = 1
-        for f in self.facets:
-            for c in f.coeffs:
-                self.scale = lcm(self.scale, c.denominator)
-        # scale * L for every facet form L: integer forms of the scaled gauge
+        # a is primitive, so each coefficient a_i / b of L has denominator b
+        self.scale = lcm(*(b for _, b in halfspaces))
+        facets = sorted(
+            (tuple(Fraction(ai, b) for ai in a), a, b) for a, b in halfspaces
+        )
+        self.facets = tuple(
+            FacetForm(coeffs, tuple(i for i, v in enumerate(vertices) if _dot(a, v) == b))
+            for coeffs, a, b in facets
+        )
         self._scaled_forms = tuple(
-            tuple(int(c * self.scale) for c in f.coeffs) for f in self.facets
+            tuple(ai * (self.scale // b) for ai in a) for _, a, b in facets
         )
 
     @cached_property
@@ -110,8 +109,9 @@ class NewtonPolytope:
 
     # -- lattice point enumeration
 
-    def enumerate_sublevel(self, alpha) -> list[tuple[int, ...]]:
-        """All lattice points with phi <= alpha, graded-lex order.
+    def enumerate_sublevel(self, alpha) -> dict[tuple[int, ...], int]:
+        """All lattice points with phi <= alpha, graded-lex order, each
+        mapped to its scaled level scale * phi.
 
         They are the points of alpha times the vertices' bounding box on
         which every scaled facet form is at most top = floor(alpha * scale).
@@ -119,11 +119,13 @@ class NewtonPolytope:
         bounds the next coordinate from one side: the form must stay <= top
         with the coordinates after it at their smallest contribution in the
         box, so a prefix is cut as soon as one form exceeds top.  At the
-        last coordinate the bounds are exact.
+        last coordinate the bounds are exact, and the walk holds every
+        form's sum over the prefix, so a point's level is the largest of
+        those sums plus the form's last term.
         """
         alpha = Fraction(alpha)
         if alpha < 0:
-            return []
+            return {}
         n = self.arity
         box = []
         for j in range(n):
@@ -138,7 +140,7 @@ class NewtonPolytope:
             lo, hi = box[j]
             rest.append([r + min(a[j] * lo, a[j] * hi) for a, r in zip(forms, rest[-1])])
         rest.reverse()
-        out = []
+        out = {}
 
         def walk(j, prefix, sums):
             lo, hi = box[j]
@@ -151,16 +153,16 @@ class NewtonPolytope:
                     lo = max(lo, -(room // -c))
                 elif room < 0:
                     return
-            for x in range(lo, hi + 1):
-                point = prefix + (x,)
-                if j + 1 == n:
-                    out.append(point)
-                else:
-                    walk(j + 1, point, [s + a[j] * x for a, s in zip(forms, sums)])
+            if j + 1 == n:
+                last = [(a[j], s) for a, s in zip(forms, sums)]
+                for x in range(lo, hi + 1):
+                    out[prefix + (x,)] = max([c * x + s for c, s in last])
+            else:
+                for x in range(lo, hi + 1):
+                    walk(j + 1, prefix + (x,), [s + a[j] * x for a, s in zip(forms, sums)])
 
         walk(0, (), [0] * len(forms))
-        out.sort(key=term_key)
-        return out
+        return {e: out[e] for e in sorted(out, key=term_key)}
 
     def to_json_obj(self):
         return {

@@ -58,6 +58,8 @@ reference_face_dim are the rank tests (here on dense_rank) that the set
 intersections and the graded face lattice replaced: a point is a vertex when
 the normals of the facets through it span everything, and a face has the
 rank of its vertices' differences as its dimension.
+reference_level_echelon is a level echelon as `JacobianAlgebra.solver`
+built it before it stopped at a full level: from every row.
 """
 
 import random
@@ -106,6 +108,10 @@ DEGENERATE = "u1^2 - 2*u1*u2 + u2^2 + u1^-1*u2^-1"
 # (1+u1)(1+u2)*u3 on the square facet: every edge squarefree, the 2-face
 # system vanishes at u1 = u2 = -1
 SQUARE_FACET = "u3 + u1*u3 + u2*u3 + u1*u2*u3 + u1^-1*u2^-1*u3^-1 + u3^-1"
+
+# the one pinned input whose `birkhoff` verdicts are all false (mu = 42)
+NEGATIVE = ("3*u1^-3*u2^-3 - 2*u1^-3*u2^3 + 2*u1^-1*u2^-3 + 3*u1^-1*u2^-2"
+            " - u1 + u1^3*u2^-3")
 
 # inputs of the benchmark ladder outside the corpus, mu 16 to 240
 LADDER = (
@@ -584,6 +590,23 @@ def _fraction_axpy(y, c, x):
             y[k] = s
         else:
             del y[k]
+
+
+def reference_level_echelon(algebra, r):
+    """The level-r echelon built from every row u^m lead(L xi_i(f)), m at
+    level r - scale, inserted in (i, m) order."""
+    algebra.level_monomials(r)
+    index = algebra._index.get(r, {})
+    ech = Echelon()
+    for i in range(algebra.n):
+        for m in algebra.level_monomials(r - algebra.d):
+            vec = {}
+            for k, b in algebra.leading[i].items():
+                j = index.get(tuple(a + t for a, t in zip(m, k)))
+                if j is not None:
+                    vec[j] = vec.get(j, 0) + b
+            ech.insert(vec, (i, m))
+    return ech
 
 
 def reference_enumerate_sublevel(p, alpha):

@@ -25,6 +25,7 @@ from conftest import (
     CORPUS,
     DEGENERATE,
     LADDER,
+    NEGATIVE,
     NOT_CONVENIENT,
     dense,
     pipeline,
@@ -414,15 +415,13 @@ LADDER_SECTION_SHA256 = {
 
 # 13. a negative verdict: every other pinned input ends with all four flags
 #     true, so a rewritten check that wrongly said "yes" would pass them.
-#     NEGATIVE (mu = 42) is solved by sweep+split, and its `birkhoff` section
-#     has structure, semisimple, v_plus and b_opposed all false.  The digest
-#     and the `check` entry below were taken from the implementation that
-#     ran the V-filtration checks on Fraction degrees.  ROADMAP item 1 (a
-#     gauge with a constant part) will change this gauge on purpose, and
-#     both digests with it.
+#     NEGATIVE (conftest, mu = 42) is solved by sweep+split, and its
+#     `birkhoff` section has structure, semisimple, v_plus and b_opposed
+#     all false.  The digest and the `check` entry below were taken from
+#     the implementation that ran the V-filtration checks on Fraction
+#     degrees.  ROADMAP item 1 (a gauge with a constant part) will change
+#     this gauge on purpose, and both digests with it.
 
-NEGATIVE = ("3*u1^-3*u2^-3 - 2*u1^-3*u2^3 + 2*u1^-1*u2^-3 + 3*u1^-1*u2^-2"
-            " - u1 + u1^3*u2^-3")
 NEGATIVE_BIRKHOFF_SHA256 = "099ac008421c6448da2f650f6553d1a419b1dbbb037491a0488e32459e833998"
 
 

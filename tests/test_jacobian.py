@@ -11,7 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, DEGENERATE, dense_rank, pipeline, reference_divide
+from conftest import (
+    CORPUS,
+    DEGENERATE,
+    LADDER,
+    NEGATIVE,
+    dense_rank,
+    pipeline,
+    reference_divide,
+    reference_level_echelon,
+)
 from newton_spectra import (
     AdaptedBasis,
     DegeneracySuspectedError,
@@ -25,6 +34,7 @@ from newton_spectra import (
     newton_polytope,
     parse_laurent,
 )
+from newton_spectra.linalg import Echelon
 
 
 def _bruteforce_quotient_dim(f, p, scaled_level):
@@ -130,7 +140,7 @@ def test_divide_witness_round_trip():
     for expr in ("u1 + u2 + u1^-1*u2^-1", "u1 + u1^-2"):
         data = pipeline(expr)
         algebra = data.algebra
-        pts = data.polytope.enumerate_sublevel(2)
+        pts = list(data.polytope.enumerate_sublevel(2))
         for _ in range(30):
             terms = {}
             for _ in range(rng.randrange(1, 4)):
@@ -177,7 +187,7 @@ def test_divide_refuses_a_residual_outside_the_basis():
 
 def _random_forms(rng, algebra, count, top):
     """Seeded forms with 1-5 terms on the lattice points up to phi = top."""
-    pts = algebra.polytope.enumerate_sublevel(top)
+    pts = list(algebra.polytope.enumerate_sublevel(top))
     for _ in range(count):
         terms = {pts[rng.randrange(len(pts))]:
                  Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
@@ -271,3 +281,44 @@ def test_lattice_points_enumerated_once(monkeypatch):
         report, status = analyze_text(expr)
         assert status == "ok" and report["polytope"]["scale"] == scale
         assert calls == [top], expr
+
+
+def test_full_level_takes_no_more_rows(monkeypatch):
+    # solver stops inserting once every column of a level is a pivot; every
+    # row it skips reduces to zero, so each level echelon the stages build,
+    # those of the pencil's divisions included, is the one built from every
+    # row: the same pivots in the same order, rows, provenance and leads
+    inserted = []
+    insert = Echelon.insert
+
+    def counted(self, vec, label=None):
+        inserted.append(label)
+        return insert(self, vec, label)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    taken = skipped = 0
+    for expr in [e for e, _, _ in CORPUS] + list(LADDER) + [NEGATIVE, DEGENERATE]:
+        data = pipeline(expr)
+        data.algebra.basis()
+        if data.certificate.ok:
+            data.pencil
+        algebra = JacobianAlgebra(data.f, data.polytope)
+        for r in sorted(data.algebra._solvers):
+            inserted.clear()
+            ech = algebra.solver(r)
+            rows = algebra.n * len(algebra.level_monomials(r - algebra.d))
+            if len(ech) < len(algebra._index.get(r, ())):
+                # a deficient level never fills up, so it takes every row
+                assert len(inserted) == rows, (expr, r)
+            taken += len(inserted)
+            skipped += rows - len(inserted)
+            ref = reference_level_echelon(algebra, r)
+            assert list(ech.pivots) == list(ref.pivots), (expr, r)
+            for p in ech.pivots:
+                assert ech.integer_row(p) == ref.integer_row(p), (expr, r, p)
+    # 272 of the 3212 rows of these levels come after their level is full
+    assert skipped > 200
+    # the degenerate input's first window level is deficient
+    algebra = pipeline(DEGENERATE).algebra
+    r = algebra.n * algebra.d + 1
+    assert 0 < len(algebra.solver(r)) < len(algebra._index[r])

@@ -11,7 +11,7 @@ formula, and the face lattice against Euler's relation.
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -92,7 +92,7 @@ def test_interior_origin_examples_pass_gate():
 
 def test_enumerate_sublevel_triangle():
     p = pipeline("u1 + u2 + u1^-1*u2^-1").polytope
-    level1 = p.enumerate_sublevel(1)
+    level1 = list(p.enumerate_sublevel(1))
     assert (0, 0) in level1 and (1, 0) in level1 and (-1, -1) in level1
     assert (-1, 0) not in level1
     assert level1 == sorted(level1, key=lambda e: (sum(e), e))  # graded-lex
@@ -103,7 +103,7 @@ def test_enumerate_sublevel_triangle():
         if p.phi_exp(e) <= 2
     ]
     assert set(p.enumerate_sublevel(2)) == set(box)
-    assert p.enumerate_sublevel(Fraction(-1)) == []
+    assert p.enumerate_sublevel(Fraction(-1)) == {}
 
 
 def _point_count(p, k):
@@ -204,9 +204,18 @@ def test_pruned_enumeration_and_integer_hull_match_the_references():
         # extra points inside or outside the hull change the candidate subsets
         assert polytope_mod._hull_halfspaces(pts, n) == reference_hull_halfspaces(pts, n)
         assert list(p.halfspaces) == reference_hull_halfspaces(list(p.vertices), n)
+        # the scale and the integer forms read off the offsets equal the lcm
+        # of the facet coefficients' denominators and scale * L
+        assert p.scale == lcm(*(c.denominator for f in p.facets for c in f.coeffs))
+        assert p._scaled_forms == tuple(
+            tuple(int(c * p.scale) for c in f.coeffs) for f in p.facets)
         for alpha in (-1, 0, Fraction(1, 2), 1, n + 1, Fraction(5, 3)):
             got = p.enumerate_sublevel(alpha)
-            assert got == reference_enumerate_sublevel(p, alpha), (p.vertices, alpha)
+            assert list(got) == reference_enumerate_sublevel(p, alpha), (p.vertices, alpha)
+            # the walk's level of each point is the gauge's
+            assert all(k == p.scaled_phi_exp(e) for e, k in got.items()), (p.vertices, alpha)
+            if alpha < 0:
+                assert got == {}
             points += len(got)
     assert points > 10000
 
