@@ -10,17 +10,27 @@ At theta^0 this forces A_0 = B_0.  The primary solver additionally demands
 A_inf = diag(basis degrees), which makes the whole system linear in the P_k.
 A pencil that already reads B_0 + theta diag(basis degrees) gives that
 system a zero right-hand side, so its solution is P = I and no system is
-built.  When the system is infeasible a bounded fixed-point sweep is tried where
-A_inf is frozen per sweep and recomputed as B_1 + [B_0, P_1], which is A_inf
-plus the theta^1 coefficient of the exact gauge residual.  A sweep result
-whose A_inf still couples distinct degrees is post-composed with a constant
-base change (entries allowed where deg(row) < deg(column), so it is still
-filtration-compatible) that block-diagonalizes A_inf; the coupling blocks
-have disjoint spectra, so that Sylvester-type system is uniquely solvable.
-Every candidate must pass an exact residual check before being accepted;
-otherwise a structured obstruction record is returned.  The pencil, the
-gauge, A_0 and A_inf are all matrices of sparse rows (see `linalg`), and
-every product and check here touches their nonzero entries only.
+built.  Otherwise the system is built once and settled by substitution
+first (`_settle`): an equation holding exactly one unsettled unknown fixes
+it, until no such equation is left.  When every unknown is settled, the
+settling equations form a square triangular system with a nonzero
+diagonal, so the system has at most one solution, and the settled values
+are it once every equation that a nonzero right-hand side or a nonzero
+unknown reaches holds.  Only when an unknown is left unsettled or an
+equation fails do the same rows go to one exact elimination
+(`_solve_system`), which also gives the ranks and culprits of an
+obstruction record.  When the system is infeasible a bounded fixed-point
+sweep is tried where A_inf is frozen per sweep and recomputed as
+B_1 + [B_0, P_1], which is A_inf plus the theta^1 coefficient of the exact
+gauge residual.  A sweep result whose A_inf still couples distinct degrees
+is post-composed with a constant base change (entries allowed where
+deg(row) < deg(column), so it is still filtration-compatible) that
+block-diagonalizes A_inf; the coupling blocks have disjoint spectra, so
+that Sylvester-type system is uniquely solvable.  Every candidate must
+pass an exact residual check before being accepted; otherwise a structured
+obstruction record is returned.  The pencil, the gauge, A_0 and A_inf are
+all matrices of sparse rows (see `linalg`), and every product and check
+here touches their nonzero entries only.
 
 The module also carries the V-filtration side: the finite level-by-level
 direct-sum test for a solution basis, the spectral test on A_inf, and the
@@ -42,6 +52,9 @@ a common denominator D:
  * D A - D r I = D (A - r I), so a product of such factors vanishes
    exactly when the unscaled product does (semisimplicity of A_inf);
  * (D N)^k = D^k N^k, so D N is nilpotent iff N is;
+ * an equation times D has the same solutions, so the gauge systems are
+   built as int rows times D, with the solution, ranks and culprits of the
+   unscaled system;
  * scaling a vector by a nonzero number changes neither the span of an
    `Echelon`, nor its pivots, nor whether the vector lies in a span, so the
    filtration echelons and the (B) test take integer numerators.
@@ -85,10 +98,11 @@ def _trim(mats):
     return mats
 
 
-def _scaled(mats):
+def _scaled(mats, base=1):
     """(D, the matrices times D as int sparse rows), D the least common
-    denominator of their entries (ints or Fractions)."""
-    d = lcm(*{x.denominator for m in mats for row in m for x in row.values()})
+    multiple of base and the denominators of their entries (ints or
+    Fractions)."""
+    d = lcm(base, *{x.denominator for m in mats for row in m for x in row.values()})
     return d, [[{j: x.numerator * (d // x.denominator) for j, x in row.items()}
                 for row in m] for m in mats]
 
@@ -140,6 +154,7 @@ def gauge_residual(pencil: ConnectionPencil, gauge, a0, ainf):
 
 MAX_SWEEPS = 16       # fixed-point rounds after the diagonal ansatz fails
 MAX_CULPRITS = 8      # culprit equation labels kept in an obstruction record
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -209,63 +224,80 @@ def _pattern_slots(orders, den):
 
 
 def _build_linear_system(pencil, ainf, include_m1=True):
-    """Sparse rows of the linear system in the pattern unknowns, frozen A_inf.
+    """Integer sparse rows of the linear system in the pattern unknowns, frozen A_inf.
 
-    Equation (m, i, j) is the theta^m coefficient at (i, j) of
+    Equation (m, i, j) is D times the theta^m coefficient at (i, j) of
     B P + theta^2 P' - P (B_0 + theta A_inf) with P_0 = I, for m >= 1
-    (m >= 2 without include_m1).  Its row is a dict slot index ->
-    coefficient and its right-hand side is minus the part free of unknowns.
-    Only the equations that a nonzero entry of some B_k or of A_inf, or a
-    slot, contributes to are formed; those whose row and right-hand side
-    both vanish are dropped, and the rest come in (m, i, j) order.
+    (m >= 2 without include_m1); D is the least common multiple of den and
+    the denominators of the entries of the B_k and of A_inf, so every
+    coefficient is an int (module docstring).  Its row is a dict slot index
+    -> coefficient and its right-hand side is minus the part free of
+    unknowns.  Only the equations
+    that a nonzero entry of some B_k or of A_inf, or a slot, contributes to
+    are formed; those whose row and right-hand side both vanish are dropped,
+    and the rest come in (m, i, j) order.
     """
+    mu = pencil.mu
     slots = _pattern_slots(pencil.orders, pencil.den)
+    d, (*bmats, amat) = _scaled([*pencil.matrices, ainf], pencil.den)
     by_row = {}          # (k, row) -> [(col, slot index)]
     for t, (k, i, j) in enumerate(slots):
         by_row.setdefault((k, i), []).append((j, t))
     kmax = max((k for k, _, _ in slots), default=0)
-    coeffs = {}          # (m, i, j) -> {slot index: coefficient}
-    consts = {}          # (m, i, j) -> the part free of unknowns
-
-    def add(lab, t, x):
-        row = coeffs.setdefault(lab, {})
-        row[t] = row.get(t, 0) + x
-
-    def add_const(lab, x):
-        consts[lab] = consts.get(lab, 0) + x
-
+    sq = mu * mu         # equation (m, i, j) is kept under m * sq + i * mu + j
+    coeffs = {}          # key -> {slot index: coefficient}
+    consts = {}          # key -> the part free of unknowns
     # B_k P_l: P_0 = I gives the constant B_k, l >= 1 the slots (l, r, j)
-    for k, bmat in enumerate(pencil.matrices):
+    for k, bmat in enumerate(bmats):
         for i, brow in enumerate(bmat):
             for r, x in brow.items():
                 if k:
-                    add_const((k, i, r), x)
+                    key = k * sq + i * mu + r
+                    consts[key] = consts.get(key, 0) + x
                 for l in range(1, kmax + 1):
+                    base = (k + l) * sq + i * mu
                     for j, t in by_row.get((l, r), ()):
-                        add((k + l, i, j), t, x)
+                        row = coeffs.setdefault(base + j, {})
+                        row[t] = row.get(t, 0) + x
     # theta^2 P' - P_l B_0 - theta P_l A_inf, with P_0 A_inf constant
-    b0 = pencil.matrices[0]
-    for i, arow in enumerate(ainf):
+    for i, arow in enumerate(amat):
         for j, y in arow.items():
-            add_const((1, i, j), -y)
+            key = sq + i * mu + j
+            consts[key] = consts.get(key, 0) - y
+    # these terms of the slot (l, i, s) depend on l and s alone: c at the
+    # key l * sq + i * mu + off for each (off, c) in terms[l, s]
+    b0 = bmats[0]
+    terms = {}
+    for l in range(1, kmax + 1):
+        for s in range(mu):
+            acc = {sq + s: l * d}
+            for j, y in b0[s].items():
+                acc[j] = acc.get(j, 0) - y
+            for j, y in amat[s].items():
+                acc[sq + j] = acc.get(sq + j, 0) - y
+            terms[l, s] = [(off, c) for off, c in acc.items() if c]
     for t, (l, i, s) in enumerate(slots):
-        add((l + 1, i, s), t, l)
-        for j, y in b0[s].items():
-            add((l, i, j), t, -y)
-        for j, y in ainf[s].items():
-            add((l + 1, i, j), t, -y)
+        base = l * sq + i * mu
+        for off, c in terms[l, s]:
+            row = coeffs.setdefault(base + off, {})
+            row[t] = row.get(t, 0) + c
     rows = []
     rhs = []
     labels = []
-    for lab in sorted(coeffs.keys() | consts.keys()):
-        if lab[0] == 1 and not include_m1:
-            continue
-        row = {t: x for t, x in coeffs.get(lab, {}).items() if x}
-        const = consts.get(lab, 0)
+    keys = sorted(coeffs.keys() | consts.keys())
+    for key in keys[bisect_left(keys, sq if include_m1 else 2 * sq):]:
+        row = coeffs.get(key)
+        if row is None:
+            row = {}
+        elif not all(row.values()):
+            row = {t: x for t, x in row.items() if x}
+        const = consts.get(key, 0)
         if row or const:
+            m, ij = divmod(key, sq)
+            i, j = divmod(ij, mu)
             rows.append(row)
             rhs.append(-const)
-            labels.append(lab)
+            labels.append((m, i, j))
     return slots, rows, rhs, labels
 
 
@@ -277,6 +309,76 @@ def _gauge_from_solution(slots, x, mu):
         if y:
             mats[k][i][j] = y
     return mats
+
+
+def _settle(n, rows, rhs):
+    """The solution of the system by substitution alone, or None.
+
+    An equation holding exactly one unsettled unknown settles it, until no
+    such equation is left.  An equation of one unknown settles it, or
+    checks its value once it is settled; the equations of several unknowns
+    keep occurrence counts of their unsettled ones, which drop by one as
+    each is settled, and are checked once every unknown is.  Then the
+    settling equations, in settling order, form a square triangular system
+    with a nonzero diagonal: the system has full column rank, so it has at
+    most one solution.  An equation can fail only with a nonzero
+    right-hand side or a nonzero unknown.  When all hold, the values are
+    the unique solution, which is `_solve_system`'s.  None when an unknown
+    is left unsettled or an equation fails; the rows then go to
+    `_solve_system`.
+    """
+    x = [None] * n
+    left = n
+    multi = []
+    for e, row in enumerate(rows):
+        if len(row) != 1:
+            multi.append(e)
+            continue
+        (t, c), = row.items()
+        b = rhs[e]
+        v = x[t]
+        if v is None:
+            x[t] = Fraction(b, c) if b else _ZERO
+            left -= 1
+        elif (v or b) and c * v != b:
+            return None
+    count = {}
+    where = {}           # unsettled unknown -> the equations holding it
+    queue = []
+    for e in multi:
+        free = [t for t in rows[e] if x[t] is None]
+        count[e] = len(free)
+        for t in free:
+            where.setdefault(t, []).append(e)
+        if len(free) == 1:
+            queue.append(e)
+    for e in queue:
+        if count[e] != 1:
+            continue
+        row = rows[e]
+        acc = rhs[e]
+        for u, c in row.items():
+            v = x[u]
+            if v is None:
+                t = u
+            elif v:
+                acc -= c * v
+        x[t] = Fraction(acc, row[t]) if acc else _ZERO
+        left -= 1
+        for f in where[t]:
+            count[f] -= 1
+            if count[f] == 1:
+                queue.append(f)
+    if left:
+        return None
+    for e in multi:
+        acc = rhs[e]
+        for u, c in rows[e].items():
+            if v := x[u]:
+                acc -= c * v
+        if acc:
+            return None
+    return x
 
 
 def _solve_system(n, rows, rhs, labels):
@@ -404,7 +506,9 @@ def solve_birkhoff(pencil: ConnectionPencil):
         # unknowns zero is 0, and the gauge is I
         return _ansatz_solution(pencil, [identity(mu)], d_mat)
     slots, rows, rhs, labels = _build_linear_system(pencil, d_mat, include_m1=True)
-    x, system_rank, augmented_rank, culprits = _solve_system(len(slots), rows, rhs, labels)
+    x = _settle(len(slots), rows, rhs)
+    if x is None:
+        x, system_rank, augmented_rank, culprits = _solve_system(len(slots), rows, rhs, labels)
     if x is not None:
         return _ansatz_solution(pencil, _gauge_from_solution(slots, x, mu), d_mat)
 

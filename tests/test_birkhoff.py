@@ -7,12 +7,14 @@ P1 = -E_{12}; for u + 1/u the identity gauge is already normal.
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from conftest import (
     CORPUS,
     LADDER,
+    NEGATIVE,
     dense,
     dense_build_linear_system,
     dense_gauge_residual,
@@ -21,9 +23,11 @@ from conftest import (
     dense_mat_mul,
     dense_semisimple,
     pipeline,
+    recipe_draws,
     reference_verify_v_plus,
     sparse,
 )
+from test_acceptance import SWEEP2
 from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import (
     BirkhoffObstruction,
@@ -106,16 +110,21 @@ def _diagonal(degrees):
     return [{i: a} if a else {} for i, a in enumerate(degrees)]
 
 
-def test_normal_pencil_skips_the_ansatz_elimination(monkeypatch):
-    # B = B_0 + theta diag(degrees): the ansatz system has right-hand side
-    # zero, so what _solve_system gives over _build_linear_system is the
-    # identity gauge, and solve_birkhoff returns it without either call
+def _count_calls(monkeypatch, names):
     calls = []
-    for name in ("_build_linear_system", "_solve_system"):
+    for name in names:
         def counted(*args, _f=getattr(birkhoff_mod, name), _name=name, **kwargs):
             calls.append(_name)
             return _f(*args, **kwargs)
         monkeypatch.setattr(birkhoff_mod, name, counted)
+    return calls
+
+
+def test_normal_pencil_skips_the_ansatz_elimination(monkeypatch):
+    # B = B_0 + theta diag(degrees): the ansatz system has right-hand side
+    # zero, so what _solve_system gives over _build_linear_system is the
+    # identity gauge, and solve_birkhoff returns it without building it
+    calls = _count_calls(monkeypatch, ("_build_linear_system", "_settle", "_solve_system"))
     spectral = ["u1^%d + u1^-%d" % (k, k) for k in range(4, 9)]
     normal = []
     for expr in [e for e, _, _ in CORPUS] + list(LADDER) + spectral:
@@ -136,13 +145,114 @@ def test_normal_pencil_skips_the_ansatz_elimination(monkeypatch):
         assert sol.a0 == pen.matrices[0] and sol.ainf == diag, expr
     assert normal == ["u1 + u1^-1", "u1 + u1^-2", "u1 + u2 + u3 + u1^-1 + u2^-1 + u3^-1",
                       "u1^10 + u1^-10"] + spectral
-    # a nonzero B_2, and an off-diagonal B_1, still run the elimination
-    for expr in ("u1 + u2 + u1^-1*u2^-1", "u1^3 + u1 + u1^-2"):
-        pen = pipeline(expr).pencil
-        assert pen.degree >= 2 or pen.matrices[1] != _diagonal(pen.degrees), expr
-        calls.clear()
-        solve_birkhoff(pen)
-        assert "_build_linear_system" in calls and "_solve_system" in calls, expr
+    # a nonzero B_2 (c04) builds the system once and settles it by
+    # substitution, with no elimination
+    pen = pipeline("u1 + u2 + u1^-1*u2^-1").pencil
+    assert pen.degree == 2
+    calls.clear()
+    assert solve_birkhoff(pen).method == "diagonal-ansatz"
+    assert calls == ["_build_linear_system", "_settle"]
+    # an off-diagonal B_1 that no pattern gauge removes (c03): substitution
+    # declines, and the same rows go to the elimination before the sweeps
+    pen = pipeline("u1^3 + u1 + u1^-2").pencil
+    assert pen.matrices[1] != _diagonal(pen.degrees)
+    calls.clear()
+    assert solve_birkhoff(pen).method == "sweep+split"
+    assert calls[:4] == ["_build_linear_system", "_settle", "_solve_system",
+                         "_build_linear_system"]
+
+
+def _ansatz_rows(pen):
+    return birkhoff_mod._build_linear_system(pen, _diagonal(pen.degrees))
+
+
+def test_substitution_agrees_with_the_elimination():
+    # substitution returns the unique solution or declines: on every input
+    # it settles, the elimination has full column rank and the same values;
+    # on every inconsistent system it declines
+    inputs = ([e for e, _, _ in CORPUS] + list(LADDER) + [NEGATIVE, *SWEEP2]
+              + recipe_draws(300) + recipe_draws(80, max_mu=60))
+    settled = inconsistent = 0
+    for expr in dict.fromkeys(inputs):
+        slots, rows, rhs, labels = _ansatz_rows(pipeline(expr).pencil)
+        n = len(slots)
+        x = birkhoff_mod._settle(n, rows, rhs)
+        y, system, augmented, _ = birkhoff_mod._solve_system(n, rows, rhs, labels)
+        if x is not None:
+            assert (system, augmented, x) == (n, n, y), expr
+            settled += 1
+        if y is None:
+            assert x is None, expr
+            inconsistent += 1
+    assert settled >= 50 and inconsistent >= 300
+    # every equation of the normal pencil c09 holds two unknowns: no
+    # equation settles one, so substitution declines a full-rank system
+    slots, rows, rhs, labels = _ansatz_rows(pipeline(CORPUS[8][0]).pencil)
+    assert birkhoff_mod._settle(len(slots), rows, rhs) is None
+    assert birkhoff_mod._solve_system(len(slots), rows, rhs, labels)[1] == len(slots)
+
+
+def test_substitution_declines_a_free_unknown(monkeypatch):
+    # degrees (0, 0, 1), B_0 = E_00, B_1 = diag(degrees) + E_02: the
+    # equation (1, 0, 2) settles (P_1)_02 = -1, and (P_1)_12 is in no
+    # equation, so only the elimination solves the system (free unknown 0)
+    fake = ConnectionPencil(
+        matrices=tuple(map(sparse, (
+            [[F(1), F(0), F(0)], [F(0)] * 3, [F(0)] * 3],
+            [[F(0), F(0), F(1)], [F(0)] * 3, [F(0), F(0), F(1)]],
+        ))),
+        degrees=(F(0), F(0), F(1)),
+    )
+    slots, rows, rhs, labels = _ansatz_rows(fake)
+    assert slots == [(1, 0, 2), (1, 1, 2)]
+    assert birkhoff_mod._settle(len(slots), rows, rhs) is None
+    x, system, augmented, _ = birkhoff_mod._solve_system(len(slots), rows, rhs, labels)
+    assert (x, system, augmented) == ([F(-1), F(0)], 1, 1)
+    calls = _count_calls(monkeypatch, ("_settle", "_solve_system"))
+    sol = solve_birkhoff(fake)
+    assert calls == ["_settle", "_solve_system"]
+    assert sol.method == "diagonal-ansatz"
+    assert list(sol.gauge) == birkhoff_mod._gauge_from_solution(slots, x, 3)
+    assert dense(sol.gauge[1]) == [[F(0), F(0), F(-1)], [F(0)] * 3, [F(0)] * 3]
+
+
+def test_substitution_declines_a_corrupted_right_hand_side(monkeypatch):
+    # one right-hand side off by one: when that makes the system
+    # inconsistent, substitution declines; otherwise the corrupted system
+    # has one solution, and substitution finds it when it settles
+    declined = 0
+    for expr in [e for e, _, _ in CORPUS] + list(LADDER[:2]):
+        slots, rows, rhs, labels = _ansatz_rows(pipeline(expr).pencil)
+        n = len(slots)
+        if birkhoff_mod._settle(n, rows, rhs) is None:
+            continue
+        for e in range(len(rhs)):
+            bad = rhs[:e] + [rhs[e] + 1] + rhs[e + 1:]
+            x = birkhoff_mod._settle(n, rows, bad)
+            y = birkhoff_mod._solve_system(n, rows, bad, labels)[0]
+            if y is None:
+                assert x is None, (expr, e)
+                declined += 1
+            elif x is not None:
+                assert x == y, (expr, e)
+    assert declined >= 100
+    # in solve_birkhoff the corrupted rows go on to the elimination, which
+    # finds them inconsistent: no VerificationError, and the obstruction
+    # record counts the corrupted system's ranks
+    build = birkhoff_mod._build_linear_system
+
+    def corrupted(pencil, ainf, include_m1=True):
+        slots, rows, rhs, labels = build(pencil, ainf, include_m1)
+        if include_m1:
+            rhs = [b + 1 if lab == (1, 1, 1) else b for b, lab in zip(rhs, labels)]
+        return slots, rows, rhs, labels
+
+    monkeypatch.setattr(birkhoff_mod, "_build_linear_system", corrupted)
+    calls = _count_calls(monkeypatch, ("_settle", "_solve_system"))
+    sol = solve_birkhoff(pipeline("u1 + u2 + u1^-1*u2^-1").pencil)
+    assert calls[:2] == ["_settle", "_solve_system"]
+    assert isinstance(sol, BirkhoffObstruction)
+    assert (sol.equations, sol.unknowns, sol.system_rank, sol.augmented_rank) == (8, 4, 4, 5)
 
 
 def test_constant_split_on_cross_degree_coupling():
@@ -656,10 +766,17 @@ def test_sparse_gauge_rows_match_dense_reference():
                     pen, sparse(ainf), include_m1)
                 dslots, drows, drhs, dlabels = dense_build_linear_system(
                     pen, ainf, include_m1)
-                assert (slots, labels, rhs) == (dslots, dlabels, drhs), expr
+                # the integer rows are the Fraction rows times D
+                d = lcm(pen.den, *(x.denominator for m in (*map(dense, pen.matrices), ainf)
+                                   for row in m for x in row))
+                assert (slots, labels) == (dslots, dlabels), expr
+                assert rhs == [d * b for b in drhs], expr
+                assert all(type(b) is int for b in rhs), expr
                 assert all(all(row.values()) for row in rows), expr
+                assert all(type(c) is int for row in rows for c in row.values()), expr
                 n = len(slots)
-                assert [[row.get(t, 0) for t in range(n)] for row in rows] == drows, expr
+                assert ([[row.get(t, 0) for t in range(n)] for row in rows]
+                        == [[d * c for c in row] for row in drows]), expr
                 # the same solution, and the same ranks as a dense elimination
                 x, system, augmented, _ = birkhoff_mod._solve_system(n, rows, rhs, labels)
                 assert x == (solve_linear(drows, drhs) if drows else [F(0)] * n), expr
