@@ -32,9 +32,10 @@ obstruction record is returned.  The pencil, the gauge, A_0 and A_inf are
 all matrices of sparse rows (see `linalg`), and every product and check
 here touches their nonzero entries only.
 
-The module also carries the V-filtration side: the finite level-by-level
-direct-sum test for a solution basis, the spectral test on A_inf, and the
-graded model (Hodge-type filtration, its opposite, and the nilpotent N).
+The module also carries the V-filtration side: the direct-sum test for a
+solution basis, read off the pivot orders of one echelon of the gauge
+columns (`verify_v_solution`), the spectral test on A_inf, and the graded
+model (Hodge-type filtration, its opposite, and the nilpotent N).
 The filtration checks keep sparse echelons whose columns are ordered by
 Newton order, so they also apply to bases without the triangular pattern.
 The opposite filtration needs no window of theta shifts: the shifts that
@@ -44,13 +45,15 @@ Order arithmetic runs on integers.  The pencil carries den, the least
 common denominator of the basis degrees, and the orders o_i = den * alpha_i
 as ints (`ConnectionPencil`), so the Newton order s + alpha_i of the slot
 theta^s e_i is (den * s + o_i) / den, and every comparison, floor and class
-residue of orders is one on integers: the normal-pencil test, the level
-counts, the structural test and the eigenvalue count of the spectral test,
-and the classes, N and Hodge dimensions of the graded model.  The products
+residue of orders is one on integers: the normal-pencil test, the pivot
+orders of the direct-sum test, the structural test and the eigenvalue
+count of the spectral test, and the classes, N and Hodge dimensions of the graded model.  The products
 and echelons that only decide a verdict run on integers as well, scaled by
 a common denominator D:
  * D A - D r I = D (A - r I), so a product of such factors vanishes
-   exactly when the unscaled product does (semisimplicity of A_inf);
+   exactly when the unscaled product does (semisimplicity of A_inf), and
+   a power of one has the rank of the unscaled power (the multiplicity of
+   r as an eigenvalue);
  * (D N)^k = D^k N^k, so D N is nilpotent iff N is;
  * an equation times D has the same solutions, so the gauge systems are
    built as int rows times D, with the solution, ranks and culprits of the
@@ -70,15 +73,7 @@ from math import lcm
 
 from .brieskorn import ConnectionPencil, integer_orders
 from .errors import GradedModelError, VerificationError
-from .linalg import (
-    Echelon,
-    _axpy,
-    charpoly,
-    dense_strings,
-    identity,
-    pol_divmod,
-    sparse_mul,
-)
+from .linalg import Echelon, _axpy, dense_strings, identity, sparse_mul, trace
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +409,8 @@ def _solve_system(n, rows, rhs, labels):
     if not inconsistent:
         x = [Fraction(0)] * n
         for p in ech.pivots:
-            x[p] = ech.row(p).get(n, Fraction(0))
+            num, _, den = ech.integer_row(p)
+            x[p] = Fraction(num.get(n, 0), den)
     return x, system, system + inconsistent, tuple(culprits)
 
 
@@ -611,81 +607,65 @@ def _columns(gauge, mu):
     return columns
 
 
-def verify_v_solution(pencil: ConnectionPencil, gauge, scale: int):
-    """Level-by-level direct sum test for the lattice spanned by the gauge.
+def verify_v_solution(pencil: ConnectionPencil, gauge):
+    """Direct-sum test for the lattice L spanned by the gauge columns.
 
-    Checks, for every level alpha = r / scale up to the top degree, that
-    (lattice cap V_alpha) + theta (ambient cap V_{alpha-1}) decomposes the
-    ambient intersection with V_alpha as a direct sum.
+    L passes when at every level alpha up to the top degree,
+    (L cap V_alpha) + theta (ambient cap V_{alpha-1}) is a direct sum equal
+    to the ambient intersection with V_alpha.  No level is visited: the
+    verdict is read off one reduced echelon of the gauge columns over the
+    slots theta^s e_i, ordered by Newton order, highest first
+    (`_order_keys`).
 
-    The Q-span of the gauge columns is kept as one reduced echelon over the
-    slots theta^k e_i ordered by Newton order, highest first.  Its rows whose
-    pivot has order <= alpha span (lattice cap V_alpha), so that dimension is
-    a count of rows.  theta (ambient cap V_{alpha-1}) is spanned by the slots
-    with k >= 1, so the sum has dimension (number of those slots) + rank of
-    the theta^0 parts of the counted rows; the rows only accumulate as alpha
-    grows, so one more echelon takes those theta^0 parts incrementally.
-
-    The levels run on integers in units of 1 / (scale * den): alpha is
-    r * den and the slot theta^s e_i has order (den * s + o_i) * scale.  The
-    ambient count is the number of slots of order <= alpha, the shifted one
-    drops s = 0; both bisect sorted slot orders.
+    Proof.  At the level alpha let A count the slots of order <= alpha, B
+    those with s = 0 (the basis degrees <= alpha), l the echelon rows whose
+    pivot has order <= alpha, which span L cap V_alpha, and c the rank of
+    their theta^0 parts.  theta (ambient cap V_{alpha-1}) is spanned by the
+    A - B slots with s >= 1, so the level passes exactly when
+    l + A - B = A = c + A - B, that is l = B = c.  These are step functions
+    of alpha that change only at a basis degree or a pivot order, so every
+    level passes (on any grid that holds those orders, such as the
+    polytope's r / scale) exactly when
+     * l = B on (-inf, top]: the at most mu pivot orders, ascending, are
+       the pencil's orders, all <= top; and
+     * c = l at top, which gives c = l at every alpha, since the projection
+       to the theta^0 slots is injective on L cap V_top only if it is on
+       each L cap V_alpha inside it: the theta^0 parts of the mu pivot rows
+       are independent.
     """
-    mu, den, orders = pencil.mu, pencil.den, pencil.orders
+    mu = pencil.mu
     key = _order_keys(pencil)
     span = Echelon()
     for col in _columns(gauge, mu):
         span.insert({key(i, s): x for i, s, x in col})
-    pivots = sorted(span.pivots, reverse=True)  # ascending Newton order
+    if sorted(-(p // mu) for p in span.pivots) != pencil.orders:
+        return False
     constant = {key(i, 0) for i in range(mu)}
     low = Echelon()
-    taken = 0
-    top = orders[-1]
-    slots = sorted((den * s + o) * scale for o in orders for s in range((top - o) // den + 1))
-    bases = sorted(o * scale for o in orders)
-    details = []
-    ok = True
-    r = 0
-    while r * den <= top * scale:
-        level = r * den
-        while taken < len(pivots) and -(pivots[taken] // mu) * scale <= level:
-            num = span.integer_row(pivots[taken])[0]
-            low.insert({p: x for p, x in num.items() if p in constant})
-            taken += 1
-        ambient = bisect_right(slots, level)
-        shifted = ambient - bisect_right(bases, level)
-        good = taken + shifted == ambient and shifted + len(low) == ambient
-        details.append(
-            {"level": str(Fraction(r, scale)), "ambient": ambient, "lattice": taken,
-             "shifted": shifted, "ok": good}
-        )
-        if not good:
-            ok = False
-        r += 1
-    return ok, details
+    for p in span.pivots:
+        low.insert({q: x for q, x in span.integer_row(p)[0].items() if q in constant})
+    return len(low) == mu
 
 
-def _split_over(cp, candidates):
-    """Roots of the polynomial cp among the candidates, with multiplicity.
-
-    Divides cp by (S - r) for each distinct candidate r while the division
-    remainder is zero; a linear cofactor left over yields its one rational
-    root directly.  Returns (sorted (root, mult) pairs, cofactor); the
-    cofactor is a constant when cp splits, and has degree >= 2 otherwise.
-    """
-    roots = {}
-    for r in sorted(set(candidates)):
-        while len(cp) > 1:
-            quot, rem = pol_divmod(cp, [-r, Fraction(1)])
-            if rem:
-                break
-            cp = quot
-            roots[r] = roots.get(r, 0) + 1
-    if len(cp) == 2:
-        r = -cp[0] / cp[1]
-        roots[r] = roots.get(r, 0) + 1
-        cp = [cp[1]]
-    return sorted(roots.items()), cp
+def _multiplicity(m, s):
+    """The algebraic multiplicity of the int s as an eigenvalue of the int
+    matrix m of sparse rows: mu - rank((m - s I)^k) once the rank stops
+    falling.  The rows of (m - s I)^(k+1) span the row space of (m - s I)^k
+    times m - s I, so each power multiplies an echelon basis of the last."""
+    mu = len(m)
+    factor = [dict(row) for row in m]
+    if s:
+        for i, row in enumerate(factor):
+            _axpy(row, -s, {i: 1})
+    rows, rank = factor, mu
+    while True:
+        ech = Echelon()
+        for row in rows:
+            ech.insert(row)
+        if len(ech) == rank:
+            return mu - rank
+        rank = len(ech)
+        rows = sparse_mul([ech.integer_row(p)[0] for p in ech.pivots], factor)
 
 
 def _product_vanishes(m, shifts):
@@ -728,12 +708,15 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
     upper triangular with one diagonal block per degree value alpha, and
     that block is alpha*I.  Hence det(S*I - A_inf) is the product of the
     determinants of the diagonal blocks of S*I - A_inf, which is
-    prod_i (S - alpha_i).  Otherwise the characteristic polynomial is
-    divided by (S - r) for every candidate r (`_split_over`): the diagonal
-    entries of A_inf and +-alpha for every spectral value alpha.  Whenever
-    a cofactor of degree >= 2 is left, every +-alpha has already been
-    divided out, so the eigenvalue moduli cannot match the spectrum: such
-    an A_inf is reported with eigenvalues None and semisimple False.
+    prod_i (S - alpha_i).  Otherwise each candidate r, a diagonal entry of
+    A_inf or +-alpha for a spectral value alpha, is a root of the
+    characteristic polynomial with the multiplicity of its generalized
+    eigenspace, mu - rank((D A - D r I)^k) for large k (`_multiplicity`).
+    When these sum to mu - 1, the one root left is the trace of A_inf minus
+    the sum of the others.  When they sum to less, two or more roots are
+    not candidates, so some +-alpha is missing and the eigenvalue moduli
+    cannot match the spectrum: such an A_inf is reported with eigenvalues
+    None and semisimple False.
 
     Semisimplicity is checked on every input, as the vanishing of the
     product of D A - D r I over the distinct roots (module docstring).  The
@@ -753,11 +736,19 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
             counts[o] = counts.get(o, 0) + 1
         roots = sorted(counts.items())
     else:
-        candidates = [row.get(i, Fraction(0)) for i, row in enumerate(ainf)]
+        candidates = {row.get(i, _ZERO) for i, row in enumerate(ainf)}
         for a, _ in spectrum_pairs:
-            candidates += [a, -a]
-        split, cofactor = _split_over(charpoly(ainf), candidates)
-        if len(cofactor) > 1:
+            candidates |= {a, -a}
+        d, (scaled,) = _scaled([ainf], lcm(*(r.denominator for r in candidates)))
+        split = {}
+        for r in candidates:
+            if m := _multiplicity(scaled, r.numerator * (d // r.denominator)):
+                split[r] = m
+        left = len(ainf) - sum(split.values())
+        if left == 1:
+            # not a candidate: each candidate's whole multiplicity is counted
+            split[trace(ainf) - sum(r * m for r, m in split.items())] = 1
+        elif left:
             detail["eigenvalues"] = None
             detail["semisimple"] = False
             detail["spectral_match"] = False
@@ -766,13 +757,12 @@ def verify_v_plus(ainf, degrees, spectrum_pairs):
                 "eigenvalues (diagonal of A_inf and +-spectrum)"
             )
             return False, detail
+        split = sorted(split.items())
         rden, nums = integer_orders([r for r, _ in split])
         roots = [(r, m) for r, (_, m) in zip(nums, split)]
     detail["eigenvalues"] = [(str(Fraction(r, rden)), m) for r, m in roots]
     # semisimple iff the product of D A - D r I over the roots vanishes
-    d = lcm(rden, *(x.denominator for row in ainf for x in row.values()))
-    scaled = [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
-              for row in ainf]
+    d, (scaled,) = _scaled([ainf], rden)
     semisimple = _product_vanishes(scaled, [r * (d // rden) for r, _ in roots])
     detail["semisimple"] = semisimple
     # moduli over rden; a spectral value off that grid matches none

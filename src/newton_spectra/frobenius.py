@@ -264,7 +264,7 @@ class Pipeline:
         sol = self.birkhoff
         if isinstance(sol, BirkhoffObstruction):
             return {}
-        okv, _ = verify_v_solution(self.pencil, sol.gauge, self.polytope.scale)
+        okv = verify_v_solution(self.pencil, sol.gauge)
         okp, spectral = verify_v_plus(sol.ainf, self.pencil.degrees, self.spectrum.pairs)
         gm = graded_model(self.pencil, sol.gauge)
         sol.flags = {"v_solution": okv, "v_plus": okp,

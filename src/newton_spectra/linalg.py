@@ -17,10 +17,10 @@ tests and the benchmark tracer.
 Everything is deterministic: the reduced row echelon form is unique, and
 free variables are always set to zero.
 
-`pol_trim`, `pol_eval` and `pol_divmod` act on dense ascending coefficient
-lists; only the rational root searches (`rational_roots` and
-`birkhoff._split_over`) use them.  Lattice elements, polynomials in theta,
-are sparse like the matrices (see `brieskorn`).
+`charpoly` and the helpers on dense ascending coefficient lists,
+`pol_trim`, `pol_eval`, `pol_divmod` and `rational_roots`, are likewise
+kept for the tests and the tracer only.  Lattice elements, polynomials in
+theta, are sparse like the matrices (see `brieskorn`).
 """
 
 from __future__ import annotations

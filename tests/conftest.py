@@ -46,7 +46,10 @@ the spectrum, the Euler field and the spectral test as they ran on
 `Fraction` degrees before those moved onto the integer orders and scaled
 degrees; reference_verify_v_plus with structural_rule=False sends every
 A_inf through the characteristic polynomial instead of reading a
-structural one's eigenvalues off its diagonal.  reference_graded_model is
+structural one's eigenvalues off its diagonal.  Its divisor search,
+_split_over, divides that polynomial by S - r for each candidate r; the
+package now reads each candidate's multiplicity off ranks of powers of
+A_inf - r I instead.  reference_graded_model is
 the graded model as it ran before it read F'^k off the one echelon of
 `_fprime_rows`: N rebuilt per class from every B_k, and one echelon per
 class that takes the F'^k bases (from `opposite_filtration`) for k
@@ -80,14 +83,13 @@ from newton_spectra.birkhoff import (
     _class_table,
     _product_vanishes,
     _scaled,
-    _split_over,
     opposite_filtration,
 )
 from newton_spectra.brieskorn import SpectrumData, _spectrum_polynomial, integer_orders
 from newton_spectra.errors import GradedModelError, VerificationError
 from newton_spectra.frobenius import FrobeniusInitialData, _euler_term_text, canonical_primitive
 from newton_spectra.jacobian import DivisionWitness
-from newton_spectra.linalg import Echelon, charpoly, dense_strings
+from newton_spectra.linalg import Echelon, charpoly, dense_strings, pol_divmod
 
 # (expression, arity, milnor number)
 CORPUS = [
@@ -738,6 +740,29 @@ def reference_euler_field(algebra, pencil, solution, spectrum_data):
         c=c, charge=Fraction(2 * alpha_min + 2 - n), euler_text="".join(parts) if parts else "0",
         normalized=solution is not None,
     )
+
+
+def _split_over(cp, candidates):
+    """Roots of the polynomial cp among the candidates, with multiplicity.
+
+    Divides cp by (S - r) for each distinct candidate r while the division
+    remainder is zero; a linear cofactor left over yields its one rational
+    root directly.  Returns (sorted (root, mult) pairs, cofactor); the
+    cofactor is a constant when cp splits, and has degree >= 2 otherwise.
+    """
+    roots = {}
+    for r in sorted(set(candidates)):
+        while len(cp) > 1:
+            quot, rem = pol_divmod(cp, [-r, Fraction(1)])
+            if rem:
+                break
+            cp = quot
+            roots[r] = roots.get(r, 0) + 1
+    if len(cp) == 2:
+        r = -cp[0] / cp[1]
+        roots[r] = roots.get(r, 0) + 1
+        cp = [cp[1]]
+    return sorted(roots.items()), cp
 
 
 def reference_verify_v_plus(ainf, degrees, spectrum_pairs, structural_rule=True):

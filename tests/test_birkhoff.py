@@ -11,10 +11,12 @@ from math import lcm
 
 import pytest
 
+import conftest
 from conftest import (
     CORPUS,
     LADDER,
     NEGATIVE,
+    _split_over,
     dense,
     dense_build_linear_system,
     dense_gauge_residual,
@@ -28,6 +30,7 @@ from conftest import (
     sparse,
 )
 from test_acceptance import SWEEP2
+from test_filtration_oracles import oracle_v_solution
 from newton_spectra import birkhoff as birkhoff_mod
 from newton_spectra import (
     BirkhoffObstruction,
@@ -325,8 +328,9 @@ def test_filtration_flags_hold_for_solved_gauges():
         data, sol = _solved(expr)
         scale = data.polytope.scale
         pen, sp = data.pencil, data.spectrum
-        ok, detail = verify_v_solution(pen, sol.gauge, scale)
-        assert ok, (expr, detail)
+        levels = oracle_v_solution(pen.degrees, [dense(m) for m in sol.gauge], scale)
+        assert all(level["ok"] for level in levels), (expr, levels)
+        assert verify_v_solution(pen, sol.gauge) is True, expr
         ok, detail = verify_v_plus(sol.ainf, pen.degrees, sp.pairs)
         assert ok, (expr, detail)
         gm = graded_model(pen, sol.gauge)
@@ -366,8 +370,9 @@ def test_non_adapted_basis_fails_filtration_tests():
     amats = pencil_in_gauge(pen, wprime)
     assert dense(amats[0]) == [[F(0), F(2)], [F(2), F(0)]]
     assert dense(amats[1]) == [[F(2), F(0)], [F(0), F(-1)]]
-    ok, _ = verify_v_solution(pen, wprime, 1)
-    assert not ok
+    levels = oracle_v_solution(pen.degrees, [dense(m) for m in wprime], 1)
+    assert not all(level["ok"] for level in levels)
+    assert verify_v_solution(pen, wprime) is False
     ok, detail = verify_v_plus(amats[1], pen.degrees, data.spectrum.pairs)
     assert not ok
     assert detail["structure"] is False
@@ -397,8 +402,9 @@ def test_theta_free_gauge_is_always_a_v_solution():
     # a gauge without theta terms never leaves the filtration, so the
     # lattice comparison is the trivial direct sum
     data, sol = _solved("u1 + u2 + u1^-1*u2^-1")
-    ok, _ = verify_v_solution(data.pencil, [sol.gauge[0]], 1)
-    assert ok
+    levels = oracle_v_solution(data.pencil.degrees, [dense(sol.gauge[0])], 1)
+    assert all(level["ok"] for level in levels)
+    assert verify_v_solution(data.pencil, [sol.gauge[0]]) is True
 
 
 def test_identity_gauge_round_trip():
@@ -553,12 +559,9 @@ def _conjugate_elementary(a, i, j, c):
 
 
 def test_candidate_division_agrees_with_root_search(monkeypatch):
-    # oracle: the same test with the divisor search put back in
-    def by_root_search(ainf, degrees, pairs):
-        with monkeypatch.context() as m:
-            m.setattr(birkhoff_mod, "_split_over", lambda cp, _: rational_roots(cp))
-            return verify_v_plus(ainf, degrees, pairs)
-
+    # oracle: the Fraction reference of the spectral test with the divisor
+    # search in place of its division by the candidates
+    monkeypatch.setattr(conftest, "_split_over", lambda cp, _: rational_roots(cp))
     rng = random.Random(20021107)
     pool = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(-1), F(-1, 2)]
     agreed = not_split = passed = 0
@@ -584,7 +587,7 @@ def test_candidate_division_agrees_with_root_search(monkeypatch):
                 i, j = rng.sample(range(mu), 2)
                 ainf = _conjugate_elementary(ainf, i, j, F(rng.randint(-2, 2)))
         new_ok, new = verify_v_plus(sparse(ainf), degrees, pairs)
-        old_ok, old = by_root_search(sparse(ainf), degrees, pairs)
+        old_ok, old = reference_verify_v_plus(sparse(ainf), degrees, pairs)
         assert new_ok == old_ok
         cands = {ainf[i][i] for i in range(mu)}
         cands |= {s * a for a, _ in pairs for s in (1, -1)}
@@ -598,6 +601,49 @@ def test_candidate_division_agrees_with_root_search(monkeypatch):
             assert new["eigenvalues"] is None and not new_ok
             not_split += 1
     assert agreed and not_split and passed
+
+
+def test_multiplicities_agree_with_charpoly_division():
+    # each candidate's multiplicity, read off the ranks of powers of
+    # D A_inf - D r I, against the division of the characteristic
+    # polynomial by S - r (conftest._split_over); and the spectral test's
+    # details against the reference that runs that division
+    rng = random.Random(20261021)
+    pool = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(-1), F(-1, 2)]
+    kinds = {"split": 0, "linear": 0, "not split": 0}
+    for trial in range(600):
+        mu = rng.randint(1, 5)
+        if trial % 3:
+            # triangular over a few values, so with repeated eigenvalues and
+            # Jordan parts, conjugated by unipotent elementary matrices
+            ainf = [[F(0)] * mu for _ in range(mu)]
+            for i in range(mu):
+                ainf[i][i] = rng.choice(pool[:4])
+                for j in range(i + 1, mu):
+                    if rng.random() < 0.5:
+                        ainf[i][j] = F(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(0, 3) if mu > 1 else 0):
+                i, j = rng.sample(range(mu), 2)
+                ainf = _conjugate_elementary(ainf, i, j, F(rng.randint(-2, 2)))
+        else:
+            # random entries: mostly eigenvalues off the candidates
+            ainf = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(mu)]
+                    for _ in range(mu)]
+        degrees = tuple(sorted(rng.choice(pool[:6]) for _ in range(mu)))
+        pairs = tuple((a, 1) for a in sorted(set(rng.sample(pool, rng.randint(1, 3)))))
+        a = sparse(ainf)
+        cands = {ainf[i][i] for i in range(mu)} | {s * x for x, _ in pairs for s in (1, -1)}
+        roots, cofactor = _split_over(charpoly(a), cands)
+        d, (scaled,) = birkhoff_mod._scaled([a], lcm(*(r.denominator for r in cands)))
+        got = {r: m for r in cands if (m := birkhoff_mod._multiplicity(scaled, int(r * d)))}
+        assert got == {r: m for r, m in roots if r in cands}, ainf
+        if len(cofactor) > 1:
+            kinds["not split"] += 1
+        else:
+            kinds["linear" if len(got) < len(roots) else "split"] += 1
+        assert verify_v_plus(a, degrees, pairs) == reference_verify_v_plus(
+            a, degrees, pairs, structural_rule=False)
+    assert min(kinds.values()) >= 20, kinds
 
 
 def _structural(rng, degrees):

@@ -2,22 +2,25 @@
 
 `opposite_filtration` reads F'^k for every residue class and every k off
 one sparse echelon, filled with theta shifts down from an exact cutoff, and
-`verify_v_solution` reads its levels off one echelon of the gauge columns.
-The oracles below redo both the direct way, on dense matrices with the
-reference elimination `conftest.dense_rref`:
+`verify_v_solution` reads its verdict off the pivot orders and theta^0 parts
+of one echelon of the gauge columns, visiting no level.  The oracles below
+redo both the direct way, on dense matrices with the reference elimination
+`conftest.dense_rref`:
 
 - F'^k from a generator matrix over a window of theta shifts, the kernel of
   its columns of Newton order above rho, and the order-rho part of that
   kernel, computed at the window W and again at W + 3, and at windows
   reaching the cutoff on pencils whose lowest degree is 1 to 4;
-- the direct sum test per level from the kernel of the high-order slots and
-  two ranks;
+- the direct sum test at every level from the kernel of the high-order
+  slots and two ranks, whose verdicts the package's one verdict must
+  match;
 - oppositeness and (B) from explicit subspace intersections.
 
 They run on the corpus gauges, on the ladder u1^k + u1^-k, on the
 non-adapted gauge {w0 + theta w1, w1}, on seeded random gauges of theta
-degree <= 2 built from elementary matrices over Q[theta], and on gauges
-with a singular constant term.
+degree <= 2 built from elementary matrices over Q[theta], on gauges
+with a singular constant term, and on three seeded mutations of each solved
+corpus and small ladder gauge.
 """
 
 import random
@@ -26,7 +29,7 @@ from math import floor
 
 import pytest
 
-from conftest import CORPUS, dense, dense_rank, dense_rref, pipeline, sparse
+from conftest import CORPUS, LADDER, dense, dense_rank, dense_rref, pipeline, sparse
 from newton_spectra import (
     BirkhoffSolution,
     ConnectionPencil,
@@ -203,8 +206,8 @@ def _check_against_oracles(pencil, gauge, scale):
     want = oracle_opposite_filtration(degrees, gauge)
     assert want is not None
     rows = [sparse(m) for m in gauge]
-    assert verify_v_solution(pencil, rows, scale)[1] == oracle_v_solution(
-        degrees, _trim(gauge, pencil.mu), scale)
+    levels = oracle_v_solution(degrees, _trim(gauge, pencil.mu), scale)
+    assert verify_v_solution(pencil, rows) == all(level["ok"] for level in levels)
     got = opposite_filtration(pencil, rows)
     assert sorted(got) == sorted(want)
     for rho in want:
@@ -233,7 +236,7 @@ def test_non_adapted_gauge_matches_the_dense_oracles():
     pen = pipeline("u1 + u1^-1").pencil
     wprime = [dense(identity(2)), [[F(0), F(0)], [F(1), F(0)]]]
     _check_against_oracles(pen, wprime, 1)
-    assert verify_v_solution(pen, [sparse(m) for m in wprime], 1)[0] is False
+    assert verify_v_solution(pen, [sparse(m) for m in wprime]) is False
 
 
 def _random_gauge(rng, mu):
@@ -304,8 +307,52 @@ def test_dependent_constant_parts_are_ranked_by_value():
           for row in ((1, 0, 1, 0), (1, 1, 0, 0), (0, 1, -1, 0), (0, 0, 0, 1))]
     p1 = [[F(int(i == j < 3)) for j in range(4)] for i in range(4)]
     want = oracle_v_solution(degrees, [p0, p1], 2)
-    assert verify_v_solution(pen, [sparse(p0), sparse(p1)], 2)[1] == want
     assert not all(level["ok"] for level in want)
+    assert verify_v_solution(pen, [sparse(p0), sparse(p1)]) is False
+
+
+def _mutations(rng, gauge, mu):
+    """Three seeded mutations of a dense gauge: one column theta-shifted, one
+    column's theta^0 part made a multiple of another's, one column zeroed."""
+    shifted = [[row[:] for row in m] for m in gauge] + [[[F(0)] * mu for _ in range(mu)]]
+    j = rng.randrange(mu)
+    for p in range(len(shifted) - 1, -1, -1):
+        for i in range(mu):
+            shifted[p][i][j] = shifted[p - 1][i][j] if p else F(0)
+    dependent = [[row[:] for row in m] for m in gauge]
+    j, k = rng.sample(range(mu), 2)
+    c = F(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+    for row in dependent[0]:
+        row[j] = c * row[k]
+    zeroed = [[row[:] for row in m] for m in gauge]
+    j = rng.randrange(mu)
+    for m in zeroed:
+        for row in m:
+            row[j] = F(0)
+    return shifted, dependent, zeroed
+
+
+# the first three ladder rows have mu 24, 23 and 20, where the dense oracle
+# takes under 1 s a gauge; on the next ones (mu = 84, 54, 240) it takes
+# 13 s, 3 s and far longer
+@pytest.mark.parametrize("expr", [e for e, _, _ in CORPUS] + list(LADDER[:3]))
+def test_mutated_gauges_match_the_oracle_verdict(expr):
+    data = pipeline(expr)
+    pen = data.pencil
+    sol = solve_birkhoff(pen)
+    assert isinstance(sol, BirkhoffSolution)
+    gauge = [dense(m) for m in sol.gauge]
+    rng = random.Random(expr)
+    verdicts = []
+    for g in (gauge, *_mutations(rng, gauge, pen.mu)):
+        levels = oracle_v_solution(pen.degrees, _trim(g, pen.mu), data.polytope.scale)
+        verdict = verify_v_solution(pen, [sparse(m) for m in g])
+        assert verdict == all(level["ok"] for level in levels)
+        verdicts.append(verdict)
+    # the solved gauge passes; every mutation fails: a theta-shifted column
+    # moves a pivot order, and the other two leave a nonzero lattice vector
+    # without theta^0 part, or lower the rank
+    assert verdicts == [True, False, False, False]
 
 
 def _cutoff(degrees, gauge):

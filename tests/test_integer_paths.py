@@ -23,6 +23,7 @@ import pytest
 from conftest import (
     CORPUS,
     LADDER,
+    dense,
     pipeline,
     recipe_draws,
     reference_euler_field,
@@ -32,6 +33,7 @@ from conftest import (
     sparse,
 )
 from test_acceptance import NEGATIVE, RATIONAL_SHA256, SWEEP2
+from test_filtration_oracles import oracle_v_solution
 from newton_spectra import (
     ConnectionPencil,
     DegeneracySuspectedError,
@@ -108,13 +110,16 @@ def test_b_check_fails_on_exactly_one_class():
 def test_pencil_refuses_degrees_out_of_order():
     # the checks after the pencil read the top degree last and bisect the
     # orders, so degrees (1, 0) are refused; listed as (0, 1), the same
-    # pencil is checked at levels 0 and 1
+    # pencil passes the direct-sum test, as the oracle's levels 0 and 1 do
     b0 = [[F(0), F(0)], [F(0), F(0)]]
     b1 = [[F(1), F(0)], [F(0), F(0)]]
     with pytest.raises(ValueError, match=r"pencil degrees do not ascend: 1, 0"):
         ConnectionPencil([sparse(b0), sparse(b1)], (F(1), F(0)))
     pen = ConnectionPencil([sparse(b0), sparse([[F(0), F(0)], [F(0), F(1)]])], (F(0), F(1)))
-    assert [level["level"] for level in verify_v_solution(pen, [identity(2)], 1)[1]] == ["0", "1"]
+    levels = oracle_v_solution(pen.degrees, [dense(identity(2))], 1)
+    assert [level["level"] for level in levels] == ["0", "1"]
+    want = all(level["ok"] for level in levels)
+    assert want and verify_v_solution(pen, [identity(2)]) == want
 
 
 def _outcome(fn, *args):

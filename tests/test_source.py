@@ -8,9 +8,11 @@ one is named in it, exported in `__all__` or wrapped by a `TARGETS` entry of
 the benchmark's tracer (`perfbench/tracer.py`).  The storage of
 `linalg.Echelon` rows is known to `linalg` alone: other modules read rows
 through `pivots`, `row(p)`, `integer_row(p)`, `len` and `in`.  The dense
-wrappers `rref`, `rank`, `solve_linear`, `nullspace` and `rational_roots`
-are defined in `linalg` for the tests and the tracer, and the package calls
-none of them.
+wrappers `rref`, `rank`, `solve_linear`, `nullspace` and `rational_roots`,
+and the characteristic polynomial `charpoly` with the dense polynomial
+helpers `pol_trim`, `pol_eval` and `pol_divmod`, are defined in `linalg`
+for the tests and the tracer, and the package neither calls nor imports
+any of them.
 """
 
 import ast
@@ -90,11 +92,15 @@ def test_only_linalg_reads_echelon_rows():
 
 
 def test_package_calls_no_dense_wrapper():
-    # a wrapper is neither called nor imported anywhere in the package
-    wrappers = {"rref", "rank", "solve_linear", "nullspace", "rational_roots"}
+    # a wrapper or polynomial helper is neither called nor imported anywhere
+    # in the package outside the bodies of those helpers themselves
+    wrappers = {"rref", "rank", "solve_linear", "nullspace", "rational_roots",
+                "charpoly", "pol_trim", "pol_eval", "pol_divmod"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        body = [stmt for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+                if getattr(stmt, "name", None) not in wrappers]
+        for node in (node for stmt in body for node in ast.walk(stmt)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
             elif isinstance(node, ast.alias):
